@@ -246,43 +246,48 @@ func TestResetSeenRedeliveryCountsAgain(t *testing.T) {
 }
 
 func TestTracker(t *testing.T) {
-	tr := NewTracker()
-	r1 := tr.NextRound()
-	r2 := tr.NextRound()
-	if r1 == r2 {
-		t.Fatal("NextRound not unique")
-	}
-	tr.Deliver(r1, 0, nil, 0)
-	tr.Deliver(r1, 0, nil, 3)
-	tr.Deliver(r1, 0, nil, 5)
-	if got := tr.Delivered(r1); got != 3 {
-		t.Errorf("Delivered = %d, want 3", got)
-	}
-	if got := tr.Reliability(r1, 6); got != 0.5 {
-		t.Errorf("Reliability = %v, want 0.5", got)
-	}
-	if got := tr.MaxHops(r1); got != 5 {
-		t.Errorf("MaxHops = %d, want 5", got)
-	}
-	if got := tr.AvgHops(r1); got != (0+3+5)/3.0 {
-		t.Errorf("AvgHops = %v", got)
-	}
-	if got := tr.Reliability(r2, 6); got != 0 {
-		t.Errorf("unknown round reliability = %v, want 0", got)
-	}
-	tr.Forget(r1)
-	if tr.Delivered(r1) != 0 {
-		t.Error("Forget did not clear round")
-	}
-	if tr.Reliability(r1, 0) != 0 {
-		t.Error("zero population reliability must be 0")
+	// One part is the plain tracker; with three, the same deliveries land in
+	// different writers' parts and every read must sum them.
+	for _, parts := range []int{1, 3} {
+		tr := NewTrackerParts(parts)
+		r1 := tr.NextRound()
+		r2 := tr.NextRound()
+		if r1 == r2 {
+			t.Fatal("NextRound not unique")
+		}
+		tr.Deliver(r1, 0, nil, 0) // part 0
+		tr.Part(1%parts).Deliver(r1, 0, nil, 5)
+		tr.Part(2%parts).Deliver(r1, 0, nil, 3)
+		if got := tr.Delivered(r1); got != 3 {
+			t.Errorf("parts=%d: Delivered = %d, want 3", parts, got)
+		}
+		if got := tr.Reliability(r1, 6); got != 0.5 {
+			t.Errorf("parts=%d: Reliability = %v, want 0.5", parts, got)
+		}
+		if got := tr.MaxHops(r1); got != 5 {
+			t.Errorf("parts=%d: MaxHops = %d, want 5", parts, got)
+		}
+		if got := tr.AvgHops(r1); got != (0+3+5)/3.0 {
+			t.Errorf("parts=%d: AvgHops = %v", parts, got)
+		}
+		if got := tr.Reliability(r2, 6); got != 0 {
+			t.Errorf("parts=%d: unknown round reliability = %v, want 0", parts, got)
+		}
+		tr.Forget(r1)
+		if tr.Delivered(r1) != 0 {
+			t.Errorf("parts=%d: Forget did not clear round", parts)
+		}
+		if tr.Reliability(r1, 0) != 0 {
+			t.Error("zero population reliability must be 0")
+		}
 	}
 }
 
 func TestTrackerReset(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTrackerParts(2)
 	r := tr.NextRound()
 	tr.Deliver(r, 0, nil, 0)
+	tr.Part(1).Deliver(r, 0, nil, 0)
 	tr.Reset()
 	if tr.Delivered(r) != 0 {
 		t.Error("Reset kept stats")

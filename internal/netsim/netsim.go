@@ -161,18 +161,23 @@ type Sim struct {
 	// idle and every event lives in per-shard time buckets instead. Built by
 	// NewSharded; nil for the classic single-shard engine.
 	shards []shard
-	// inWave is true while shard goroutines are delivering a wave: endpoint
-	// sends and timer registrations record into per-shard output logs
-	// instead of sequencing immediately.
+	// inWave is true while the shards are delivering a wave: endpoint sends
+	// and timer registrations record into per-shard output logs instead of
+	// sequencing immediately. wave counts waves over the life of the Sim; its
+	// parity selects the arena the wave's output is written to.
 	inWave bool
+	wave   uint64
 	// instantActive is true while runInstant is processing an instant:
 	// delay-0 traffic joins the instant's next wave rather than a bucket.
 	instantActive bool
-	// waveWG is reused across waves so the parallel fan-out allocates
-	// nothing in steady state; waveParallel gates the fan-out on a
-	// multi-P runtime (captured at NewSharded).
-	waveWG       sync.WaitGroup
+	// waveParallel gates parallel waves on a multi-P runtime (captured at
+	// NewSharded). waveWG is the per-wave barrier the shard workers report
+	// to; workersUp says they are running (only ever inside a Drain or RunFor
+	// call) and workersWG joins them when the call returns.
 	waveParallel bool
+	waveWG       sync.WaitGroup
+	workersUp    bool
+	workersWG    sync.WaitGroup
 
 	// watchers maps a watched node to the set of nodes holding an open
 	// connection to it; when it fails, live watchers implementing
@@ -845,11 +850,7 @@ func (s *Sim) Revive(nodeID id.ID) {
 	for _, ev := range parked {
 		s.seq++
 		if s.sharded() {
-			if ev.kind == kindPeriodic {
-				s.enqueuePeriodic(s.now+ev.interval, s.seq, &ev)
-			} else {
-				s.enqueueAt(s.now, s.seq, &ev)
-			}
+			s.unparkSharded(&ev)
 			continue
 		}
 		slot := s.newSlot()

@@ -33,17 +33,46 @@
 // traffic (and byte-identical across repeated runs of the same shard count
 // always — the determinism contract sharding must preserve).
 //
+// Data path. An event record (sevent in a bucket or wave, outRec in an output
+// log) is 48–56 bytes: routing fields plus a *msg.Message. The 160-byte message
+// body is written once and never moved:
+//
+//   - A handler's output is written into the sending shard's arena for the
+//     current wave — chunked, so entries never move. Two arenas ping-pong:
+//     wave k writes arena k&1 while the destinations of wave k-1's output
+//     read arena (k-1)&1. Delay-0 output is delivered in wave k+1 straight
+//     from the arena; the arena is reset, with its slots cleared so no
+//     payload stays pinned, by its own shard at the start of wave k+2.
+//     Consecutive sends of a shallowly identical message (see sameMessage)
+//     share one entry: a flood forward to four neighbours writes one body.
+//   - Everything that outlives the next wave — timers, latency-model
+//     traffic, periodic registrations — and everything sequenced from
+//     coordinator context — harness and OnPeerDown sends, Redeliver, hook
+//     replacements, revived parked events — is copied into a free-listed
+//     hold slab owned by the destination shard. Slots are taken only on the
+//     coordinator (between waves) and released only by the owning shard after
+//     it delivered or dropped the event, so the slab needs no lock. A
+//     periodic registration keeps its slot across re-arms.
+//
+// Workers. On a multi-P runtime waves of at least parallelMinWave events are
+// delivered in parallel: the coordinator runs shard 0's slice itself and
+// shards 1..S-1 each have a worker goroutine, started at the first such wave
+// of a Drain or RunFor call, fed one token per wave through the shard's
+// buffered channel, and stopped and joined before the call returns. Sim needs
+// no Close and leaks nothing between calls.
+//
 // Shared mutable state during a parallel wave is confined to: the shard's
-// own buckets/outputs/stats, the destination node's process state (every
-// node belongs to exactly one shard), and whatever the host application's
-// Delivery callbacks touch — those must be synchronized by the caller when
-// shards >= 2 (the sim harness guards its tracker with a mutex).
+// own buckets/outputs/arenas/stats, the destination node's process state
+// (every node belongs to exactly one shard), and whatever the host
+// application's Delivery callbacks touch — with shards >= 2 the host keeps
+// that state per shard too (ShardOf tells it which; the sim harness binds
+// every node's callback to its shard's tracker part).
 package netsim
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
+	"unsafe"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
@@ -51,8 +80,8 @@ import (
 )
 
 // parallelMinWave is the smallest wave (events across all shards) worth
-// fanning out to shard goroutines; smaller waves are processed serially by
-// the coordinator, which is both faster (no wakeup latency) and identical in
+// handing to the shard workers; smaller waves are processed serially by the
+// coordinator, which is both faster (no wakeup latency) and identical in
 // outcome (shard slices touch disjoint state either way).
 const parallelMinWave = 64
 
@@ -62,21 +91,107 @@ const parallelMinWave = 64
 // cached when the cursor arrives.
 const waveLookahead = 12
 
+// arenaChunk is the number of messages per arena or hold-slab chunk (40 KiB):
+// big enough that chunk bookkeeping is noise, small enough that a 300-node
+// test cluster does not hold megabytes of idle slots per shard.
+const arenaChunk = 256
+
+// Event flags.
+const (
+	flagSkip   uint8 = 1 << iota // suppressed by the Intercept pre-pass (already counted)
+	flagExempt                   // bypasses the Intercept hook (fault-injected redelivery)
+	flagHeld                     // m is a slot of the destination shard's hold slab
+)
+
 // sevent is one scheduled event in a shard's bucket, wave or periodic heap.
 type sevent struct {
-	at   uint64 // delivery instant (bucket entries: the bucket's time)
-	seq  uint64 // global sequence number, the deterministic tiebreaker
-	skip bool   // suppressed by the Intercept pre-pass (already counted)
-	ev   event
+	at       uint64       // delivery instant (bucket entries: the bucket's time)
+	seq      uint64       // global sequence number, the deterministic tiebreaker
+	from     id.ID        // sender identity handed to Deliver (self for timers)
+	m        *msg.Message // arena entry of the previous wave, or a hold slot (flagHeld)
+	interval uint64       // re-arm interval for kindPeriodic
+	to       int32        // destination node index
+	kind     uint8
+	flags    uint8
 }
 
-// outRec is one unit of handler output recorded during a parallel wave,
-// sequenced canonically at the barrier.
+// outRec is one unit of handler output recorded during a wave, sequenced
+// canonically at the barrier.
 type outRec struct {
-	pseq  uint64 // seq of the event whose handler produced this record
-	birth uint32 // order among that handler's outputs (re-arm first, then sends)
-	at    uint64 // absolute delivery time for timers and periodic re-arms
-	ev    event
+	pseq     uint64 // seq of the event whose handler produced this record
+	at       uint64 // absolute delivery time for timers and periodic re-arms
+	from     id.ID
+	m        *msg.Message // entry of the sending shard's current arena, or a re-armed periodic's hold slot
+	interval uint64
+	birth    uint32 // order among that handler's outputs (re-arm first, then sends)
+	to       int32
+	kind     uint8
+	flags    uint8
+}
+
+// sequenced turns the record into the event it schedules.
+func (r *outRec) sequenced(at, seq uint64) sevent {
+	return sevent{at: at, seq: seq, from: r.from, m: r.m, interval: r.interval, to: r.to, kind: r.kind, flags: r.flags}
+}
+
+// sameSlice reports whether two slices have the identical header.
+func sameSlice[T any](a, b []T) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+}
+
+// sameMessage reports whether a and b are shallowly identical: every scalar
+// equal, every slice the same header. Under the copy-on-write ownership
+// regime (package peer, "Message ownership") a sent slice is frozen, so no
+// receiver can tell two such messages apart and one stored body can serve
+// both. The address a message was sent from says nothing: callers restage
+// different messages in the same scratch.
+func sameMessage(a, b *msg.Message) bool {
+	return a.Round == b.Round && a.Sender == b.Sender && a.Type == b.Type &&
+		a.Hops == b.Hops && a.TTL == b.TTL && a.Subject == b.Subject &&
+		a.Priority == b.Priority && a.Accept == b.Accept && a.Topic == b.Topic &&
+		a.CostOld == b.CostOld && a.CostNew == b.CostNew &&
+		sameSlice(a.Payload, b.Payload) && sameSlice(a.Nodes, b.Nodes) &&
+		sameSlice(a.Entries, b.Entries) && sameSlice(a.Directory, b.Directory)
+}
+
+// arena stores the message bodies one shard's handlers emit during one wave.
+// Chunks are never reallocated, so entry addresses are stable until reset.
+type arena struct {
+	chunks [][]msg.Message // each arenaChunk long
+	n      int             // entries in use
+	last   *msg.Message    // entry n-1
+	pinned bool            // some entry in use carries a slice
+}
+
+// put stores *m and returns its entry: the previous one when *m is shallowly
+// identical to it.
+func (a *arena) put(m *msg.Message) *msg.Message {
+	if a.last != nil && sameMessage(a.last, m) {
+		return a.last
+	}
+	if a.n == len(a.chunks)*arenaChunk {
+		a.chunks = append(a.chunks, make([]msg.Message, arenaChunk))
+	}
+	e := &a.chunks[a.n/arenaChunk][a.n%arenaChunk]
+	*e = *m
+	a.n++
+	a.last = e
+	if m.Payload != nil || m.Nodes != nil || m.Entries != nil || m.Directory != nil {
+		a.pinned = true
+	}
+	return e
+}
+
+// reset empties the arena, clearing the slots that were in use if any of them
+// referenced memory.
+func (a *arena) reset() {
+	if a.pinned {
+		for c, left := 0, a.n; left > 0; c, left = c+1, left-arenaChunk {
+			clear(a.chunks[c][:min(left, arenaChunk)])
+		}
+		a.pinned = false
+	}
+	a.n, a.last = 0, nil
 }
 
 // shardStats are the per-shard slices of Stats, summed on read.
@@ -120,6 +235,15 @@ type shard struct {
 
 	touched uint64 // lookahead-touch sink; see runWave
 
+	arenas [2]arena       // handler output bodies, indexed by wave parity
+	hold   []*msg.Message // free slots of this shard's hold slab
+
+	// work feeds the shard's worker one token per parallel wave: true runs
+	// the wave, false ends the worker. loop is the worker method value, built
+	// once so that starting a worker allocates no closure.
+	work chan bool
+	loop func()
+
 	// watching[d] is the set of nodes on this shard holding an open
 	// connection to d. Writes come only from this shard's nodes (their
 	// Watch/Unwatch), so no lock is needed; the coordinator unions the
@@ -127,6 +251,8 @@ type shard struct {
 	watching map[id.ID]map[id.ID]struct{}
 
 	stats shardStats
+
+	_ [64]byte // keeps neighbouring shards' hot fields off one cache line
 }
 
 // sharded reports whether the wave/barrier engine is active.
@@ -140,6 +266,16 @@ func (s *Sim) Shards() int {
 	return len(s.shards)
 }
 
+// ShardOf returns the index of the shard that owns nodeID and delivers to it:
+// the key a host uses to keep its Delivery-callback state per shard. It is 0
+// on the single-shard engine and for unknown nodes.
+func (s *Sim) ShardOf(nodeID id.ID) int {
+	if idx, ok := s.nodeIndex(nodeID); ok && s.sharded() {
+		return s.shardOf(idx).id
+	}
+	return 0
+}
+
 // NewSharded returns a simulator whose event engine is partitioned into
 // shards parallel shards (see the package comment of this file). A shard
 // count of one (or less) returns the classic single-shard engine — the
@@ -151,21 +287,34 @@ func NewSharded(seed uint64, shards int) *Sim {
 	}
 	s := New(seed)
 	s.shards = make([]shard, shards)
-	// On a single-P runtime goroutine fan-out cannot overlap anything and
-	// only adds scheduling latency per wave; the serial path is identical in
-	// outcome (shard slices touch disjoint state either way), so take it.
-	// Captured once: tests that want the concurrent path under -race raise
-	// GOMAXPROCS before construction.
+	// On a single-P runtime workers cannot overlap anything and only add
+	// scheduling latency per wave; the serial path is identical in outcome
+	// (shard slices touch disjoint state either way), so take it. Captured
+	// once: tests that want the concurrent path under -race raise GOMAXPROCS
+	// before construction.
 	s.waveParallel = runtime.GOMAXPROCS(0) > 1
 	for i := range s.shards {
-		s.shards[i] = shard{
+		sh := &s.shards[i]
+		*sh = shard{
 			sim:      s,
 			id:       i,
 			future:   make(map[uint64][]sevent),
 			watching: make(map[id.ID]map[id.ID]struct{}),
+			work:     make(chan bool, 1),
 		}
+		sh.loop = sh.worker
 	}
 	return s
+}
+
+// worker is the body of the shard's worker goroutine: one wave per true
+// token, exit on false.
+func (sh *shard) worker() {
+	for <-sh.work {
+		sh.runWave()
+		sh.sim.waveWG.Done()
+	}
+	sh.sim.workersWG.Done()
 }
 
 // shardOf returns the shard owning the node at table index idx.
@@ -205,29 +354,71 @@ func (sh *shard) putVec(v []sevent) {
 	}
 }
 
-// enqueueAt routes one sequenced event to its destination shard: the next
-// wave when it lands on the active instant, a future bucket otherwise.
-func (s *Sim) enqueueAt(at, seq uint64, ev *event) {
-	sh := s.shardOf(ev.to)
-	se := sevent{at: at, seq: seq, ev: *ev}
-	if s.instantActive && at == s.now {
-		sh.next = append(sh.next, se)
-		sh.queued++
-		return
+// held copies *m into a free slot of the shard's hold slab and returns the
+// slot. Coordinator only: the free list is otherwise touched by the shard's
+// own runWave. A message that lives outside the engine (a caller's argument,
+// a parked event) is copied here before an event record is built around it:
+// a record holding the caller's pointer would make escape analysis move every
+// Send argument to the heap.
+func (sh *shard) held(m *msg.Message) *msg.Message {
+	if len(sh.hold) == 0 {
+		chunk := make([]msg.Message, arenaChunk)
+		for i := range chunk {
+			sh.hold = append(sh.hold, &chunk[i])
+		}
 	}
-	b, ok := sh.future[at]
-	if !ok {
-		b = sh.grabVec()
-		pushTime(&sh.times, at)
-	}
-	sh.future[at] = append(b, se)
-	sh.queued++
+	slot := sh.hold[len(sh.hold)-1]
+	sh.hold = sh.hold[:len(sh.hold)-1]
+	*slot = *m
+	return slot
 }
 
-// enqueuePeriodic registers a periodic event on its shard's heap.
-func (s *Sim) enqueuePeriodic(at, seq uint64, ev *event) {
-	sh := s.shardOf(ev.to)
-	pushSevent(&sh.pheap, sevent{at: at, seq: seq, ev: *ev})
+// release returns the event's hold slot, if it has one, to the free list,
+// dropping the references it holds so a free slot never keeps a payload alive.
+func (sh *shard) release(se *sevent) {
+	if se.flags&flagHeld != 0 {
+		m := se.m
+		m.Nodes, m.Entries, m.Payload, m.Directory = nil, nil, nil, nil
+		sh.hold = append(sh.hold, m)
+	}
+}
+
+// holdEvent moves the event's message into the destination shard's hold slab
+// unless it already lives there.
+func (sh *shard) holdEvent(se *sevent) {
+	if se.flags&flagHeld == 0 {
+		se.m = sh.held(se.m)
+		se.flags |= flagHeld
+	}
+}
+
+// enqueueAt routes one sequenced event to its destination shard: the next
+// wave when it lands on the active instant, a future bucket otherwise. se.m
+// is a hold slot of that shard (flagHeld) or an entry of the arena the wave
+// just wrote, which is readable for exactly one more wave: an event bound for
+// a bucket takes a hold slot.
+func (s *Sim) enqueueAt(se sevent) {
+	sh := s.shardOf(se.to)
+	sh.queued++
+	if s.instantActive && se.at == s.now {
+		sh.next = append(sh.next, se)
+		return
+	}
+	sh.holdEvent(&se)
+	b, ok := sh.future[se.at]
+	if !ok {
+		b = sh.grabVec()
+		pushTime(&sh.times, se.at)
+	}
+	sh.future[se.at] = append(b, se)
+}
+
+// enqueuePeriodic registers a periodic event on its shard's heap; the
+// registration owns a hold slot for as long as it lives.
+func (s *Sim) enqueuePeriodic(se sevent) {
+	sh := s.shardOf(se.to)
+	sh.holdEvent(&se)
+	pushSevent(&sh.pheap, se)
 }
 
 // sendSharded is the wave-engine send path. During a parallel wave the event
@@ -251,7 +442,7 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		// known mid-wave); the tentative counters are rolled back there if
 		// the merge sheds this event.
 		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth,
-			ev: event{from: from, to: ti, kind: kindMessage, m: *m}})
+			from: from, to: ti, kind: kindMessage, m: sh.arenas[s.wave&1].put(m)})
 		sh.birth++
 		sh.stats.sent++
 		sh.stats.bytesSent += uint64(m.EncodedSize())
@@ -269,7 +460,7 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		delay = s.Latency(from, to, s.rand)
 	}
 	s.seq++
-	s.enqueueAt(s.now+delay, s.seq, &event{from: from, to: ti, kind: kindMessage, m: *m})
+	s.enqueueAt(sevent{at: s.now + delay, seq: s.seq, from: from, to: ti, kind: kindMessage, flags: flagHeld, m: s.shardOf(ti).held(m)})
 	s.stats.Sent++
 	s.stats.BytesSent += uint64(m.EncodedSize())
 	return nil
@@ -288,9 +479,24 @@ func (s *Sim) redeliverSharded(from, to id.ID, m *msg.Message, delay uint64) err
 	}
 	s.wire++
 	s.seq++
-	s.enqueueAt(s.now+delay, s.seq, &event{from: from, to: ti, kind: kindMessage, exempt: true, m: *m})
+	s.enqueueAt(sevent{at: s.now + delay, seq: s.seq, from: from, to: ti, kind: kindMessage, flags: flagExempt | flagHeld, m: s.shardOf(ti).held(m)})
 	s.stats.Redelivered++
 	return nil
+}
+
+// unparkSharded is Revive's re-scheduling of one event that came due while
+// its node was failed, under the sequence number Revive just took: a parked
+// timer fires behind the traffic now in flight, a parked periodic
+// registration resumes one interval from now.
+func (s *Sim) unparkSharded(ev *event) {
+	se := sevent{at: s.now, seq: s.seq, from: ev.from, to: ev.to, kind: ev.kind, interval: ev.interval,
+		flags: flagHeld, m: s.shardOf(ev.to).held(&ev.m)}
+	if ev.kind == kindPeriodic {
+		se.at += ev.interval
+		s.enqueuePeriodic(se)
+	} else {
+		s.enqueueAt(se)
+	}
 }
 
 // scheduleSharded handles After (oneshot=true) and Every from an endpoint.
@@ -299,17 +505,18 @@ func (s *Sim) scheduleSharded(sh *shard, self id.ID, idx int32, oneshot bool, de
 	if oneshot {
 		kind, interval = kindTimer, 0
 	}
-	ev := event{from: self, to: idx, kind: kind, interval: interval, m: *m}
 	if sh != nil && s.inWave {
-		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth, at: s.now + delay, ev: ev})
+		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth, at: s.now + delay,
+			from: self, to: idx, kind: kind, interval: interval, m: sh.arenas[s.wave&1].put(m)})
 		sh.birth++
 		return
 	}
 	s.seq++
+	se := sevent{at: s.now + delay, seq: s.seq, from: self, to: idx, kind: kind, interval: interval, flags: flagHeld, m: s.shardOf(idx).held(m)}
 	if oneshot {
-		s.enqueueAt(s.now+delay, s.seq, &ev)
+		s.enqueueAt(se)
 	} else {
-		s.enqueuePeriodic(s.now+delay, s.seq, &ev)
+		s.enqueuePeriodic(se)
 	}
 }
 
@@ -351,6 +558,7 @@ func (s *Sim) minPeriodicTime() (uint64, bool) {
 
 // drainSharded is Drain on the wave engine: periodic schedule frozen.
 func (s *Sim) drainSharded() int {
+	defer s.stopWorkers()
 	delivered := 0
 	s.flushDowns()
 	for {
@@ -365,6 +573,7 @@ func (s *Sim) drainSharded() int {
 
 // runForSharded is RunFor on the wave engine: periodic rounds fire too.
 func (s *Sim) runForSharded(d uint64) int {
+	defer s.stopWorkers()
 	target := s.now + d
 	delivered := 0
 	s.flushDowns()
@@ -413,16 +622,19 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 		if s.Tap != nil || s.Intercept != nil {
 			s.prePass()
 		}
+		s.wave++
 		s.inWave = true
 		if s.waveParallel && total >= parallelMinWave {
-			s.waveWG.Add(len(s.shards))
-			for i := range s.shards {
-				go s.shards[i].runWave(&s.waveWG)
+			s.startWorkers()
+			s.waveWG.Add(len(s.shards) - 1)
+			for i := 1; i < len(s.shards); i++ {
+				s.shards[i].work <- true
 			}
+			s.shards[0].runWave()
 			s.waveWG.Wait()
 		} else {
 			for i := range s.shards {
-				s.shards[i].runWave(nil)
+				s.shards[i].runWave()
 			}
 		}
 		s.inWave = false
@@ -450,6 +662,31 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 	}
 	s.instantActive = false
 	return delivered
+}
+
+// startWorkers launches the workers of shards 1..S-1 unless this Drain or
+// RunFor call already did.
+func (s *Sim) startWorkers() {
+	if s.workersUp {
+		return
+	}
+	s.workersUp = true
+	s.workersWG.Add(len(s.shards) - 1)
+	for i := 1; i < len(s.shards); i++ {
+		go s.shards[i].loop()
+	}
+}
+
+// stopWorkers ends the workers and waits for them to exit.
+func (s *Sim) stopWorkers() {
+	if !s.workersUp {
+		return
+	}
+	for i := 1; i < len(s.shards); i++ {
+		s.shards[i].work <- false
+	}
+	s.workersWG.Wait()
+	s.workersUp = false
 }
 
 // formWave assembles the shard's slice of the instant-t wave: the t bucket
@@ -506,8 +743,8 @@ func (sh *shard) formWave(t uint64, periodic bool) {
 // prePass walks the wave across all shards in global seq order, running the
 // Intercept hook and the Tap exactly as the single-shard engine would:
 // serially, in canonical delivery order, on the coordinator goroutine. Hook
-// verdicts are recorded on the events (skip / replaced message) and applied
-// during the parallel phase.
+// verdicts are recorded on the events (flagSkip / replaced message) and
+// applied during the parallel phase.
 func (s *Sim) prePass() {
 	for {
 		var best *shard
@@ -522,41 +759,51 @@ func (s *Sim) prePass() {
 		}
 		se := &best.cur[best.ppos]
 		best.ppos++
-		ev := &se.ev
-		if ev.kind != kindMessage {
+		if se.kind != kindMessage {
 			continue
 		}
-		dst := &s.nodes[ev.to]
-		if !dst.alive || !s.reachable(ev.from, dst.id) {
+		dst := &s.nodes[se.to]
+		if !dst.alive || !s.reachable(se.from, dst.id) {
 			continue // dropped in the parallel phase; hooks never see it
 		}
-		if s.Intercept != nil && !ev.exempt {
-			hooked := ev.m
+		if s.Intercept != nil && se.flags&flagExempt == 0 {
+			hooked := *se.m
 			repl, deliver := s.Intercept(dst.id, &hooked)
 			if !deliver {
-				se.skip = true
+				se.flags |= flagSkip
 				s.stats.FaultDropped++
 				continue
 			}
 			if repl != nil {
 				hooked = *repl
 			}
-			ev.m = hooked
+			if !sameMessage(&hooked, se.m) {
+				// The hook changed its copy. An arena entry is shared with
+				// the other receivers of the fan-out, so the changed message
+				// gets a hold slot of its own.
+				if se.flags&flagHeld != 0 {
+					*se.m = hooked
+				} else {
+					se.m = best.held(&hooked)
+					se.flags |= flagHeld
+				}
+			}
 		}
 		if s.Tap != nil {
-			s.Tap(ev.from, dst.id, ev.m)
+			s.Tap(se.from, dst.id, *se.m)
 		}
 	}
 }
 
-// runWave delivers the shard's slice of the current wave. It runs on a shard
-// goroutine for large waves and on the coordinator for small ones; either
-// way it touches only this shard's nodes, buckets, output log and counters.
-func (sh *shard) runWave(wg *sync.WaitGroup) {
-	if wg != nil {
-		defer wg.Done()
-	}
+// runWave delivers the shard's slice of the current wave. It runs on the
+// shard's worker for large waves and on the coordinator for small ones (and
+// always for shard 0); either way it touches only this shard's nodes, buckets,
+// output log, arenas, hold slab and counters.
+func (sh *shard) runWave() {
 	s := sh.sim
+	// This wave's arena last held the output of two waves ago, which the wave
+	// before this one finished reading.
+	sh.arenas[s.wave&1].reset()
 	count, wireDone := 0, 0
 	for i := range sh.cur {
 		// Lookahead touch: the wave vector already knows the next few
@@ -567,48 +814,55 @@ func (sh *shard) runWave(wg *sync.WaitGroup) {
 		// touches DRAM-cold node state, and this memory-level parallelism
 		// is worth more than the arithmetic around it.
 		if i+waveLookahead < len(sh.cur) {
-			ahead := &s.nodes[sh.cur[i+waveLookahead].ev.to]
+			ahead := &s.nodes[sh.cur[i+waveLookahead].to]
 			if ahead.alive {
 				sh.touched++ // keeps the load live past dead-code elimination
 			}
 		}
 		se := &sh.cur[i]
-		ev := &se.ev
-		if ev.kind == kindMessage {
+		if se.kind == kindMessage {
 			wireDone++
 		}
-		dst := &s.nodes[ev.to]
+		dst := &s.nodes[se.to]
 		if !dst.alive {
-			if ev.kind == kindMessage {
+			if se.kind == kindMessage {
 				sh.stats.dropped++
 			} else {
-				dst.parked = append(dst.parked, *ev)
+				dst.parked = append(dst.parked, event{from: se.from, to: se.to, kind: se.kind, interval: se.interval, m: *se.m})
 			}
+			sh.release(se)
 			continue
 		}
 		sh.pseq, sh.birth = se.seq, 1
-		if ev.kind == kindPeriodic {
+		if se.kind == kindPeriodic {
 			// Re-arm before delivering (birth 0: ahead of the handler's own
-			// output), clamping missed deadlines like time.Ticker.
-			next := se.at + ev.interval
+			// output), clamping missed deadlines like time.Ticker. The
+			// registration keeps its hold slot.
+			next := se.at + se.interval
 			if next <= s.now {
-				next = s.now + ev.interval
+				next = s.now + se.interval
 			}
-			sh.out = append(sh.out, outRec{pseq: se.seq, birth: 0, at: next, ev: *ev})
+			sh.out = append(sh.out, outRec{pseq: se.seq, birth: 0, at: next,
+				from: se.from, to: se.to, kind: kindPeriodic, interval: se.interval, m: se.m, flags: se.flags})
 		}
-		if ev.kind == kindMessage {
-			if !s.reachable(ev.from, dst.id) {
+		if se.kind == kindMessage {
+			if !s.reachable(se.from, dst.id) {
 				sh.stats.dropped++
+				sh.release(se)
 				continue
 			}
-			if se.skip {
-				continue // suppressed by the Intercept pre-pass
+			if se.flags&flagSkip != 0 {
+				sh.release(se) // suppressed by the Intercept pre-pass
+				continue
 			}
 		}
-		dst.proc.Deliver(ev.from, ev.m)
+		dst.proc.Deliver(se.from, *se.m)
 		count++
-		if ev.kind == kindMessage {
+		if se.kind == kindMessage {
 			sh.stats.delivered++
+		}
+		if se.kind != kindPeriodic {
+			sh.release(se)
 		}
 	}
 	sh.waveDelivered = count
@@ -618,7 +872,9 @@ func (sh *shard) runWave(wg *sync.WaitGroup) {
 // mergeOutputs sequences every shard's wave output canonically: an S-way
 // merge by (parent seq, birth index) — each shard's log is already sorted —
 // assigning global sequence numbers, drawing latency delays from the root
-// stream in merge order, and routing events to their destination shards.
+// stream in merge order, and routing events to their destination shards. Only
+// the small record moves; the message body stays where the handler wrote it
+// unless the event is bound for a bucket (see enqueueAt).
 // This order is exactly the order in which a single-shard run would have
 // made the same schedule calls, which is what keeps traces byte-identical
 // across shard counts.
@@ -648,29 +904,29 @@ func (s *Sim) mergeOutputs() {
 		}
 		r := &src.out[src.opos]
 		src.opos++
-		switch r.ev.kind {
+		switch r.kind {
 		case kindMessage:
 			var delay uint64
 			if s.Latency != nil {
-				delay = s.Latency(r.ev.from, s.nodes[r.ev.to].id, s.rand)
+				delay = s.Latency(r.from, s.nodes[r.to].id, s.rand)
 			}
 			if s.wire >= limit {
 				// Shed at the barrier: the sender already returned nil, so
 				// roll its tentative counters back and count the overflow.
 				s.stats.Overflowed++
 				src.stats.sent--
-				src.stats.bytesSent -= uint64(r.ev.m.EncodedSize())
+				src.stats.bytesSent -= uint64(r.m.EncodedSize())
 				continue
 			}
 			s.wire++
 			s.seq++
-			s.enqueueAt(s.now+delay, s.seq, &r.ev)
+			s.enqueueAt(r.sequenced(s.now+delay, s.seq))
 		case kindTimer:
 			s.seq++
-			s.enqueueAt(r.at, s.seq, &r.ev)
+			s.enqueueAt(r.sequenced(r.at, s.seq))
 		case kindPeriodic:
 			s.seq++
-			s.enqueuePeriodic(r.at, s.seq, &r.ev)
+			s.enqueuePeriodic(r.sequenced(r.at, s.seq))
 		}
 	}
 	for i := range s.shards {

@@ -2,7 +2,7 @@ package netsim
 
 // Engine-level pins for the sharded wave/barrier engine (shards.go):
 // cross-shard-count trace equality on raw rings, hook re-entry (Redeliver
-// from an Intercept hook) while waves run on shard goroutines, and a
+// from an Intercept hook) while waves run on the shard workers, and a
 // parallel-wave exerciser that the CI -race step leans on. Tests that need
 // the concurrent path raise GOMAXPROCS before construction: NewSharded
 // captures it, and a single-P runtime would otherwise take the (identical in
@@ -56,7 +56,7 @@ func TestShardedHookReentryRedeliver(t *testing.T) {
 	// Redeliver while multi-event waves are in flight. Hooks run in the
 	// coordinator pre-pass, so re-entry sequences immediately and
 	// deterministically; the duplicated copies land in the instant's next
-	// wave, bypass the hook, and are delivered by shard goroutines.
+	// wave, bypass the hook, and are delivered by the shard workers.
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
@@ -107,7 +107,7 @@ func TestShardedHookReentryRedeliver(t *testing.T) {
 }
 
 func TestShardedParallelWavesUnderChurn(t *testing.T) {
-	// The -race exerciser: large waves delivered by 8 shard goroutines on a
+	// The -race exerciser: large waves delivered by 8 shards' workers on a
 	// multi-P runtime, with a fault hook active (coordinator pre-pass), churn
 	// between drains (Fail/Revive with parked-timer re-scheduling), and
 	// timers armed from inside wave deliveries.

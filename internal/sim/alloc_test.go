@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"hyparview/internal/id"
@@ -119,6 +120,40 @@ func TestShardedFootprintPerNode(t *testing.T) {
 	if perNode > budget {
 		t.Errorf("footprint = %d bytes/node, budget %d (order-of-magnitude guard)", perNode, budget)
 	}
+}
+
+// TestShardedEngineReleasesPayload is the retention half of the footprint
+// budget: the sharded engine stores message bodies in per-wave arenas and a
+// hold slab, both recycled, and neither may keep a delivered payload alive.
+// After a 1 MiB broadcast has drained and two further broadcasts have turned
+// the arenas over (and restaged every node's forwarding scratch), nothing in
+// the cluster references the payload any more.
+func TestShardedEngineReleasesPayload(t *testing.T) {
+	c := NewCluster(HyParView, Options{N: 300, Seed: 1, Shards: 2})
+	c.Stabilize(2)
+
+	payload := make([]byte, 1<<20)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	round := c.Tracker.NextRound()
+	c.Gossiper(c.IDs()[0]).Broadcast(round, payload)
+	c.Sim.Drain()
+	if got := c.Tracker.Delivered(round); got != 300 {
+		t.Fatalf("payload broadcast delivered to %d of 300", got)
+	}
+	payload = nil
+	for i := 0; i < 2; i++ {
+		if rel := c.Broadcast(); rel != 1.0 {
+			t.Fatalf("follow-up broadcast reliability %v, want 1.0", rel)
+		}
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Error("a drained broadcast's payload is still referenced two broadcasts later")
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestPayloadFanOutSharesOneBuffer proves the copy-on-write half of the

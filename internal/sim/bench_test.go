@@ -12,7 +12,7 @@ package sim
 // BenchmarkEngine) and the steady-state allocations per full-cluster
 // broadcast. Run with:
 //
-//	go test ./internal/sim/ -run '^$' -bench BenchmarkCluster -benchtime 20x
+//	go test ./internal/sim/ -run '^$' -bench 'BenchmarkCluster(10|100)k' -benchtime 20x -cpu 1,2
 
 import (
 	"fmt"
@@ -20,7 +20,16 @@ import (
 	"testing"
 )
 
-func benchCluster(b *testing.B, n int) { benchClusterSharded(b, n, 1) }
+// benchCluster runs the full-stack benchmark at n nodes on the single-shard
+// reference engine and on the sharded wave/barrier engine. Compare rows only
+// at equal -cpu: at GOMAXPROCS=1 the sharded engine runs its waves serially.
+func benchCluster(b *testing.B, n int) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchClusterSharded(b, n, shards)
+		})
+	}
+}
 
 func benchClusterSharded(b *testing.B, n, shards int) {
 	before := heapInUse()
@@ -75,8 +84,7 @@ func BenchmarkCluster100k(b *testing.B) {
 }
 
 // BenchmarkCluster1M is the million-node barrier benchmark: the complete
-// HyParView + flood stack at n=1,000,000, on the single-shard reference
-// engine and on the sharded wave/barrier engine. One iteration is one
+// HyParView + flood stack at n=1,000,000. One iteration is one
 // full-population broadcast (~5M protocol events); each run also reports the
 // marginal bytes/node of the built cluster. Expect minutes per sub-benchmark
 // (the build alone walks one million one-by-one joins); run with
@@ -85,9 +93,5 @@ func BenchmarkCluster1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-node benchmark skipped in -short mode")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchClusterSharded(b, 1_000_000, shards)
-		})
-	}
+	benchCluster(b, 1_000_000)
 }

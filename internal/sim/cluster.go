@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hyparview/internal/core"
 	"hyparview/internal/cyclon"
@@ -237,21 +236,32 @@ type Cluster struct {
 	routers    map[id.ID]*pubsub.Router
 
 	// Virtual-time delivery tracking: per in-flight round, the clock at
-	// broadcast time and the delivery-latency aggregate. Only populated when
-	// the simulator runs in latency mode.
+	// broadcast time (written between drains, only read during them). Only
+	// populated when the simulator runs in latency mode.
 	timed      bool
 	roundStart map[uint64]uint64
-	roundLat   map[uint64]*latencyAgg
 
-	// sharded is true when Opts.Shards >= 2: the delivery callback then runs
-	// concurrently from shard goroutines and takes mu. The single-shard path
-	// never touches the lock.
-	sharded bool
-	mu      sync.Mutex
+	// parts is the delivery accounting, one part per simulator shard: the
+	// wave engine delivers on one goroutine per shard, each node's Delivery
+	// callback is bound to its shard's part, and so no delivery takes a lock.
+	// The single-shard engine has one part.
+	parts []deliveryPart
 }
 
-// latencyAgg collects the virtual-time latency of every delivery of one
-// round; max/mean/percentiles all derive from the samples at endRound.
+// deliveryPart is what the Delivery callbacks of one shard's nodes write to:
+// a part of the reliability tracker and, in latency mode, the shard's share
+// of each measured round's delivery-latency samples.
+type deliveryPart struct {
+	c        *Cluster
+	tracker  *gossip.TrackerPart
+	roundLat map[uint64]*latencyAgg
+	fn       gossip.Delivery // the part's deliver method, bound once for all its nodes
+
+	_ [64]byte // no two parts on one cache line
+}
+
+// latencyAgg collects the virtual-time latency of one shard's deliveries of
+// one round; max/mean/percentiles all derive from the samples at endRound.
 type latencyAgg struct {
 	samples []float64
 }
@@ -264,13 +274,17 @@ func NewCluster(proto Protocol, opts Options) *Cluster {
 		Protocol:   proto,
 		Opts:       opts,
 		Sim:        netsim.NewSharded(opts.Seed, opts.Shards),
-		Tracker:    gossip.NewTracker(),
-		sharded:    opts.Shards > 1,
+		Tracker:    gossip.NewTrackerParts(opts.Shards),
 		gossipers:  make(map[id.ID]gossip.Broadcaster, opts.N),
 		membership: make(map[id.ID]peer.Membership, opts.N),
 		routers:    make(map[id.ID]*pubsub.Router),
 		roundStart: make(map[uint64]uint64),
-		roundLat:   make(map[uint64]*latencyAgg),
+		parts:      make([]deliveryPart, opts.Shards),
+	}
+	for i := range c.parts {
+		p := &c.parts[i]
+		*p = deliveryPart{c: c, tracker: c.Tracker.Part(i), roundLat: make(map[uint64]*latencyAgg)}
+		p.fn = p.deliver
 	}
 	switch {
 	case opts.Latency != nil:
@@ -366,7 +380,7 @@ func (c *Cluster) gossipConfig() gossip.Config {
 // newBroadcaster builds the broadcast-layer node selected by Opts.Broadcast
 // over the membership instance m.
 func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadcaster {
-	deliver := c.deliver
+	deliver := c.parts[c.Sim.ShardOf(env.Self())].fn
 	var router *pubsub.Router
 	if c.Opts.PubSub != nil {
 		cfg := *c.Opts.PubSub
@@ -374,7 +388,7 @@ func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadca
 			cfg.NextRound = c.Tracker.NextRound
 		}
 		if cfg.Fallback == nil {
-			cfg.Fallback = c.deliver
+			cfg.Fallback = deliver
 		}
 		router = pubsub.New(cfg)
 		deliver = router.OnBroadcast
@@ -404,29 +418,23 @@ func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadca
 // unset or the node does not exist.
 func (c *Cluster) Router(nodeID id.ID) *pubsub.Router { return c.routers[nodeID] }
 
-// deliver is the Delivery callback installed on every broadcaster: it feeds
-// the reliability tracker and, in latency mode, aggregates virtual-time
-// delivery latencies for rounds the harness is measuring.
-func (c *Cluster) deliver(round uint64, topic uint32, payload []byte, hops int) {
-	if c.sharded {
-		// Waves deliver on shard goroutines concurrently; the tracker and
-		// latency aggregates are the one piece of cross-node shared state in
-		// the harness. All updates commute (counter adds, max, set-insert), so
-		// aggregate results are independent of arrival order.
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	if c.timed {
+// deliver is the Delivery callback installed on every broadcaster of the
+// part's shard: it feeds the reliability tracker and, in latency mode,
+// aggregates virtual-time delivery latencies for rounds the harness is
+// measuring. All updates commute (counter adds, max, sample append followed
+// by a sort), so results are independent of how nodes are spread over shards.
+func (p *deliveryPart) deliver(round uint64, topic uint32, payload []byte, hops int) {
+	if c := p.c; c.timed {
 		if start, ok := c.roundStart[round]; ok {
-			agg := c.roundLat[round]
+			agg := p.roundLat[round]
 			if agg == nil {
 				agg = &latencyAgg{}
-				c.roundLat[round] = agg
+				p.roundLat[round] = agg
 			}
 			agg.samples = append(agg.samples, float64(c.Sim.Now()-start))
 		}
 	}
-	c.Tracker.Deliver(round, topic, payload, hops)
+	p.tracker.Deliver(round, topic, payload, hops)
 }
 
 // beginRound marks a measured broadcast's start on the virtual clock.
@@ -444,25 +452,34 @@ func (c *Cluster) endRound(round uint64) (maxLat, avgLat float64, samples []floa
 		return 0, 0, nil
 	}
 	delete(c.roundStart, round)
-	agg := c.roundLat[round]
-	delete(c.roundLat, round)
-	if agg == nil || len(agg.samples) == 0 {
+	for i := range c.parts {
+		p := &c.parts[i]
+		if agg := p.roundLat[round]; agg != nil {
+			delete(p.roundLat, round)
+			if samples == nil {
+				samples = agg.samples // the aggregate is done with: take its buffer
+			} else {
+				samples = append(samples, agg.samples...)
+			}
+		}
+	}
+	if len(samples) == 0 {
 		return 0, 0, nil
 	}
-	if c.sharded {
-		// Concurrent delivery makes the sample order arrival-dependent; sort
-		// so float summation (and hence the reported means) is deterministic
-		// and matches the single-shard engine bit for bit.
-		sort.Float64s(agg.samples)
+	if len(c.parts) > 1 {
+		// Each shard's samples are in its own delivery order; sort so float
+		// summation (and hence the reported means) matches the single-shard
+		// engine bit for bit.
+		sort.Float64s(samples)
 	}
 	var sum float64
-	for _, lat := range agg.samples {
+	for _, lat := range samples {
 		sum += lat
 		if lat > maxLat {
 			maxLat = lat
 		}
 	}
-	return maxLat, sum / float64(len(agg.samples)), agg.samples
+	return maxLat, sum / float64(len(samples)), samples
 }
 
 // Stabilize runs the given number of membership rounds (paper: 50) over the

@@ -117,10 +117,11 @@ func TestShardTraceMatrixUnderFailures(t *testing.T) {
 
 // TestShardedClusterRaceSmoke is the full-stack companion to netsim's
 // parallel-wave exerciser: the whole HyParView + Plumtree stack on the
-// sharded engine with goroutine waves genuinely enabled (GOMAXPROCS raised
+// sharded engine with parallel waves genuinely enabled (GOMAXPROCS raised
 // before construction), under fault injection and mass failure. It exists
-// for the CI -race step: the tracker mutex, the hook pre-pass and the
-// barrier merge all get exercised with real concurrency.
+// for the CI -race step: the per-shard tracker parts, the hook pre-pass, the
+// shard workers and the barrier merge all get exercised with real
+// concurrency.
 func TestShardedClusterRaceSmoke(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

@@ -108,13 +108,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			// delta is signed so that positive always means improved.
-			delta := (got - rp.want) / rp.want * 100
-			regressed := got < rp.want*warnBelow
-			if rp.lowerBetter {
-				delta = -delta
-				regressed = got > rp.want/warnBelow
-			}
+			delta, regressed := rp.compare(got)
 			fmt.Printf("%-44s %11.0f %s %11.0f %s %+7.1f%%\n", name, rp.want, rp.unit, got, rp.unit, delta)
 			if regressed {
 				fmt.Printf("::warning::%s: %.0f %s is %.0f%% worse than the committed baseline %.0f (threshold %.0f%%)\n",
@@ -123,6 +117,17 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// compare returns how far got is from the committed value, in percent and
+// signed so that positive always means improved, and whether it is past the
+// warning threshold.
+func (rp refPoint) compare(got float64) (delta float64, regressed bool) {
+	delta = (got - rp.want) / rp.want * 100
+	if rp.lowerBetter {
+		return -delta, got > rp.want/warnBelow
+	}
+	return delta, got < rp.want*warnBelow
 }
 
 // measured extracts the value of the wanted unit from one bench line: ns/op
