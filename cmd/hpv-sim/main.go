@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Uint64("duration", 0, "stabilization budget as a virtual-time duration in ticks, rounded up to whole shuffle rounds (requires -shuffle-interval; overrides -stabilize)")
 		fanout     = fs.Int("fanout", 4, "gossip fanout for Cyclon/Scamp (paper: 4)")
 		broadcast  = fs.String("broadcast", "gossip", "broadcast layer: gossip (flood/fanout) or plumtree")
-		shards     = fs.Int("shards", 1, "event-engine shards; >1 selects the parallel wave/barrier engine (same seed + same shard count reproduces the same run)")
+		shards     = fs.Int("shards", 1, "event-engine shards; >1 delivers large event waves in parallel on a multi-core host (same seed reproduces the same run at every count)")
 		latency    = fs.String("latency", "none", "latency model: none (FIFO), uniform, euclidean or transit")
 		optimize   = fs.String("optimize", "none", "overlay optimizer: none or xbot (HyParView only)")
 		pcts       = fs.String("pcts", "", "comma-separated failure percentages (default per experiment)")

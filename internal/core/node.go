@@ -96,6 +96,11 @@ func New(env peer.Env, cfg Config) *Node {
 		env:  env,
 		self: env.Self(),
 		cfg:  cfg,
+		// Sized for the full active view, which only a broadcast source
+		// returns (exclude == Nil): a forward returns one neighbour fewer, and
+		// growing on a node's first Broadcast would put an allocation on the
+		// steady-state path.
+		gossipScratch: make([]id.ID, 0, cfg.ActiveSize),
 	}
 	n.active.Init(cfg.ActiveSize)
 	n.passive.Init(cfg.PassiveSize)

@@ -1,9 +1,9 @@
 package netsim
 
 // Event-engine throughput benchmarks. A ring of forwarder processes bounces
-// TTL-bounded messages through the heap, isolating the engine's own cost —
-// heap push/pop, slab recycling, node-table dispatch — from any protocol
-// logic. BENCH_sim.json records the headline events/sec at n=10k and n=100k;
+// TTL-bounded messages through the engine, isolating its own cost — wave
+// formation, arena writes, the output merge, node-table dispatch — from any
+// protocol logic. BENCH_sim.json records the headline events/sec at n=10k and n=100k;
 // run with:
 //
 //	go test ./internal/netsim/ -run '^$' -bench BenchmarkEngine -benchtime 20x
@@ -74,10 +74,10 @@ func benchEngineSharded(b *testing.B, n, shards int) {
 func BenchmarkEngine10k(b *testing.B)  { benchEngine(b, 10_000) }
 func BenchmarkEngine100k(b *testing.B) { benchEngine(b, 100_000) }
 
-// BenchmarkEngine1M compares the engines at the million-node scale the
-// ROADMAP targets: the single-shard heap engine as the reference, then the
-// sharded wave/barrier engine. The shard counts are fixed (not GOMAXPROCS-
-// derived) so recorded numbers are comparable across machines.
+// BenchmarkEngine1M measures the engine at the million-node scale the ROADMAP
+// targets, at one shard (what New builds) and at more. The shard counts are
+// fixed (not GOMAXPROCS-derived) so recorded numbers are comparable across
+// machines.
 func BenchmarkEngine1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-node engine benchmark skipped in -short mode")

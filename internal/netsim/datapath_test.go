@@ -1,6 +1,6 @@
 package netsim
 
-// Pins for the sharded engine's data path (shards.go): small event records
+// Pins for the engine's data path (shards.go): small event records
 // over per-wave message arenas, sharing of shallowly identical sends, slot
 // clearing, and the per-call worker lifecycle.
 
@@ -158,7 +158,7 @@ func TestRestagedScratchIsNotShared(t *testing.T) {
 		if shards == 1 {
 			ref = trace
 		} else if trace != ref {
-			t.Errorf("shards=%d: trace diverged from the single-shard engine", shards)
+			t.Errorf("shards=%d: trace diverged from the one-shard run", shards)
 		}
 	}
 }
@@ -249,6 +249,20 @@ func goroutinesSettleAt(want int) int {
 	return runtime.NumGoroutine()
 }
 
+// settledGoroutines returns the goroutine count once it has held still for
+// 50 ms: the baseline of a test that counts goroutines must not include a
+// worker an earlier test joined that is still on its way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 50; still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestShardWorkersLiveOnlyInsideACall pins the worker lifecycle: started at
 // the first parallel wave of a Drain or RunFor, alive until the call returns,
 // gone afterwards, and never started by a call whose waves all stay under
@@ -259,7 +273,7 @@ func TestShardWorkersLiveOnlyInsideACall(t *testing.T) {
 
 	const n, shards = 256, 4
 	s := buildRingSharded(n, shards)
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	peak := 0
 	s.Tap = func(id.ID, id.ID, msg.Message) { // runs on the coordinator, before each wave
 		peak = max(peak, runtime.NumGoroutine())
@@ -288,6 +302,76 @@ func TestShardWorkersLiveOnlyInsideACall(t *testing.T) {
 		}
 		if got := goroutinesSettleAt(base); got != base {
 			t.Errorf("%s: %d goroutines after the call, want the baseline %d", step.name, got, base)
+		}
+	}
+}
+
+// cycler is a ring member whose OnCycle starts a two-hop message, the shape of
+// a membership cycle: RunCycle and cluster construction issue one Drain per
+// node, each over a handful of events. Deliver samples the goroutine count.
+type cycler struct {
+	env  peer.Env
+	next id.ID
+	peak *int
+}
+
+func (p *cycler) OnCycle() { _ = p.env.Send(p.next, msg.Message{Type: msg.Shuffle, TTL: 1}) }
+
+func (p *cycler) Deliver(_ id.ID, m msg.Message) {
+	*p.peak = max(*p.peak, runtime.NumGoroutine())
+	if m.TTL > 0 {
+		m.TTL--
+		_ = p.env.Send(p.next, m)
+	}
+}
+
+// TestNearEmptyDrainIsFree pins the path benchmark set-up rides on (10,000
+// joins and 500,000 cycle drains before a 10k-node measurement starts): an
+// empty Drain or RunFor(0), and a warm OnCycle+Drain over a few events — the
+// body of RunCycle — allocate nothing, start no worker, and leave every
+// shard's vector pool no larger than they found it. Run at -cpu 1,2,4 in CI.
+func TestNearEmptyDrainIsFree(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		const n = 300
+		peak := 0
+		s := NewSharded(3, shards)
+		for i := 0; i < n; i++ {
+			next := id.ID((i+1)%n + 1)
+			s.Add(id.ID(i+1), func(env peer.Env) peer.Process { return &cycler{env: env, next: next, peak: &peak} })
+		}
+		s.RunCycles(2) // warm the pools, arenas and hold slab
+		pooled := func() (total int) {
+			for i := range s.shards {
+				total += len(s.shards[i].pool)
+			}
+			return total
+		}
+		pool, base := pooled(), settledGoroutines()
+		peak = 0
+		node := 0
+		for _, step := range []struct {
+			name string
+			call func()
+		}{
+			{"empty Drain", func() { s.Drain() }},
+			{"RunFor(0)", func() { s.RunFor(0) }},
+			{"OnCycle+Drain", func() {
+				node = (node + 1) % n
+				s.Process(id.ID(node + 1)).OnCycle()
+				if got := s.Drain(); got != 2 {
+					t.Fatalf("shards=%d: cycle drain made %d deliveries, want 2", shards, got)
+				}
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(200, step.call); allocs != 0 {
+				t.Errorf("shards=%d: %s allocates %.2f/op, want 0", shards, step.name, allocs)
+			}
+		}
+		if peak != base {
+			t.Errorf("shards=%d: %d goroutines inside a near-empty Drain, want the baseline %d", shards, peak, base)
+		}
+		if got := pooled(); got > pool {
+			t.Errorf("shards=%d: vector pool grew from %d to %d over near-empty drains", shards, pool, got)
 		}
 	}
 }

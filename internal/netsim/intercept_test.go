@@ -166,19 +166,24 @@ func TestInterceptSkipsTimers(t *testing.T) {
 }
 
 func TestInterceptHookMayGrowSlab(t *testing.T) {
-	// The hook runs on a private copy taken before its slab slot is
-	// released, so a hook that schedules many redeliveries (growing the
-	// event slab and invalidating interior pointers) must not corrupt the
-	// message under inspection.
+	// The hook runs on a private copy of the message under inspection, so a
+	// hook that schedules more redeliveries than a hold-slab chunk has slots
+	// — taking the last free slots and forcing a new chunk in the middle of
+	// the pre-pass, next to the slot the inspected message itself occupies —
+	// must not corrupt it, nor what is delivered afterwards.
 	s := New(1)
 	addRecorder(s, 1)
 	b := addRecorder(s, 2)
 	payload := []byte{1, 2, 3, 4}
+	const copies = arenaChunk + 44
 	s.Intercept = func(node id.ID, m *msg.Message) (*msg.Message, bool) {
-		for i := 0; i < 64; i++ { // force slab growth mid-hook
+		if free := len(s.shards[0].hold); free == 0 || free >= copies {
+			t.Fatalf("%d free hold slots: %d redeliveries would not grow the slab mid-hook", free, copies)
+		}
+		for i := 0; i < copies; i++ {
 			_ = s.Redeliver(m.Sender, node, msg.Message{Type: msg.Gossip, Sender: m.Sender, Round: 1000 + uint64(i)}, 1)
 		}
-		if len(m.Payload) != 4 || m.Payload[0] != 1 {
+		if m.Round != 1 || len(m.Payload) != 4 || m.Payload[0] != 1 {
 			t.Errorf("message corrupted under slab growth: %+v", *m)
 		}
 		return nil, true
@@ -187,8 +192,16 @@ func TestInterceptHookMayGrowSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Drain()
-	if len(b.got) != 65 {
-		t.Errorf("deliveries = %d, want 65", len(b.got))
+	if len(b.got) != copies+1 {
+		t.Fatalf("deliveries = %d, want %d", len(b.got), copies+1)
+	}
+	if m := b.got[0]; m.Round != 1 || len(m.Payload) != 4 || m.Payload[3] != 4 {
+		t.Errorf("the inspected message was delivered corrupted: %+v", m)
+	}
+	for i, m := range b.got[1:] {
+		if m.Round != 1000+uint64(i) {
+			t.Fatalf("redelivery %d has round %d, want %d", i, m.Round, 1000+i)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMain is the package's goroutine-leak gate, after the one in
-// internal/transport: the sharded engine's workers live only inside a Drain or
+// internal/transport: the engine's shard workers live only inside a Drain or
 // RunFor call, so after the whole test run no goroutine may still hold a
 // netsim.(*shard) frame. Workers that were just told to exit settle in
 // milliseconds; the gate retries briefly before failing with the stacks.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"hyparview/internal/id"
@@ -33,7 +34,7 @@ func (r *recorder) OnCycle() { r.cycles++ }
 
 func (r *recorder) OnPeerDown(p id.ID) { r.downs = append(r.downs, p) }
 
-func addRecorder(s *Sim, nodeID id.ID) *recorder {
+func addRecorder(s engine, nodeID id.ID) *recorder {
 	var rec *recorder
 	s.Add(nodeID, func(env peer.Env) peer.Process {
 		rec = &recorder{env: env}
@@ -400,126 +401,153 @@ func TestTapObservesDeliveriesDeterministically(t *testing.T) {
 	}
 }
 
+// forEachEngine runs a scenario on the oracle (oracle_test.go) and on the
+// engine at 1, 2, 4 and 8 shards. Whatever the scenario asserts must hold on
+// all of them, and each engine's trace — every Tap'd delivery with its
+// timestamp, plus whatever the scenario appends — must be the oracle's byte
+// for byte, which is returned.
+func forEachEngine(t *testing.T, seed uint64, latency func(from, to id.ID, r *rng.Rand) uint64, scenario func(e engine, trace *strings.Builder)) string {
+	t.Helper()
+	var want string
+	for _, shards := range []int{0, 1, 2, 4, 8} {
+		var trace strings.Builder
+		scenario(newEngine(seed, shards, latency, &trace), &trace)
+		got := trace.String()
+		if shards == 0 {
+			want = got
+		} else if got != want {
+			w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+			line := 0
+			for line < len(w)-1 && line < len(g)-1 && w[line] == g[line] {
+				line++
+			}
+			t.Errorf("shards=%d: trace diverged from the oracle at line %d of %d: %q, oracle %q", shards, line+1, len(w), g[line], w[line])
+		}
+	}
+	return want
+}
+
 func TestLatencyModeOrdersByVirtualTime(t *testing.T) {
-	s := New(1)
 	// Fixed per-destination latencies: message to 3 is slower than to 2,
 	// so despite send order 3-first, 2 must deliver first.
-	s.Latency = func(from, to id.ID, _ *rng.Rand) uint64 {
+	slowTo3 := func(from, to id.ID, _ *rng.Rand) uint64 {
 		if to == 3 {
 			return 100
 		}
 		return 10
 	}
-	addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	c := addRecorder(s, 3)
-	order := make([]id.ID, 0, 2)
-	s.Tap = func(_, to id.ID, _ msg.Message) { order = append(order, to) }
-	_ = s.Inject(1, 3, msg.Message{Type: msg.Gossip, Round: 1})
-	_ = s.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: 2})
-	s.Drain()
-	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
-		t.Fatalf("delivery order = %v, want [n2 n3]", order)
-	}
-	if len(b.got) != 1 || len(c.got) != 1 {
-		t.Error("deliveries lost")
-	}
-	if s.Now() != 100 {
-		t.Errorf("virtual clock = %d, want 100", s.Now())
-	}
+	forEachEngine(t, 1, slowTo3, func(e engine, trace *strings.Builder) {
+		addRecorder(e, 1)
+		b := addRecorder(e, 2)
+		c := addRecorder(e, 3)
+		_ = e.Inject(1, 3, msg.Message{Type: msg.Gossip, Round: 1})
+		_ = e.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: 2})
+		e.Drain()
+		if got, want := trace.String(), "1>2:2/0@10\n1>3:1/0@100\n"; got != want {
+			t.Fatalf("deliveries:\n%swant:\n%s", got, want)
+		}
+		if len(b.got) != 1 || len(c.got) != 1 {
+			t.Error("deliveries lost")
+		}
+		if e.Now() != 100 {
+			t.Errorf("virtual clock = %d, want 100", e.Now())
+		}
+	})
 }
 
 func TestLatencyModeTieBreaksBySendOrder(t *testing.T) {
-	s := New(1)
-	s.Latency = func(id.ID, id.ID, *rng.Rand) uint64 { return 5 }
-	addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	for i := uint64(1); i <= 10; i++ {
-		_ = s.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: i})
-	}
-	s.Drain()
-	for i, m := range b.got {
-		if m.Round != uint64(i+1) {
-			t.Fatalf("tie-break violated at %d: %d", i, m.Round)
+	five := func(id.ID, id.ID, *rng.Rand) uint64 { return 5 }
+	forEachEngine(t, 1, five, func(e engine, _ *strings.Builder) {
+		addRecorder(e, 1)
+		b := addRecorder(e, 2)
+		for i := uint64(1); i <= 10; i++ {
+			_ = e.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: i})
 		}
-	}
+		e.Drain()
+		if len(b.got) != 10 {
+			t.Fatalf("deliveries = %d, want 10", len(b.got))
+		}
+		for i, m := range b.got {
+			if m.Round != uint64(i+1) {
+				t.Fatalf("tie-break violated at %d: %d", i, m.Round)
+			}
+		}
+	})
 }
 
 func TestLatencyModeClockAccumulatesAcrossHops(t *testing.T) {
 	// 1 -> 2 -> 3 with latency 7 per hop: node 3 delivers at t=14.
-	s := New(1)
-	s.Latency = func(id.ID, id.ID, *rng.Rand) uint64 { return 7 }
-	addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	b.bounceTo = 3
-	addRecorder(s, 3)
-	_ = s.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: 1})
-	s.Drain()
-	if s.Now() != 14 {
-		t.Errorf("clock = %d, want 14", s.Now())
-	}
+	seven := func(id.ID, id.ID, *rng.Rand) uint64 { return 7 }
+	forEachEngine(t, 1, seven, func(e engine, _ *strings.Builder) {
+		addRecorder(e, 1)
+		b := addRecorder(e, 2)
+		b.bounceTo = 3
+		addRecorder(e, 3)
+		_ = e.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: 1})
+		e.Drain()
+		if e.Now() != 14 {
+			t.Errorf("clock = %d, want 14", e.Now())
+		}
+	})
 }
 
 func TestLatencyModeDeterministic(t *testing.T) {
-	run := func() []uint64 {
-		s := New(9)
-		s.Latency = func(_, _ id.ID, r *rng.Rand) uint64 { return 1 + r.Uint64n(50) }
-		var order []uint64
-		s.Tap = func(_, _ id.ID, m msg.Message) { order = append(order, m.Round) }
-		addRecorder(s, 1)
-		addRecorder(s, 2)
-		addRecorder(s, 3)
-		for i := uint64(1); i <= 20; i++ {
-			_ = s.Inject(1, id.ID(2+i%2), msg.Message{Type: msg.Gossip, Round: i})
-		}
-		s.Drain()
-		return order
+	jitter := func(_, _ id.ID, r *rng.Rand) uint64 { return 1 + r.Uint64n(50) }
+	run := func() string {
+		return forEachEngine(t, 9, jitter, func(e engine, _ *strings.Builder) {
+			addRecorder(e, 1)
+			addRecorder(e, 2)
+			addRecorder(e, 3)
+			for i := uint64(1); i <= 20; i++ {
+				_ = e.Inject(1, id.ID(2+i%2), msg.Message{Type: msg.Gossip, Round: i})
+			}
+			e.Drain()
+		})
 	}
 	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jittered latency broke determinism at %d", i)
-		}
+	if strings.Count(a, "\n") != 20 {
+		t.Fatalf("trace has %d deliveries, want 20", strings.Count(a, "\n"))
+	}
+	if a != b {
+		t.Fatal("jittered latency broke determinism")
 	}
 }
 
 func TestLatencyModeDropsToDeadAndPartitioned(t *testing.T) {
-	s := New(1)
-	s.Latency = func(id.ID, id.ID, *rng.Rand) uint64 { return 10 }
-	addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	_ = s.Inject(1, 2, msg.Message{Type: msg.Gossip})
-	s.Fail(2)
-	s.Drain()
-	if len(b.got) != 0 {
-		t.Error("dead node received a timed in-flight message")
-	}
-	if s.Stats().Dropped != 1 {
-		t.Errorf("Dropped = %d", s.Stats().Dropped)
-	}
+	ten := func(id.ID, id.ID, *rng.Rand) uint64 { return 10 }
+	forEachEngine(t, 1, ten, func(e engine, _ *strings.Builder) {
+		addRecorder(e, 1)
+		b := addRecorder(e, 2)
+		_ = e.Inject(1, 2, msg.Message{Type: msg.Gossip})
+		e.Fail(2)
+		e.Drain()
+		if len(b.got) != 0 {
+			t.Error("dead node received a timed in-flight message")
+		}
+		if s, ok := e.(*Sim); ok && s.Stats().Dropped != 1 {
+			t.Errorf("Dropped = %d", s.Stats().Dropped)
+		}
+	})
 }
 
-// TestLatencyModeWholeProtocolStillConverges runs the full HyParView cluster
-// flow under a jittered latency model: reliability must be unaffected (the
-// protocol is asynchronous; only timing changes).
+// TestLatencyModeWholeProtocolStillConverges: cascaded timed delivery loses
+// nothing under a jittered latency model (the full HyParView flow under one
+// is exercised in package core's and package sim's tests).
 func TestLatencyModeWholeProtocolStillConverges(t *testing.T) {
-	s := New(33)
-	s.Latency = func(_, _ id.ID, r *rng.Rand) uint64 { return 1 + r.Uint64n(20) }
-	// Reuse the recorder-free core protocol path via peer plumbing is
-	// exercised in package core's tests; here a message-count sanity check
-	// suffices: inject a chain and confirm cascaded timed delivery works.
-	a := addRecorder(s, 1)
-	b := addRecorder(s, 2)
-	c := addRecorder(s, 3)
-	b.bounceTo = 3
-	_ = a
-	for i := uint64(1); i <= 50; i++ {
-		_ = s.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: i})
-	}
-	s.Drain()
-	if len(c.got) != 50 {
-		t.Fatalf("cascaded timed deliveries = %d, want 50", len(c.got))
-	}
+	jitter := func(_, _ id.ID, r *rng.Rand) uint64 { return 1 + r.Uint64n(20) }
+	forEachEngine(t, 33, jitter, func(e engine, _ *strings.Builder) {
+		addRecorder(e, 1)
+		b := addRecorder(e, 2)
+		c := addRecorder(e, 3)
+		b.bounceTo = 3
+		for i := uint64(1); i <= 50; i++ {
+			_ = e.Inject(1, 2, msg.Message{Type: msg.Gossip, Round: i})
+		}
+		e.Drain()
+		if len(c.got) != 50 {
+			t.Fatalf("cascaded timed deliveries = %d, want 50", len(c.got))
+		}
+	})
 }
 
 func TestSchedulerTimersExemptFromQueueLimit(t *testing.T) {
@@ -558,9 +586,9 @@ func TestSchedulerEventsParkedAcrossFailure(t *testing.T) {
 		t.Fatalf("failed node saw timers: %v", a.got)
 	}
 	// A dead node's periodic registration must not keep re-arming: it is
-	// parked after its first due firing, so the heaps go quiet.
-	if got := len(s.pheap) + len(s.heap); got != 0 {
-		t.Fatalf("dead node keeps %d events cycling through the heaps", got)
+	// parked after its first due firing, so the engine goes quiet.
+	if got := len(s.shards[0].pheap) + s.Pending(); got != 0 {
+		t.Fatalf("dead node keeps %d events cycling through the engine", got)
 	}
 	// Revive: the parked one-shot fires behind current traffic, the parked
 	// periodic resumes one interval from now.

@@ -1,23 +1,23 @@
-// The sharded wave/barrier engine: the multi-core execution mode of the
-// simulator (NewSharded with shards >= 2). The single-shard engine in
-// netsim.go processes one event at a time off a global heap; this engine
-// partitions the node table by dense index (idx mod shards), keeps every
-// shard's pending events in per-instant FIFO bucket vectors, and advances
-// virtual time as a sequence of deterministic barrier steps:
+// The wave/barrier event engine. The node table is partitioned by dense index
+// (idx mod shards) — one shard unless NewSharded asked for more — every
+// shard keeps its pending events in per-instant FIFO bucket vectors, and
+// virtual time advances as a sequence of deterministic barrier steps:
 //
 //  1. Wave formation (coordinator): the wave is every event due at the
-//     current instant T — the shard's bucket for T plus, in RunFor, due
-//     periodic rounds — each already in (at, seq) order.
+//     current instant T — the shard's bucket for T plus, in RunFor, the
+//     periodic rounds due at T — in seq order.
 //  2. Hook pre-pass (coordinator, only when Tap or Intercept is installed):
 //     the wave is walked across all shards in global seq order and the
-//     fault-injection hook and trace tap run serially, exactly as the
-//     single-shard engine would run them. This is what keeps stateful
-//     injectors byte-deterministic: hook state evolves in a canonical
-//     order no matter how many shards execute the deliveries.
-//  3. Parallel delivery: each shard delivers its slice of the wave to its
-//     own nodes, in seq order per node. Handler output — sends, timers,
-//     periodic re-arms — is not enqueued yet; it is recorded in a per-shard
-//     output log tagged (parent seq, birth index).
+//     fault-injection hook and trace tap run serially, before any of the
+//     wave is delivered. This is what keeps stateful injectors
+//     byte-deterministic: hook state evolves in a canonical order no matter
+//     how many shards execute the deliveries. It is also the Redeliver
+//     contract: what a hook re-injects is sequenced at hook time, ahead of
+//     the output of the wave's own handlers.
+//  3. Delivery, in parallel across shards: each shard delivers its slice of
+//     the wave to its own nodes, in seq order per node. Handler output —
+//     sends, timers, periodic re-arms — is not enqueued yet; it is recorded
+//     in a per-shard output log tagged (parent seq, birth index).
 //  4. Canonical merge (coordinator): the shards' output logs, each already
 //     sorted by (parent seq, birth index), are S-way merged in that order;
 //     every record is assigned the next global sequence number, latency
@@ -26,12 +26,12 @@
 //     next wave at the same instant; the loop repeats until the instant
 //     quiesces, then time advances to the next bucket.
 //
-// Because a FIFO-ordered serial run is exactly "waves processed in (parent
-// seq, birth) order", the merge reproduces the single-shard engine's total
-// delivery order per destination node: with the same seed, a run is
-// byte-identical across shard counts whenever no Intercept hook reschedules
-// traffic (and byte-identical across repeated runs of the same shard count
-// always — the determinism contract sharding must preserve).
+// Because a serial run in (at, seq) order — one event at a time, every Send
+// sequenced as it is made — is exactly "waves processed in (parent seq,
+// birth) order", the merge reproduces that run's total delivery order per
+// destination node: with the same seed a run is byte-identical at every
+// shard count, and identical to the naive sorted queue the package's tests
+// keep as the oracle (oracle_test.go).
 //
 // Data path. An event record (sevent in a bucket or wave, outRec in an output
 // log) is 48–56 bytes: routing fields plus a *msg.Message. The 160-byte message
@@ -54,19 +54,19 @@
 //     it delivered or dropped the event, so the slab needs no lock. A
 //     periodic registration keeps its slot across re-arms.
 //
-// Workers. On a multi-P runtime waves of at least parallelMinWave events are
-// delivered in parallel: the coordinator runs shard 0's slice itself and
-// shards 1..S-1 each have a worker goroutine, started at the first such wave
-// of a Drain or RunFor call, fed one token per wave through the shard's
-// buffered channel, and stopped and joined before the call returns. Sim needs
-// no Close and leaks nothing between calls.
+// Workers. With more than one shard on a multi-P runtime, waves of at least
+// parallelMinWave events are delivered in parallel: the coordinator runs
+// shard 0's slice itself and shards 1..S-1 each have a worker goroutine,
+// started at the first such wave of a Drain or RunFor call, fed one token per
+// wave through the shard's buffered channel, and stopped and joined before
+// the call returns. Sim needs no Close and leaks nothing between calls.
 //
 // Shared mutable state during a parallel wave is confined to: the shard's
 // own buckets/outputs/arenas/stats, the destination node's process state
 // (every node belongs to exactly one shard), and whatever the host
-// application's Delivery callbacks touch — with shards >= 2 the host keeps
-// that state per shard too (ShardOf tells it which; the sim harness binds
-// every node's callback to its shard's tracker part).
+// application's Delivery callbacks touch — the host keeps that state per
+// shard too (ShardOf tells it which; the sim harness binds every node's
+// callback to its shard's tracker part).
 package netsim
 
 import (
@@ -77,6 +77,7 @@ import (
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/peer"
+	"hyparview/internal/rng"
 )
 
 // parallelMinWave is the smallest wave (events across all shards) worth
@@ -194,15 +195,6 @@ func (a *arena) reset() {
 	a.n, a.last = 0, nil
 }
 
-// shardStats are the per-shard slices of Stats, summed on read.
-type shardStats struct {
-	sent         uint64
-	delivered    uint64
-	dropped      uint64
-	sendFailures uint64
-	bytesSent    uint64
-}
-
 // shard owns one partition of the node population (dense index mod shard
 // count) and all event state addressed to it.
 type shard struct {
@@ -217,7 +209,6 @@ type shard struct {
 	pool   [][]sevent          // recycled bucket vectors
 
 	pheap []sevent // periodic registrations, (at, seq) min-heap
-	due   []sevent // scratch: due periodics pulled for the current instant
 
 	out  []outRec // wave output log, (pseq, birth)-ordered by construction
 	opos int      // merge cursor into out
@@ -250,49 +241,42 @@ type shard struct {
 	// per-shard sets when d fails.
 	watching map[id.ID]map[id.ID]struct{}
 
-	stats shardStats
+	stats Stats // what this shard counted mid-wave; Sim.Stats sums the slices
 
 	_ [64]byte // keeps neighbouring shards' hot fields off one cache line
 }
 
-// sharded reports whether the wave/barrier engine is active.
-func (s *Sim) sharded() bool { return len(s.shards) > 0 }
-
-// Shards returns the shard count: 1 for the single-shard heap engine.
-func (s *Sim) Shards() int {
-	if !s.sharded() {
-		return 1
-	}
-	return len(s.shards)
-}
+// Shards returns the shard count.
+func (s *Sim) Shards() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard that owns nodeID and delivers to it:
 // the key a host uses to keep its Delivery-callback state per shard. It is 0
-// on the single-shard engine and for unknown nodes.
+// for unknown nodes.
 func (s *Sim) ShardOf(nodeID id.ID) int {
-	if idx, ok := s.nodeIndex(nodeID); ok && s.sharded() {
+	if idx, ok := s.nodeIndex(nodeID); ok {
 		return s.shardOf(idx).id
 	}
 	return 0
 }
 
-// NewSharded returns a simulator whose event engine is partitioned into
-// shards parallel shards (see the package comment of this file). A shard
-// count of one (or less) returns the classic single-shard engine — the
-// reference the conformance suite compares against. Nodes are assigned to
-// shards by dense index modulo the shard count.
+// NewSharded returns an empty simulator seeded with seed whose event engine
+// is partitioned into shards shards (one when shards < 1); see the comment at
+// the top of this file. Nodes are assigned to shards by dense index modulo
+// the shard count. The shard count changes how the work is spread, never the
+// run: the same seed produces the same trace at every count.
 func NewSharded(seed uint64, shards int) *Sim {
-	if shards <= 1 {
-		return New(seed)
+	s := &Sim{
+		rand:   rng.New(seed),
+		index:  make(map[id.ID]int32),
+		dense:  true,
+		shards: make([]shard, max(shards, 1)),
 	}
-	s := New(seed)
-	s.shards = make([]shard, shards)
 	// On a single-P runtime workers cannot overlap anything and only add
 	// scheduling latency per wave; the serial path is identical in outcome
 	// (shard slices touch disjoint state either way), so take it. Captured
 	// once: tests that want the concurrent path under -race raise GOMAXPROCS
 	// before construction.
-	s.waveParallel = runtime.GOMAXPROCS(0) > 1
+	s.waveParallel = len(s.shards) > 1 && runtime.GOMAXPROCS(0) > 1
 	for i := range s.shards {
 		sh := &s.shards[i]
 		*sh = shard{
@@ -355,11 +339,12 @@ func (sh *shard) putVec(v []sevent) {
 }
 
 // held copies *m into a free slot of the shard's hold slab and returns the
-// slot. Coordinator only: the free list is otherwise touched by the shard's
-// own runWave. A message that lives outside the engine (a caller's argument,
-// a parked event) is copied here before an event record is built around it:
-// a record holding the caller's pointer would make escape analysis move every
-// Send argument to the heap.
+// slot. Its callers are the coordinator between waves and the shard's own
+// runWave, which never overlap, so the free list needs no lock. A message
+// that lives outside the slab (a caller's argument, an arena entry) is copied
+// here before an event record is built around it: a record holding the
+// caller's pointer would make escape analysis move every Send argument to the
+// heap.
 func (sh *shard) held(m *msg.Message) *msg.Message {
 	if len(sh.hold) == 0 {
 		chunk := make([]msg.Message, arenaChunk)
@@ -393,14 +378,14 @@ func (sh *shard) holdEvent(se *sevent) {
 }
 
 // enqueueAt routes one sequenced event to its destination shard: the next
-// wave when it lands on the active instant, a future bucket otherwise. se.m
+// wave when it is due at the active instant, a future bucket otherwise. se.m
 // is a hold slot of that shard (flagHeld) or an entry of the arena the wave
 // just wrote, which is readable for exactly one more wave: an event bound for
 // a bucket takes a hold slot.
 func (s *Sim) enqueueAt(se sevent) {
 	sh := s.shardOf(se.to)
 	sh.queued++
-	if s.instantActive && se.at == s.now {
+	if s.instantActive && se.at == s.instant {
 		sh.next = append(sh.next, se)
 		return
 	}
@@ -408,7 +393,7 @@ func (s *Sim) enqueueAt(se sevent) {
 	b, ok := sh.future[se.at]
 	if !ok {
 		b = sh.grabVec()
-		pushTime(&sh.times, se.at)
+		heapPush(&sh.times, se.at, timeLess) // once per instant: the future map guards it
 	}
 	sh.future[se.at] = append(b, se)
 }
@@ -418,23 +403,19 @@ func (s *Sim) enqueueAt(se sevent) {
 func (s *Sim) enqueuePeriodic(se sevent) {
 	sh := s.shardOf(se.to)
 	sh.holdEvent(&se)
-	pushSevent(&sh.pheap, se)
+	heapPush(&sh.pheap, se, seventLess)
 }
 
-// sendSharded is the wave-engine send path. During a parallel wave the event
-// is recorded in the sending shard's output log for canonical sequencing at
-// the barrier; from coordinator context (harness Inject, OnCycle and
-// OnPeerDown handlers, hooks) it is sequenced immediately, exactly like the
-// single-shard engine. sh is the sending node's shard (nil for harness
-// sends).
-func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
+// send is the path of Endpoint.Send and Inject. During a wave the event is
+// recorded in the sending shard's output log for canonical sequencing at the
+// barrier; from coordinator context (harness Inject, OnCycle and OnPeerDown
+// handlers, hooks) it is sequenced immediately. sh is the sending node's
+// shard (nil for harness sends). m is never retained: the engine stores
+// exactly one copy.
+func (s *Sim) send(sh *shard, from, to id.ID, m *msg.Message) error {
 	ti, ok := s.nodeIndex(to)
 	if !ok || !s.aliveAt(ti) || !s.reachable(from, to) {
-		if sh != nil && s.inWave {
-			sh.stats.sendFailures++
-		} else {
-			s.stats.SendFailures++
-		}
+		s.countSendFailure(sh)
 		return fmt.Errorf("send %v->%v: %w", from, to, peer.ErrPeerDown)
 	}
 	if sh != nil && s.inWave {
@@ -444,17 +425,13 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth,
 			from: from, to: ti, kind: kindMessage, m: sh.arenas[s.wave&1].put(m)})
 		sh.birth++
-		sh.stats.sent++
-		sh.stats.bytesSent += uint64(m.EncodedSize())
+		sh.stats.Sent++
+		sh.stats.BytesSent += uint64(m.EncodedSize())
 		return nil
 	}
-	// Coordinator context: synchronous overflow, immediate sequencing —
-	// identical semantics to the single-shard engine.
-	if s.wire >= s.queueLimit() {
-		s.stats.Overflowed++
-		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
+	if err := s.admit(); err != nil {
+		return err
 	}
-	s.wire++
 	var delay uint64
 	if s.Latency != nil {
 		delay = s.Latency(from, to, s.rand)
@@ -466,146 +443,129 @@ func (s *Sim) sendSharded(sh *shard, from, to id.ID, m *msg.Message) error {
 	return nil
 }
 
-// redeliverSharded is Redeliver on the wave engine: hooks run on the
-// coordinator (the pre-pass), so re-entry always sequences immediately.
-func (s *Sim) redeliverSharded(from, to id.ID, m *msg.Message, delay uint64) error {
-	ti, ok := s.nodeIndex(to)
-	if !ok || !s.aliveAt(ti) {
-		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
+// countSendFailure counts a Send or Probe rejected with ErrPeerDown: on the
+// caller's shard mid-wave, where it may run beside other shards.
+func (s *Sim) countSendFailure(sh *shard) {
+	if sh != nil && s.inWave {
+		sh.stats.SendFailures++
+	} else {
+		s.stats.SendFailures++
 	}
-	if s.wire >= s.queueLimit() {
+}
+
+// admit takes one unit of the in-flight message budget, or counts the
+// overflow and reports it. Only network messages are subject to MaxQueue:
+// they are what a storm amplifies, while scheduler deliveries are bounded by
+// protocol state (one timer per missing round, one registration per periodic
+// task) — dropping those would wedge timer-owning state machines forever (an
+// armed Plumtree timer that never fires blocks that round's repair
+// permanently), so After/Every stay genuinely infallible as the contract
+// promises.
+func (s *Sim) admit() error {
+	limit := s.MaxQueue
+	if limit <= 0 {
+		limit = 64 << 20
+	}
+	if s.wire >= limit {
 		s.stats.Overflowed++
 		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
 	}
 	s.wire++
+	return nil
+}
+
+// Redeliver enqueues m for delivery to dst after delay ticks, bypassing both
+// the Intercept hook and the Latency model: it is the re-entry path fault
+// injectors use to express delay, duplicate and replay faults without the
+// hook re-intercepting its own artifacts. Hooks run on the coordinator (the
+// wave pre-pass), never on shard goroutines, so the copy is sequenced here
+// and now. The message counts against MaxQueue and the delivery stats but not
+// Stats.Sent — it is a fault artifact, not a protocol send. An unknown or
+// dead destination is reported as down, matching Send; a node dying
+// afterwards drops the copy at delivery time like any in-flight message.
+func (s *Sim) Redeliver(from, to id.ID, m msg.Message, delay uint64) error {
+	ti, ok := s.nodeIndex(to)
+	if !ok || !s.aliveAt(ti) {
+		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
+	}
+	if err := s.admit(); err != nil {
+		return err
+	}
 	s.seq++
-	s.enqueueAt(sevent{at: s.now + delay, seq: s.seq, from: from, to: ti, kind: kindMessage, flags: flagExempt | flagHeld, m: s.shardOf(ti).held(m)})
+	s.enqueueAt(sevent{at: s.now + delay, seq: s.seq, from: from, to: ti, kind: kindMessage, flags: flagExempt | flagHeld, m: s.shardOf(ti).held(&m)})
 	s.stats.Redelivered++
 	return nil
 }
 
-// unparkSharded is Revive's re-scheduling of one event that came due while
-// its node was failed, under the sequence number Revive just took: a parked
-// timer fires behind the traffic now in flight, a parked periodic
-// registration resumes one interval from now.
-func (s *Sim) unparkSharded(ev *event) {
-	se := sevent{at: s.now, seq: s.seq, from: ev.from, to: ev.to, kind: ev.kind, interval: ev.interval,
-		flags: flagHeld, m: s.shardOf(ev.to).held(&ev.m)}
-	if ev.kind == kindPeriodic {
-		se.at += ev.interval
-		s.enqueuePeriodic(se)
-	} else {
-		s.enqueueAt(se)
+// schedule is the path of Endpoint.After (kindTimer) and Every (kindPeriodic,
+// delay being the interval too).
+func (s *Sim) schedule(sh *shard, self id.ID, idx int32, kind uint8, delay uint64, m *msg.Message) {
+	var interval uint64
+	if kind == kindPeriodic {
+		interval = delay
 	}
-}
-
-// scheduleSharded handles After (oneshot=true) and Every from an endpoint.
-func (s *Sim) scheduleSharded(sh *shard, self id.ID, idx int32, oneshot bool, delay uint64, m *msg.Message) {
-	kind, interval := kindPeriodic, delay
-	if oneshot {
-		kind, interval = kindTimer, 0
-	}
-	if sh != nil && s.inWave {
+	if s.inWave {
 		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth, at: s.now + delay,
 			from: self, to: idx, kind: kind, interval: interval, m: sh.arenas[s.wave&1].put(m)})
 		sh.birth++
 		return
 	}
 	s.seq++
-	se := sevent{at: s.now + delay, seq: s.seq, from: self, to: idx, kind: kind, interval: interval, flags: flagHeld, m: s.shardOf(idx).held(m)}
-	if oneshot {
-		s.enqueueAt(se)
-	} else {
+	se := sevent{at: s.now + delay, seq: s.seq, from: self, to: idx, kind: kind, interval: interval, flags: flagHeld, m: sh.held(m)}
+	if kind == kindPeriodic {
 		s.enqueuePeriodic(se)
+	} else {
+		s.enqueueAt(se)
 	}
-}
-
-// queueLimit resolves MaxQueue.
-func (s *Sim) queueLimit() int {
-	if s.MaxQueue > 0 {
-		return s.MaxQueue
-	}
-	return 64 << 20
 }
 
 // ---- the barrier loop ----------------------------------------------------
 
-// minOnceTime returns the earliest instant holding bucketed traffic.
-func (s *Sim) minOnceTime() (uint64, bool) {
-	var best uint64
-	found := false
+// nextInstant returns the earliest instant holding bucketed traffic or, when
+// periodic is set, a pending periodic round.
+func (s *Sim) nextInstant(periodic bool) (t uint64, ok bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if len(sh.times) > 0 && (!found || sh.times[0] < best) {
-			best, found = sh.times[0], true
+		if len(sh.times) > 0 && (!ok || sh.times[0] < t) {
+			t, ok = sh.times[0], true
+		}
+		if periodic && len(sh.pheap) > 0 && (!ok || sh.pheap[0].at < t) {
+			t, ok = sh.pheap[0].at, true
 		}
 	}
-	return best, found
+	return t, ok
 }
 
-// minPeriodicTime returns the earliest pending periodic fire.
-func (s *Sim) minPeriodicTime() (uint64, bool) {
-	var best uint64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if len(sh.pheap) > 0 && (!found || sh.pheap[0].at < best) {
-			best, found = sh.pheap[0].at, true
-		}
-	}
-	return best, found
-}
-
-// drainSharded is Drain on the wave engine: periodic schedule frozen.
-func (s *Sim) drainSharded() int {
+// run is the loop under Drain (periodic schedule frozen, no horizon) and
+// RunFor: it processes instant after instant up to and including until and
+// returns the number of deliveries made.
+func (s *Sim) run(until uint64, periodic bool) int {
 	defer s.stopWorkers()
 	delivered := 0
 	s.flushDowns()
 	for {
-		t, ok := s.minOnceTime()
-		if !ok {
+		t, ok := s.nextInstant(periodic)
+		if !ok || t > until {
 			return delivered
 		}
-		delivered += s.runInstant(t, false)
+		delivered += s.runInstant(t, periodic)
 		s.flushDowns()
 	}
 }
 
-// runForSharded is RunFor on the wave engine: periodic rounds fire too.
-func (s *Sim) runForSharded(d uint64) int {
-	defer s.stopWorkers()
-	target := s.now + d
-	delivered := 0
-	s.flushDowns()
-	for {
-		t, ok := s.minOnceTime()
-		if pt, pok := s.minPeriodicTime(); pok && (!ok || pt < t) {
-			t, ok = pt, true
-		}
-		if !ok || t > target {
-			if target > s.now {
-				s.now = target
-			}
-			return delivered
-		}
-		delivered += s.runInstant(t, true)
-		s.flushDowns()
-	}
-}
-
-// runInstant processes every event due at instant t (which may lie in the
-// past for stale periodic rounds after a Drain advanced the clock), wave by
-// wave, until the instant quiesces. It returns the number of deliveries.
+// runInstant processes every event due at instant t, wave by wave, until the
+// instant quiesces, and returns the number of deliveries. t lies in the past
+// for periodic rounds that came due while a Drain advanced the clock: the
+// clock stays where it is, and what their handlers send is due now, not at t.
+// Every event of an instant has the same due time, so seq alone orders a wave
+// across shards.
 func (s *Sim) runInstant(t uint64, periodic bool) int {
-	if t > s.now {
-		s.now = t
-	}
-	t = s.now
-	s.instantActive = true
+	s.now = max(s.now, t)
+	s.instant, s.instantActive = t, true
 	delivered := 0
 
-	// Wave formation: the instant's bucket on each shard, with due periodic
-	// rounds spliced in by (at, seq).
+	// Wave formation: the instant's bucket on each shard, with the periodic
+	// rounds due at t spliced in by seq.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.formWave(t, periodic)
@@ -690,12 +650,16 @@ func (s *Sim) stopWorkers() {
 }
 
 // formWave assembles the shard's slice of the instant-t wave: the t bucket
-// plus (in RunFor) periodic rounds due at or before t, ordered by (at, seq).
+// plus (in RunFor) the periodic rounds due at t, ordered by seq.
 func (sh *shard) formWave(t uint64, periodic bool) {
 	var bucket []sevent
 	if b, ok := sh.future[t]; ok {
 		delete(sh.future, t)
-		popTimeValue(&sh.times, t)
+		// Instants are consumed in time order; popping any other would
+		// corrupt that order silently.
+		if head := heapPop(&sh.times, timeLess); head != t {
+			panic(fmt.Sprintf("netsim: consuming instant %d while the earliest pending instant is %d", t, head))
+		}
 		bucket = b
 		sh.queued -= len(b)
 	}
@@ -711,28 +675,17 @@ func (sh *shard) formWave(t uint64, periodic bool) {
 		sh.ppos = 0
 		return
 	}
-	// Pull due periodic rounds in (at, seq) order; rounds whose deadline
-	// already passed (Drain froze the schedule while time advanced) come
-	// first, then rounds at exactly t interleave with the bucket by seq.
-	sh.due = sh.due[:0]
-	for len(sh.pheap) > 0 && sh.pheap[0].at <= t {
-		sh.due = append(sh.due, popSevent(&sh.pheap))
-	}
+	// Splice the rounds due at t into the bucket by seq.
 	cur := sh.grabVec()
-	di, bi := 0, 0
-	for di < len(sh.due) && sh.due[di].at < t {
-		cur = append(cur, sh.due[di])
-		di++
-	}
-	for di < len(sh.due) || bi < len(bucket) {
-		if bi >= len(bucket) || (di < len(sh.due) && sh.due[di].seq < bucket[bi].seq) {
-			cur = append(cur, sh.due[di])
-			di++
-		} else {
+	bi := 0
+	for len(sh.pheap) > 0 && sh.pheap[0].at <= t {
+		round := heapPop(&sh.pheap, seventLess)
+		for ; bi < len(bucket) && bucket[bi].seq < round.seq; bi++ {
 			cur = append(cur, bucket[bi])
-			bi++
 		}
+		cur = append(cur, round)
 	}
+	cur = append(cur, bucket[bi:]...)
 	sh.putVec(bucket)
 	sh.putVec(sh.cur)
 	sh.cur = cur
@@ -741,10 +694,9 @@ func (sh *shard) formWave(t uint64, periodic bool) {
 }
 
 // prePass walks the wave across all shards in global seq order, running the
-// Intercept hook and the Tap exactly as the single-shard engine would:
-// serially, in canonical delivery order, on the coordinator goroutine. Hook
-// verdicts are recorded on the events (flagSkip / replaced message) and
-// applied during the parallel phase.
+// Intercept hook and the Tap serially, in canonical delivery order, on the
+// coordinator goroutine. Hook verdicts are recorded on the events (flagSkip /
+// replaced message) and applied during the delivery phase.
 func (s *Sim) prePass() {
 	for {
 		var best *shard
@@ -808,11 +760,10 @@ func (sh *shard) runWave() {
 	for i := range sh.cur {
 		// Lookahead touch: the wave vector already knows the next few
 		// destinations, so start their node records' cache misses now and
-		// let out-of-order execution overlap them with this delivery. The
-		// serial heap engine structurally cannot do this — the next event
-		// is only known after the current pop. At 1M nodes every delivery
-		// touches DRAM-cold node state, and this memory-level parallelism
-		// is worth more than the arithmetic around it.
+		// let out-of-order execution overlap them with this delivery. At 1M
+		// nodes every delivery touches DRAM-cold node state, and this
+		// memory-level parallelism is worth more than the arithmetic around
+		// it.
 		if i+waveLookahead < len(sh.cur) {
 			ahead := &s.nodes[sh.cur[i+waveLookahead].to]
 			if ahead.alive {
@@ -826,11 +777,12 @@ func (sh *shard) runWave() {
 		dst := &s.nodes[se.to]
 		if !dst.alive {
 			if se.kind == kindMessage {
-				sh.stats.dropped++
+				sh.stats.Dropped++
+				sh.release(se)
 			} else {
-				dst.parked = append(dst.parked, event{from: se.from, to: se.to, kind: se.kind, interval: se.interval, m: *se.m})
+				sh.holdEvent(se)
+				dst.parked = append(dst.parked, *se)
 			}
-			sh.release(se)
 			continue
 		}
 		sh.pseq, sh.birth = se.seq, 1
@@ -847,7 +799,7 @@ func (sh *shard) runWave() {
 		}
 		if se.kind == kindMessage {
 			if !s.reachable(se.from, dst.id) {
-				sh.stats.dropped++
+				sh.stats.Dropped++
 				sh.release(se)
 				continue
 			}
@@ -859,7 +811,7 @@ func (sh *shard) runWave() {
 		dst.proc.Deliver(se.from, *se.m)
 		count++
 		if se.kind == kindMessage {
-			sh.stats.delivered++
+			sh.stats.Delivered++
 		}
 		if se.kind != kindPeriodic {
 			sh.release(se)
@@ -875,14 +827,13 @@ func (sh *shard) runWave() {
 // stream in merge order, and routing events to their destination shards. Only
 // the small record moves; the message body stays where the handler wrote it
 // unless the event is bound for a bucket (see enqueueAt).
-// This order is exactly the order in which a single-shard run would have
-// made the same schedule calls, which is what keeps traces byte-identical
-// across shard counts.
+// This order is exactly the order in which a one-event-at-a-time run would
+// have made the same schedule calls, which is what keeps traces
+// byte-identical across shard counts.
 func (s *Sim) mergeOutputs() {
 	for i := range s.shards {
 		s.shards[i].opos = 0
 	}
-	limit := s.queueLimit()
 	for {
 		var src *shard
 		for i := range s.shards {
@@ -910,15 +861,13 @@ func (s *Sim) mergeOutputs() {
 			if s.Latency != nil {
 				delay = s.Latency(r.from, s.nodes[r.to].id, s.rand)
 			}
-			if s.wire >= limit {
+			if s.admit() != nil {
 				// Shed at the barrier: the sender already returned nil, so
-				// roll its tentative counters back and count the overflow.
-				s.stats.Overflowed++
-				src.stats.sent--
-				src.stats.bytesSent -= uint64(r.m.EncodedSize())
+				// roll its tentative counters back.
+				src.stats.Sent--
+				src.stats.BytesSent -= uint64(r.m.EncodedSize())
 				continue
 			}
-			s.wire++
 			s.seq++
 			s.enqueueAt(r.sequenced(s.now+delay, s.seq))
 		case kindTimer:
@@ -934,78 +883,7 @@ func (s *Sim) mergeOutputs() {
 	}
 }
 
-// ---- sharded liveness bookkeeping ---------------------------------------
-
-// flushDownsSharded is flushDowns over the per-shard watch tables: for each
-// pending victim the watcher sets are unioned across shards, sorted, and
-// notified exactly like the single-shard engine.
-func (s *Sim) flushDownsSharded() {
-	for len(s.pendingDowns) > 0 {
-		victim := s.pendingDowns[0]
-		s.pendingDowns = s.pendingDowns[1:]
-		watcherIDs := s.gatherWatchers(victim, nil)
-		if len(watcherIDs) == 0 {
-			continue
-		}
-		sortIDs(watcherIDs)
-		vDead := true
-		if vi, ok := s.nodeIndex(victim); ok && s.nodes[vi].alive {
-			vDead = false
-		}
-		for _, w := range watcherIDs {
-			wi, ok := s.nodeIndex(w)
-			if !ok || !s.nodes[wi].alive {
-				s.dropWatch(w, victim) // dead watchers never hear anything again
-				continue
-			}
-			// A crash resets every connection; a partition resets only the
-			// links that cross the cut.
-			if !vDead && s.reachable(w, victim) {
-				continue
-			}
-			s.dropWatch(w, victim)
-			if obs, ok := s.nodes[wi].proc.(peer.FailureObserver); ok {
-				obs.OnPeerDown(victim)
-			}
-		}
-	}
-}
-
-// partitionBreakSharded queues reset notifications for watched links that
-// cross a freshly installed partition, deterministically (victims sorted,
-// deduplicated) regardless of map iteration order.
-func (s *Sim) partitionBreakSharded() {
-	var broken []id.ID
-	for i := range s.shards {
-		for watchedNode, ws := range s.shards[i].watching {
-			for watcher := range ws {
-				if !s.reachable(watcher, watchedNode) {
-					broken = append(broken, watchedNode)
-					break
-				}
-			}
-		}
-	}
-	sortIDs(broken)
-	for i, v := range broken {
-		if i > 0 && broken[i-1] == v {
-			continue
-		}
-		s.pendingDowns = append(s.pendingDowns, v)
-	}
-}
-
-// watch registers watcher (a node on shard sh) as watching dst.
-func (sh *shard) watch(watcher, dst id.ID) {
-	ws := sh.watching[dst]
-	if ws == nil {
-		ws = make(map[id.ID]struct{}, 4)
-		sh.watching[dst] = ws
-	}
-	ws[watcher] = struct{}{}
-}
-
-// unwatch cancels a watch registration.
+// unwatch cancels watcher's registration on dst; watcher is a node of sh.
 func (sh *shard) unwatch(watcher, dst id.ID) {
 	if ws := sh.watching[dst]; ws != nil {
 		delete(ws, watcher)
@@ -1015,68 +893,15 @@ func (sh *shard) unwatch(watcher, dst id.ID) {
 	}
 }
 
-// watchedSharded reports whether any node watches victim.
-func (s *Sim) watchedSharded(victim id.ID) bool {
-	for i := range s.shards {
-		if len(s.shards[i].watching[victim]) > 0 {
-			return true
-		}
-	}
-	return false
-}
+// ---- the two small heaps: a shard's pending instants and periodic rounds ----
 
-// gatherWatchers appends every watcher of victim to buf (unsorted).
-func (s *Sim) gatherWatchers(victim id.ID, buf []id.ID) []id.ID {
-	for i := range s.shards {
-		for w := range s.shards[i].watching[victim] {
-			buf = append(buf, w)
-		}
-	}
-	return buf
-}
-
-// dropWatch removes watcher's registration on victim from whichever shard
-// holds it (the watcher's own shard).
-func (s *Sim) dropWatch(watcher, victim id.ID) {
-	if wi, ok := s.nodeIndex(watcher); ok {
-		s.shardOf(wi).unwatch(watcher, victim)
-	}
-}
-
-// pendingSharded counts queued once events across shards.
-func (s *Sim) pendingSharded() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].queued
-	}
-	return total
-}
-
-// statsSharded merges the per-shard counter slices into the global Stats.
-func (s *Sim) statsSharded() Stats {
-	out := s.stats
-	for i := range s.shards {
-		st := &s.shards[i].stats
-		out.Sent += st.sent
-		out.Delivered += st.delivered
-		out.Dropped += st.dropped
-		out.SendFailures += st.sendFailures
-		out.BytesSent += st.bytesSent
-	}
-	return out
-}
-
-// ---- small heaps ---------------------------------------------------------
-
-// pushTime inserts t into the binary min-heap h. Each instant is pushed at
-// most once (bucket creation is guarded by the future map).
-func pushTime(h *[]uint64, t uint64) {
-	*h = append(*h, t)
+// heapPush inserts x into the binary min-heap h ordered by less.
+func heapPush[T any](h *[]T, x T, less func(a, b *T) bool) {
+	*h = append(*h, x)
 	s := *h
-	i := len(s) - 1
-	for i > 0 {
+	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if s[i] >= s[p] {
+		if !less(&s[i], &s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -1084,78 +909,21 @@ func pushTime(h *[]uint64, t uint64) {
 	}
 }
 
-// popTimeValue removes t from the heap; t is always the minimum (instants
-// are consumed in time order).
-func popTimeValue(h *[]uint64, t uint64) {
-	s := *h
-	if len(s) == 0 || s[0] != t {
-		// Defensive: scan (cannot happen under the consume-in-order
-		// discipline, but a silent mis-pop would corrupt time ordering).
-		for i := range s {
-			if s[i] == t {
-				s[i] = s[len(s)-1]
-				*h = s[:len(s)-1]
-				siftTime(*h, i)
-				return
-			}
-		}
-		return
-	}
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	siftTime(*h, 0)
-}
-
-func siftTime(s []uint64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(s) && s[l] < s[least] {
-			least = l
-		}
-		if r < len(s) && s[r] < s[least] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-}
-
-// pushSevent inserts se into the (at, seq) min-heap h.
-func pushSevent(h *[]sevent, se sevent) {
-	*h = append(*h, se)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !seventLess(&s[i], &s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// popSevent removes the minimum from h.
-func popSevent(h *[]sevent) sevent {
+// heapPop removes and returns the minimum of the non-empty heap h.
+func heapPop[T any](h *[]T, less func(a, b *T) bool) T {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
 	s = s[:last]
 	*h = s
-	i := 0
-	for {
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		least := i
-		if l < len(s) && seventLess(&s[l], &s[least]) {
+		if l < last && less(&s[l], &s[least]) {
 			least = l
 		}
-		if r < len(s) && seventLess(&s[r], &s[least]) {
+		if r < last && less(&s[r], &s[least]) {
 			least = r
 		}
 		if least == i {
@@ -1165,6 +933,8 @@ func popSevent(h *[]sevent) sevent {
 		i = least
 	}
 }
+
+func timeLess(a, b *uint64) bool { return *a < *b }
 
 func seventLess(a, b *sevent) bool {
 	if a.at != b.at {

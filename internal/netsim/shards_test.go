@@ -1,12 +1,12 @@
 package netsim
 
-// Engine-level pins for the sharded wave/barrier engine (shards.go):
-// cross-shard-count trace equality on raw rings, hook re-entry (Redeliver
-// from an Intercept hook) while waves run on the shard workers, and a
-// parallel-wave exerciser that the CI -race step leans on. Tests that need
-// the concurrent path raise GOMAXPROCS before construction: NewSharded
-// captures it, and a single-P runtime would otherwise take the (identical in
-// outcome) serial wave path.
+// Engine-level pins for the wave/barrier engine (shards.go): trace equality
+// with the oracle at every shard count (shards == 1 is the engine New
+// builds), hook re-entry (Redeliver from an Intercept hook) while waves run
+// on the shard workers, and a parallel-wave exerciser that the CI -race step
+// leans on. Tests that need the concurrent path raise GOMAXPROCS before
+// construction: NewSharded captures it, and a single-P runtime would
+// otherwise take the (identical in outcome) serial wave path.
 
 import (
 	"fmt"
@@ -17,37 +17,142 @@ import (
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/peer"
+	"hyparview/internal/rng"
 )
 
-// ringTrace runs a TTL ring on the given engine and returns the Tap trace.
-func ringTrace(shards, n, msgs, hops int) (string, Stats) {
-	s := buildRingSharded(n, shards)
-	var b strings.Builder
-	s.Tap = func(from, to id.ID, m msg.Message) {
-		fmt.Fprintf(&b, "%d>%d:%d@%d\n", from, to, m.Round, s.Now())
-	}
-	for k := 0; k < msgs; k++ {
-		src := id.ID(k%n + 1)
-		dst := id.ID(uint64(src)%uint64(n) + 1)
-		_ = s.Inject(src, dst, msg.Message{Type: msg.Gossip, Round: uint64(k), TTL: uint8(hops)})
-	}
-	s.Drain()
-	return b.String(), s.Stats()
+// engine is what the differential scenarios drive: *Sim at any shard count,
+// and the oracle (oracle_test.go).
+type engine interface {
+	Add(id.ID, func(peer.Env) peer.Process)
+	Inject(from, to id.ID, m msg.Message) error
+	Drain() int
+	RunFor(d uint64) int
+	Fail(id.ID)
+	Revive(id.ID)
+	Now() uint64
 }
 
-func TestShardedMatchesLegacyEngineTrace(t *testing.T) {
-	ref, refStats := ringTrace(1, 200, 96, 16)
-	if ref == "" {
-		t.Fatal("empty reference trace")
+// newEngine builds an empty engine — the oracle for shards == 0 — with the
+// latency function installed and every delivery appended to *trace.
+func newEngine(seed uint64, shards int, latency func(from, to id.ID, r *rng.Rand) uint64, trace *strings.Builder) engine {
+	var e engine
+	tap := func(from, to id.ID, m msg.Message) {
+		fmt.Fprintf(trace, "%d>%d:%d/%d@%d\n", from, to, m.Round, m.TTL, e.Now())
 	}
-	for _, shards := range []int{2, 4, 8} {
-		got, gotStats := ringTrace(shards, 200, 96, 16)
-		if got != ref {
-			t.Errorf("shards=%d: trace diverged from the single-shard engine", shards)
+	if shards == 0 {
+		e = &oracle{rand: rng.New(seed), Latency: latency, Tap: tap}
+	} else {
+		s := NewSharded(seed, shards)
+		s.Latency, s.Tap = latency, tap
+		e = s
+	}
+	return e
+}
+
+// chatty is a ring forwarder that also owns timers: every third round it
+// forwards arms a one-shot timer, it registers a periodic round at
+// construction, and each timer or round that fires sends a short-lived
+// message of its own.
+type chatty struct {
+	env  peer.Env
+	next id.ID
+}
+
+func (p *chatty) OnCycle() {}
+
+func (p *chatty) Deliver(from id.ID, m msg.Message) {
+	switch {
+	case m.Type == msg.Tick:
+		_ = p.env.Send(p.next, msg.Message{Type: msg.Gossip, Round: m.Round, TTL: 2})
+	case m.TTL > 0:
+		if m.Round%3 == 0 {
+			p.env.After(m.Round%5, msg.Message{Type: msg.Tick, Round: 1000 + m.Round})
 		}
-		if gotStats != refStats {
-			t.Errorf("shards=%d: stats diverged: %+v vs %+v", shards, gotStats, refStats)
+		m.TTL--
+		_ = p.env.Send(p.next, m)
+	}
+}
+
+// Differential scenarios: each drives an engine and returns a summary of what
+// Drain and RunFor reported; the Tap trace accumulates on the side.
+var scenarios = []struct {
+	name    string
+	latency func(from, to id.ID, r *rng.Rand) uint64
+	run     func(e engine) string
+}{
+	{"fifo ring", nil, ringScenario},
+	{"jittered ring", func(_, _ id.ID, r *rng.Rand) uint64 { return 1 + r.Uint64n(40) }, ringScenario},
+	{"constant latency ring", func(id.ID, id.ID, *rng.Rand) uint64 { return 5 }, ringScenario},
+	{"timers, rounds and churn", nil, churnScenario},
+	{"timers, rounds and churn, jittered", func(_, _ id.ID, r *rng.Rand) uint64 { return r.Uint64n(4) }, churnScenario},
+}
+
+// ringScenario is the TTL ring of the engine benchmarks: 96 messages of 16
+// hops injected around a ring of 200.
+func ringScenario(e engine) string {
+	const n = 200
+	for i := 0; i < n; i++ {
+		next := id.ID((i+1)%n + 1)
+		e.Add(id.ID(i+1), func(env peer.Env) peer.Process { return &ringProc{env: env, next: next} })
+	}
+	for k := 0; k < 96; k++ {
+		src := id.ID(k%n + 1)
+		_ = e.Inject(src, id.ID(uint64(src)%n+1), msg.Message{Type: msg.Gossip, Round: uint64(k), TTL: 16})
+	}
+	return fmt.Sprint(e.Drain(), e.Now())
+}
+
+// churnScenario mixes everything the oracle models: traffic, one-shot timers
+// armed from handlers, periodic rounds of three different intervals, RunFor
+// windows and Drains (which freeze the rounds and leave them stale), and a
+// stripe of nodes failed with traffic, timers and rounds pending, then
+// revived.
+func churnScenario(e engine) string {
+	const n = 64
+	for i := 0; i < n; i++ {
+		next := id.ID((i+1+i%5)%n + 1)
+		e.Add(id.ID(i+1), func(env peer.Env) peer.Process {
+			env.Every(uint64(7+i%3), msg.Message{Type: msg.Tick, Round: uint64(2000 + i)})
+			return &chatty{env: env, next: next}
+		})
+	}
+	inject := func(base int) {
+		for k := 0; k < 32; k++ {
+			_ = e.Inject(id.ID(k+1), id.ID((2*k+base)%n+1), msg.Message{Type: msg.Gossip, Round: uint64(base + k), TTL: 6})
 		}
+	}
+	stripe := func(f func(id.ID)) {
+		for i := 5; i < 16; i++ {
+			f(id.ID(i))
+		}
+	}
+	var out []int
+	inject(0)
+	out = append(out, e.RunFor(20))
+	stripe(e.Fail)
+	inject(100)
+	out = append(out, e.Drain(), e.RunFor(30))
+	stripe(e.Revive)
+	inject(200)
+	out = append(out, e.RunFor(25), e.Drain(), e.RunFor(40))
+	return fmt.Sprint(out, e.Now())
+}
+
+// TestEngineMatchesOracleTrace is the engine's differential pin: at every
+// shard count — one shard is what New builds — each scenario's Tap trace,
+// timestamps included, and its delivery counts equal the oracle's byte for
+// byte. Run at -cpu 1,2,4 in CI: waves are serial at GOMAXPROCS=1 and on the
+// shard workers above.
+func TestEngineMatchesOracleTrace(t *testing.T) {
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			want := forEachEngine(t, 11, sc.latency, func(e engine, trace *strings.Builder) {
+				trace.WriteString(sc.run(e))
+			})
+			if strings.Count(want, "\n") < 1000 {
+				t.Fatalf("degenerate scenario: %d deliveries on the oracle", strings.Count(want, "\n"))
+			}
+		})
 	}
 }
 

@@ -116,14 +116,13 @@ func TestInjectionPreservesTraceDeterminism(t *testing.T) {
 }
 
 // TestInjectionTraceDeterminismShardMatrix extends the injection-determinism
-// pin over the sharded engine: at every shard count, same seed ⇒ identical
-// fault stats and byte-identical traces. The contract under injection is per
-// shard count — the hook pre-pass runs injector state in canonical order, but
-// Redeliver artifacts are sequenced at hook time (before the wave's own
-// output), so the interleaving legitimately differs from the single-shard
-// engine's; aggregate equivalence across counts is pinned separately by the
-// conformance suite.
+// pin over the shard matrix: same seed ⇒ identical fault stats and
+// byte-identical traces, run after run and at every shard count. The hook
+// pre-pass runs injector state in canonical order on the coordinator, and
+// Redeliver artifacts are sequenced there, at hook time (before the wave's
+// own output), whatever the number of shards delivering the wave.
 func TestInjectionTraceDeterminismShardMatrix(t *testing.T) {
+	ref := ""
 	for _, shards := range shardMatrix {
 		opts := Options{N: 120, Seed: 7, Shards: shards, Broadcast: BroadcastPlumtree}
 		a, sa := injectedTrace(opts, 5, 3)
@@ -139,6 +138,11 @@ func TestInjectionTraceDeterminismShardMatrix(t *testing.T) {
 		}
 		if a != b {
 			t.Fatalf("shards=%d: same seed produced diverging traces under injection", shards)
+		}
+		if ref == "" {
+			ref = a
+		} else if a != ref {
+			t.Fatalf("shards=%d: trace under injection diverged from the one-shard run", shards)
 		}
 	}
 }

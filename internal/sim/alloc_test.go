@@ -25,7 +25,7 @@ import (
 func TestBroadcastSteadyStateZeroAlloc(t *testing.T) {
 	c := NewCluster(HyParView, Options{N: 300, Seed: 1})
 	c.Stabilize(2)
-	for i := 0; i < 3; i++ { // warm heaps, slab, scratch buffers
+	for i := 0; i < 3; i++ { // warm vectors, arenas, scratch buffers
 		if rel := c.Broadcast(); rel != 1.0 {
 			t.Fatalf("warm-up reliability %v, want 1.0", rel)
 		}
@@ -37,6 +37,35 @@ func TestBroadcastSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state full-stack broadcast allocates %.1f/op, want 0", allocs)
+	}
+	firstBroadcastsAllocateNothing(t, c)
+}
+
+// firstBroadcastsAllocateNothing broadcasts from one node after another that
+// has never been a source. Warm is a property of the cluster, not of the
+// source: a source hands the broadcast layer its whole active view, one
+// neighbour more than any forward did, and must have room for it already.
+// AllocsPerRun averages with an integer division, so a loop over random,
+// mostly new sources reads 0 even when almost every one of them allocates
+// once; here every source is measured on its own.
+func firstBroadcastsAllocateNothing(t *testing.T, c *Cluster) {
+	t.Helper()
+	ids := c.IDs()
+	next := len(ids)
+	fresh := func() {
+		next--
+		round := c.Tracker.NextRound()
+		c.Gossiper(ids[next]).Broadcast(round, nil)
+		c.Sim.Drain()
+		if got := c.Tracker.Delivered(round); got != len(ids) {
+			t.Fatalf("broadcast from %v delivered to %d of %d", ids[next], got, len(ids))
+		}
+		c.Tracker.Forget(round)
+	}
+	for i := 0; i < 50; i++ { // each call runs fresh twice, measuring the second
+		if allocs := testing.AllocsPerRun(1, fresh); allocs != 0 {
+			t.Fatalf("the first broadcast from %v allocates %.0f, want 0", ids[next], allocs)
+		}
 	}
 }
 
@@ -61,11 +90,11 @@ func TestBroadcastSteadyStateZeroAllocPlumtree(t *testing.T) {
 	}
 }
 
-// TestShardedBroadcastSteadyStateZeroAlloc extends the zero-alloc pin to the
-// sharded wave/barrier engine: once the per-shard bucket vectors, output logs
-// and wave heaps are warm, a full-cluster broadcast through the 4-shard
-// barrier loop — wave formation, delivery, canonical merge — must allocate
-// nothing, exactly like the single-shard heap engine it replaces.
+// TestShardedBroadcastSteadyStateZeroAlloc extends the zero-alloc pin to four
+// shards: once the per-shard bucket vectors, output logs and arenas are warm,
+// a full-cluster broadcast through the 4-shard barrier loop — wave formation,
+// parallel delivery, canonical merge — must allocate nothing, exactly like
+// the one-shard run above.
 func TestShardedBroadcastSteadyStateZeroAlloc(t *testing.T) {
 	for _, bcast := range []BroadcastProtocol{BroadcastGossip, BroadcastPlumtree} {
 		c := NewCluster(HyParView, Options{N: 300, Seed: 1, Shards: 4, Broadcast: bcast})
@@ -82,6 +111,26 @@ func TestShardedBroadcastSteadyStateZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("broadcast=%d: sharded steady-state broadcast allocates %.1f/op, want 0", bcast, allocs)
+		}
+		if bcast == BroadcastGossip { // a new Plumtree source reshapes the tree (prunes, grafts, timers): not a steady state
+			firstBroadcastsAllocateNothing(t, c)
+		}
+	}
+}
+
+// TestRunCycleDrainsAllocateNothing pins the path benchmark set-up rides on:
+// a membership cycle is one OnCycle and one near-empty Drain per node. What a
+// steady-state cycle allocates is the protocol's — two frozen shuffle lists
+// per node, the request's and the reply's (see "Message ownership" in package
+// peer) — plus the cycle's node order; the 300 Drains add nothing, at one
+// shard or two (netsim's TestNearEmptyDrainIsFree is the engine-only pin).
+func TestRunCycleDrainsAllocateNothing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		const n = 300
+		c := NewCluster(HyParView, Options{N: n, Seed: 1, Shards: shards})
+		c.Stabilize(20)
+		if allocs := testing.AllocsPerRun(20, c.Sim.RunCycle); allocs > 2*n+1 {
+			t.Errorf("shards=%d: a steady-state cycle allocates %.0f, want at most %d (2 per node + 1)", shards, allocs, 2*n+1)
 		}
 	}
 }

@@ -20,9 +20,9 @@ import (
 	"testing"
 )
 
-// benchCluster runs the full-stack benchmark at n nodes on the single-shard
-// reference engine and on the sharded wave/barrier engine. Compare rows only
-// at equal -cpu: at GOMAXPROCS=1 the sharded engine runs its waves serially.
+// benchCluster runs the full-stack benchmark at n nodes at 1, 2 and 4 engine
+// shards. Compare rows only at equal -cpu: at GOMAXPROCS=1 every shard count
+// runs its waves serially.
 func benchCluster(b *testing.B, n int) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

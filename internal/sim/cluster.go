@@ -120,13 +120,13 @@ type Options struct {
 	N int
 	// Seed drives all randomness of the run.
 	Seed uint64
-	// Shards selects the simulator's event engine: 1 (or 0, the default)
-	// runs the classic single-shard heap engine; >= 2 runs the sharded
-	// wave/barrier engine (netsim.NewSharded), which partitions the node
-	// table across that many shards and delivers event waves in parallel.
-	// Determinism is preserved per (Seed, Shards) pair, and aggregate
-	// results (reliability, RMR, delivery counts) match the single-shard
-	// engine — the cross-shard conformance suite pins this.
+	// Shards is the number of shards the simulator's event engine
+	// partitions the node table across (netsim.NewSharded); 0, the default,
+	// means 1. More shards deliver large event waves in parallel on a
+	// multi-core host. The count changes how the work is spread, never the
+	// run: traces and results are identical per Seed at every count — the
+	// shard-determinism matrix and the cross-shard conformance suite pin
+	// this.
 	Shards int
 	// Fanout is the gossip fan-out for the peer-sampling protocols
 	// (paper §5.1: 4). HyParView floods and ignores it.
@@ -244,7 +244,6 @@ type Cluster struct {
 	// parts is the delivery accounting, one part per simulator shard: the
 	// wave engine delivers on one goroutine per shard, each node's Delivery
 	// callback is bound to its shard's part, and so no delivery takes a lock.
-	// The single-shard engine has one part.
 	parts []deliveryPart
 }
 
@@ -468,8 +467,8 @@ func (c *Cluster) endRound(round uint64) (maxLat, avgLat float64, samples []floa
 	}
 	if len(c.parts) > 1 {
 		// Each shard's samples are in its own delivery order; sort so float
-		// summation (and hence the reported means) matches the single-shard
-		// engine bit for bit.
+		// summation (and hence the reported means) matches the one-shard run
+		// bit for bit.
 		sort.Float64s(samples)
 	}
 	var sum float64

@@ -1,8 +1,9 @@
 package sim
 
-// The cross-shard conformance suite: the sharded wave/barrier engine must
-// report exactly the same aggregate results as the single-shard reference
-// engine — reliability, RMR, hop counts, and every simulator counter — for
+// The cross-shard conformance suite: the engine at 2 and 4 shards must report
+// exactly the same aggregate results as at one shard (the default, what
+// netsim.New builds) — reliability, RMR, hop counts, and every simulator
+// counter — for
 // the paper's scenarios at a scale where event interleaving inside a wave
 // genuinely differs (10k nodes; 2k under -short). Trace-level equality is
 // pinned separately in shard_test.go at small n; this suite pins the
@@ -53,7 +54,7 @@ func confSweep(t *testing.T, opts Options, kill80 bool) {
 			continue
 		}
 		if got != ref {
-			t.Errorf("shards=%d diverged from the single-shard engine:\n got %+v\nwant %+v",
+			t.Errorf("shards=%d diverged from the one-shard run:\n got %+v\nwant %+v",
 				shards, got, ref)
 		}
 	}

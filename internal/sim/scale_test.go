@@ -16,9 +16,9 @@ func TestScale100kBroadcastReliability(t *testing.T) {
 }
 
 // TestScale1MBroadcastReliability breaks the million-node barrier end to end
-// on the sharded wave/barrier engine: build n=1,000,000, stabilize,
-// broadcast, and demand full reliability. Expect several minutes and ~10 GB
-// of heap; CI runs it in a dedicated non-short step.
+// on two engine shards: build n=1,000,000, stabilize, broadcast, and demand
+// full reliability. Expect several minutes and ~10 GB of heap; CI runs it in
+// a dedicated non-short step.
 func TestScale1MBroadcastReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-node scale smoke skipped in -short mode")

@@ -1,12 +1,12 @@
 package sim
 
-// The shard-determinism matrix: the sharded wave/barrier engine must honor
-// the repository's determinism contract at every shard count — same seed +
-// same shard count ⇒ byte-identical event traces, fault injection included —
-// and, when no Intercept hook reschedules traffic, the trace must be
-// byte-identical to the single-shard reference engine, timestamps included
-// (the canonical barrier merge reproduces the serial delivery order exactly;
-// see internal/netsim/shards.go).
+// The shard-determinism matrix: the wave/barrier engine must honor the
+// repository's determinism contract at every shard count — same seed ⇒
+// byte-identical event traces, timestamps included, whatever the count. The
+// reference is shards == 1, the engine netsim.New builds, which package
+// netsim in turn pins against a naive sorted-queue oracle (the canonical
+// barrier merge reproduces the serial delivery order exactly; see
+// internal/netsim/shards.go and oracle_test.go).
 
 import (
 	"fmt"
@@ -42,7 +42,7 @@ func shardTraceOpts(opts Options, t *testing.T) {
 			continue
 		}
 		if a != ref {
-			t.Fatalf("shards=%d: trace diverged from the single-shard engine", shards)
+			t.Fatalf("shards=%d: trace diverged from the one-shard run", shards)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestShardTraceMatrixUnderFailures(t *testing.T) {
 		if shards == 1 {
 			ref = a
 		} else if a != ref {
-			t.Fatalf("shards=%d: failure/revive trace diverged from the single-shard engine", shards)
+			t.Fatalf("shards=%d: failure/revive trace diverged from the one-shard run", shards)
 		}
 	}
 }
