@@ -52,6 +52,9 @@ type staticCluster struct {
 	sim   *netsim.Sim
 	nodes map[id.ID]*Node
 	ids   []id.ID
+
+	// onDeliver, when set, observes every delivery at every node.
+	onDeliver func(node id.ID, round uint64, payload []byte)
 }
 
 func newStaticCluster(t *testing.T, n, chord int, cfg Config) *staticCluster {
@@ -63,7 +66,11 @@ func newStaticCluster(t *testing.T, n, chord int, cfg Config) *staticCluster {
 		ring := func(d int) id.ID { return id.ID((i+d+2*n)%n + 1) }
 		mem := &staticMember{neighbors: []id.ID{ring(-1), ring(1), ring(-chord), ring(chord)}}
 		c.sim.Add(nodeID, func(env peer.Env) peer.Process {
-			pn := New(env, mem, cfg, nil)
+			pn := New(env, mem, cfg, func(round uint64, _ uint32, payload []byte, _ int) {
+				if c.onDeliver != nil {
+					c.onDeliver(nodeID, round, payload)
+				}
+			})
 			c.nodes[nodeID] = pn
 			return pn
 		})

@@ -49,15 +49,21 @@ import (
 	"hyparview/internal/roundcache"
 )
 
-// DefaultCacheWindow is the default capacity, in rounds, of the per-node
-// delivered-message cache (Config.CacheWindow). Like the gossip layer's seen
-// cache it is a fixed-capacity ring over the most recent round identifiers;
-// for Plumtree the entry additionally retains the (frozen, aliased) payload
-// so GRAFT repair requests can be answered. A round evicted by one more than
-// CacheWindow rounds newer loses its retransmission ability and its
-// duplicate detection, so the window must cover the rounds for which repair
-// can still be pending — in practice the rounds of one burst.
+// DefaultCacheWindow is the capacity, in rounds, of the per-node
+// delivered-round cache. Like the gossip layer's seen cache it is a
+// fixed-capacity ring over the most recent round identifiers. A round evicted
+// by one more than DefaultCacheWindow rounds newer loses its duplicate
+// detection, so the window must cover the rounds for which repair can still
+// be pending — in practice the rounds of one burst.
 const DefaultCacheWindow = 512
+
+// retainBudget bounds, in bytes, the payloads a node keeps to answer GRAFT
+// repair requests (see payloadRing). A round's retransmission horizon is
+// therefore min(DefaultCacheWindow rounds, retainBudget ÷ payload byte rate):
+// payloads of up to 4 KiB keep the whole dedup window, larger ones age out
+// sooner, and the horizon only has to outlast the missing-message timer
+// (Config.TimerDelay) by the announcers a graft may fall through.
+const retainBudget = 2 << 20
 
 // Config parameterizes a Plumtree node. Zero fields take defaults.
 type Config struct {
@@ -82,10 +88,6 @@ type Config struct {
 	// membership protocol's OnPeerDown. True when running over HyParView,
 	// whose broadcast doubles as its failure detector.
 	ReportPeerDown bool
-
-	// CacheWindow is the capacity, in rounds, of the delivered-message
-	// cache (see DefaultCacheWindow). Zero takes the default.
-	CacheWindow int
 }
 
 // WithDefaults fills unset fields with the defaults above.
@@ -96,22 +98,79 @@ func (c Config) WithDefaults() Config {
 	if c.OptimizeThreshold == 0 {
 		c.OptimizeThreshold = 3
 	}
-	if c.CacheWindow <= 0 {
-		c.CacheWindow = DefaultCacheWindow
-	}
 	return c
 }
 
-// cached is the per-delivered-round state: the payload is kept for GRAFT
-// retransmissions, hops and parent feed the optimization rule. The payload
-// slice aliases the received message's frozen buffer (see the ownership
-// rules on package peer) — retaining it costs nothing and copies nothing.
+// cached is the per-delivered-round state: hops and parent feed the
+// optimization rule, slot says where the payload is kept for GRAFT
+// retransmissions. It holds no pointer, so a seen-cache slot — occupied,
+// evicted or parked by a backward shift — pins no payload.
 type cached struct {
-	payload []byte
-	topic   uint32 // pub/sub topic tag, preserved across GRAFT retransmission
-	hops    uint16 // hop count at which this node delivered
-	parent  id.ID  // eager peer the first copy arrived from (Nil if local)
+	slot   uint16 // payloadRing slot holding the payload (noSlot: delivered empty)
+	hops   uint16 // hop count at which this node delivered
+	topic  uint32 // pub/sub topic tag, preserved across GRAFT retransmission
+	parent id.ID  // eager peer the first copy arrived from (Nil if local)
 }
+
+// noSlot is the cached.slot of a round delivered with an empty payload:
+// nothing to retain, and a GRAFT for it is answered with the empty payload.
+const noSlot = ^uint16(0)
+
+// ringEntry is one payloadRing slot. A nil payload marks the slot dropped.
+type ringEntry struct {
+	round   uint64
+	payload []byte
+}
+
+// payloadRing is the one place a node holds delivered payloads, kept only to
+// answer GRAFTs: a FIFO of the most recent non-empty payloads, at most
+// DefaultCacheWindow of them and at most retainBudget bytes in total, except
+// that the newest payload is always kept. Each slice aliases the delivered
+// message's frozen buffer (see the ownership rules on package peer), so
+// retaining copies nothing — but it pins that buffer until the entry is
+// dropped, which is why the ring is bounded in bytes, not only in rounds.
+type payloadRing struct {
+	slots [DefaultCacheWindow]ringEntry
+	head  int // next slot to write; the n slots before it are live
+	n     int
+	bytes int // summed len(payload) of the live slots
+}
+
+// put retains payload for round, dropping the oldest entries until it fits,
+// and returns the slot to remember in the round's cached entry.
+func (r *payloadRing) put(round uint64, payload []byte) uint16 {
+	if len(payload) == 0 {
+		return noSlot
+	}
+	for r.n > 0 && (r.n == len(r.slots) || r.bytes+len(payload) > retainBudget) {
+		oldest := &r.slots[(r.head-r.n+len(r.slots))%len(r.slots)]
+		r.bytes -= len(oldest.payload)
+		oldest.payload = nil
+		r.n--
+	}
+	slot := r.head
+	r.slots[slot] = ringEntry{round: round, payload: payload}
+	r.head = (slot + 1) % len(r.slots)
+	r.n++
+	r.bytes += len(payload)
+	return uint16(slot)
+}
+
+// get returns the payload put for round at slot. ok is false when it has
+// been dropped since (the slot emptied, or recycled for a later round).
+func (r *payloadRing) get(round uint64, slot uint16) (payload []byte, ok bool) {
+	if slot == noSlot {
+		return nil, true
+	}
+	e := &r.slots[slot]
+	if e.round != round || e.payload == nil {
+		return nil, false
+	}
+	return e.payload, true
+}
+
+// reset drops every retained payload.
+func (r *payloadRing) reset() { *r = payloadRing{} }
 
 // source is one IHAVE announcer of a round this node has not delivered.
 type source struct {
@@ -142,7 +201,14 @@ type ControlStats struct {
 	PrunesSent  uint64 // duplicate-triggered demotions
 	TimerFires  uint64 // missing-message timers that expired into a graft
 	Optimizes   uint64 // eager/lazy swaps triggered by shorter announced paths
-	GraftsRecvd uint64 // grafts answered (payload retransmitted if cached)
+	GraftsRecvd uint64 // grafts answered (payload retransmitted if retained)
+
+	// GraftsUnserved counts the grafts among GraftsRecvd that asked for a
+	// retransmission this node could not give: the payload had aged out of
+	// the retention ring (or the round out of the seen window). The requester
+	// recovers through its next announcer; a count that grows in steady state
+	// means the retransmission horizon is shorter than the repair it serves.
+	GraftsUnserved uint64
 }
 
 // Node is a Plumtree broadcast node over a membership protocol. It
@@ -180,6 +246,7 @@ type Node struct {
 	lazy  idset.Set
 	seen  roundcache.Cache[cached]
 	miss  roundcache.Cache[missing]
+	ring  payloadRing // payloads of the rounds in seen, for GRAFT service
 
 	// Reused scratch buffers for the allocation-free hot paths; their
 	// contents are dead between calls (see the ownership rules on package
@@ -213,8 +280,8 @@ func New(env peer.Env, membership peer.Membership, cfg Config, onDeliver gossip.
 	if rs, ok := env.(peer.RefSender); ok {
 		n.sendRef = rs.SendRef
 	}
-	n.seen.Init(cfg.CacheWindow)
-	n.miss.Init(cfg.CacheWindow)
+	n.seen.Init(DefaultCacheWindow)
+	n.miss.Init(DefaultCacheWindow)
 	return n
 }
 
@@ -296,7 +363,7 @@ func (n *Node) Broadcast(round uint64, payload []byte) {
 }
 
 // BroadcastTopic emits a new topic-tagged message from this node (see
-// gossip.Broadcaster). The tag is cached alongside the payload so GRAFT
+// gossip.Broadcaster). The tag is cached with the round so GRAFT
 // retransmissions reproduce it.
 func (n *Node) BroadcastTopic(round uint64, topic uint32, payload []byte) {
 	if n.seen.Get(round) != nil {
@@ -304,7 +371,7 @@ func (n *Node) BroadcastTopic(round uint64, topic uint32, payload []byte) {
 	}
 	n.reconcile()
 	c, _ := n.seen.Put(round)
-	*c = cached{payload: payload, topic: topic, hops: 0, parent: id.Nil}
+	*c = cached{slot: n.ring.put(round, payload), topic: topic, hops: 0, parent: id.Nil}
 	n.lastRound, n.hasLast = round, true
 	n.delivered++
 	if n.onDeliver != nil {
@@ -328,7 +395,7 @@ func (n *Node) onGossip(from id.ID, m msg.Message) {
 	}
 	hops := m.Hops + 1
 	c, _ := n.seen.Put(m.Round)
-	*c = cached{payload: m.Payload, topic: m.Topic, hops: hops, parent: from}
+	*c = cached{slot: n.ring.put(m.Round, m.Payload), topic: m.Topic, hops: hops, parent: from}
 	n.lastRound, n.hasLast = m.Round, true
 	n.delivered++
 	n.miss.Remove(m.Round) // any in-flight timer finds the round delivered
@@ -392,7 +459,9 @@ func (n *Node) maybeOptimize(from id.ID, announcedHops uint16, c *cached) {
 
 // onGraft handles a repair request: the requesting link becomes eager again
 // and, when a retransmission is requested (Accept) and the payload is still
-// cached, the payload is resent.
+// retained, the payload is resent. A payload that has aged out is never
+// answered with an empty frame — the requester would deliver that as the
+// message; it gets nothing and its timer falls through to the next announcer.
 func (n *Node) onGraft(from id.ID, m msg.Message) {
 	n.reconcile()
 	n.promote(from)
@@ -400,18 +469,34 @@ func (n *Node) onGraft(from id.ID, m msg.Message) {
 	if !m.Accept {
 		return
 	}
-	if c := n.seen.Get(m.Round); c != nil {
-		if n.sendTo(from, msg.Message{
-			Type:    msg.PlumtreeGossip,
-			Sender:  n.env.Self(),
-			Round:   m.Round,
-			Hops:    c.hops,
-			Topic:   c.topic,
-			Payload: c.payload,
-		}) {
-			n.forwarded++
-		}
+	c, payload, ok := n.retained(m.Round)
+	if !ok {
+		n.control.GraftsUnserved++
+		return
 	}
+	if n.sendTo(from, msg.Message{
+		Type:    msg.PlumtreeGossip,
+		Sender:  n.env.Self(),
+		Round:   m.Round,
+		Hops:    c.hops,
+		Topic:   c.topic,
+		Payload: payload,
+	}) {
+		n.forwarded++
+	}
+	// The staging slot must not pin the payload past its drop from the ring.
+	n.msgScratch.Payload = nil
+}
+
+// retained returns round's delivery state and payload when a GRAFT for it
+// can still be served: the round is in the seen window and its payload has
+// not been dropped from the retention ring.
+func (n *Node) retained(round uint64) (c *cached, payload []byte, ok bool) {
+	if c = n.seen.Get(round); c == nil {
+		return nil, nil, false
+	}
+	payload, ok = n.ring.get(round, c.slot)
+	return c, payload, ok
 }
 
 // onPrune demotes the link to the pruning peer to lazy.
@@ -588,10 +673,10 @@ func (n *Node) announceLast(p id.ID) {
 	if !n.hasLast {
 		return
 	}
-	c := n.seen.Get(n.lastRound)
-	if c == nil {
-		// Evicted from the seen window: a graft for it could not be served,
-		// so don't advertise it.
+	c, _, ok := n.retained(n.lastRound)
+	if !ok {
+		// Payload no longer retained: a graft for it could not be served, so
+		// don't advertise it.
 		return
 	}
 	n.msgScratch = msg.Message{
@@ -652,12 +737,14 @@ func (n *Node) Seen(round uint64) bool {
 	return n.seen.Get(round) != nil
 }
 
-// ResetSeen clears the delivered-message cache and the missing-round state in
-// place; the fixed-capacity caches keep (and recycle) their memory.
+// ResetSeen clears the delivered-round cache, the missing-round state and the
+// retained payloads in place; the fixed-capacity caches keep (and recycle)
+// their memory.
 func (n *Node) ResetSeen() {
 	n.hasLast = false
 	n.seen.Reset()
 	n.miss.Reset()
+	n.ring.reset()
 }
 
 // OnPeerDown implements peer.FailureObserver: a connection-level failure

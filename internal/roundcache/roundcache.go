@@ -2,8 +2,8 @@
 // broadcast round identifiers.
 //
 // The broadcast layers (internal/gossip, internal/plumtree) and the delivery
-// tracker need per-round state — "have I delivered round r?", the cached
-// payload for GRAFT retransmission, the announcers of a round known only by
+// tracker need per-round state — "have I delivered round r?", the hop count
+// and parent a round arrived with, the announcers of a round known only by
 // IHAVE. Go maps give the right semantics but the wrong cost model: every
 // insert may allocate, Reset either re-allocates the map or leaves its bucket
 // array at high-water size, and at 100k nodes the per-delivery map traffic
@@ -201,8 +201,11 @@ func (s *Set) Reset() { s.t.reset() }
 // with allocation-free steady-state access and FIFO eviction. Entries are
 // recycled in place when a round is evicted, removed or the cache is reset,
 // so a V holding slices keeps its backing arrays across generations (the
-// "reuse entries instead of make-on-reset" discipline). The zero value is
-// invalid; use New, or embed by value and Init.
+// "reuse entries instead of make-on-reset" discipline). The other side of
+// that: whatever a V references stays reachable until its slot is reused,
+// long after its round is gone, so a V must not hold memory whose release
+// matters — plumtree keeps delivered payloads in a ring of its own for that
+// reason. The zero value is invalid; use New, or embed by value and Init.
 type Cache[V any] struct {
 	t    table
 	vals []V

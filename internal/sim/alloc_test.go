@@ -144,8 +144,9 @@ func TestRunCycleDrainsAllocateNothing(t *testing.T) {
 // such as a per-node goroutine, an unpooled per-wave allocation surviving
 // drain, or an accidental O(n) structure per shard. Flood is the
 // configuration the 1M-node claim is made for; Plumtree adds a fixed
-// ~195 KiB/node delivered-round cache (Config.CacheWindow) on top, which is
-// a protocol design constant, not an engine cost.
+// ~194 KiB/node of round bookkeeping (plumtree.DefaultCacheWindow rounds of
+// seen and missing state plus the payload-retention ring) on top, which is a
+// protocol design constant, not an engine cost.
 func TestShardedFootprintPerNode(t *testing.T) {
 	const n = 20_000
 	const budget = 16 << 10 // bytes per node

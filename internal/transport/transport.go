@@ -411,8 +411,19 @@ func getScratch() *sendScratch {
 	return sendPool.Get().(*sendScratch)
 }
 
+// maxKeptBuffer caps the frame buffers that are reused — a pooled send
+// scratch, a connection's read buffer. Both ratchet to the largest frame
+// they have carried and maxFrame is 64 MiB, so without a cap one large
+// message would pin that much per pooled scratch and per inbound connection
+// for good; a larger buffer is left to the collector after its one use (the
+// rule fmt follows for its pooled buffers, at the same size).
+const maxKeptBuffer = 64 << 10
+
 func putScratch(sc *sendScratch) {
 	scratchBalance.Add(-1)
+	if cap(sc.frame) > maxKeptBuffer {
+		sc.frame = nil
+	}
 	sendPool.Put(sc)
 }
 
@@ -1194,8 +1205,9 @@ func putReader(size int, br *bufio.Reader) {
 // of one. The frame buffer is reused across frames: msg.Decode copies every
 // variable-length field into fresh memory (nothing the protocol retains
 // aliases the buffer or the read buffer), so one buffer per connection
-// amortizes to zero allocations per received frame, and the decode-bounds
-// guarantees (maxFrame here, list/payload caps in the codec) are unchanged.
+// amortizes to zero allocations per received frame (frames beyond
+// maxKeptBuffer get a buffer each), and the decode-bounds guarantees
+// (maxFrame here, list/payload caps in the codec) are unchanged.
 func (t *Transport) readLoop(c net.Conn) {
 	cr := countingReader{c: c, n: &t.readSyscalls}
 	br := getReader(t.cfg.ReadBuffer)
@@ -1221,6 +1233,9 @@ func (t *Transport) readLoop(c net.Conn) {
 		m, _, err := msg.Decode(buf)
 		if err != nil {
 			return // corrupt peer; drop the connection
+		}
+		if cap(buf) > maxKeptBuffer {
+			buf = nil // decoded into fresh memory: an outsize buffer is not kept
 		}
 		// Absorb the address side table before dispatching so the protocol
 		// can immediately act on any identifier the message mentions.
