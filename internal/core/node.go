@@ -70,7 +70,6 @@ type Node struct {
 	// Send are frozen by the ownership rules on package peer, so anything a
 	// message carries (shuffle lists, replies) is freshly allocated instead.
 	gossipScratch []id.ID // GossipTargets result (owned, valid until next call)
-	sentScratch   []id.ID // integrateShuffle's consumable sent-list copy
 	pickScratch   []id.ID // pickRepairCandidate's shuffled passive snapshot
 	rcvScratch    []id.ID // sanitizePeerList's filtered received-list copy
 
@@ -518,7 +517,7 @@ func (n *Node) addPassive(node id.ID) {
 	if n.passive.Full() {
 		n.passive.RemoveRandom(n.env.Rand())
 	}
-	n.passive.Add(node)
+	n.passive.AddAbsent(node)
 }
 
 // initiateShuffle starts one shuffle exchange with a random active neighbor
@@ -647,12 +646,10 @@ func (n *Node) sanitizePeerList(list []id.ID) []id.ID {
 // integrateShuffle merges received identifiers into the passive view. When
 // the view is full, eviction prefers identifiers that were sent to the peer
 // in the same exchange, then falls back to random eviction (paper §4.4).
-// sentToPeer is consumed in slice order to keep the simulation deterministic.
-// The consumable copy lives in a reused scratch buffer: it never leaves this
-// call, while sentToPeer itself may be a frozen message slice.
-func (n *Node) integrateShuffle(received, sentToPeer []id.ID) {
-	n.sentScratch = append(n.sentScratch[:0], sentToPeer...)
-	sent := n.sentScratch
+// sent — what went to the peer — is consumed in slice order to keep the
+// simulation deterministic; it may be a frozen message slice and is only ever
+// re-sliced, never written.
+func (n *Node) integrateShuffle(received, sent []id.ID) {
 	for _, node := range received {
 		if node == n.self || node.IsNil() ||
 			n.active.Contains(node) || n.passive.Contains(node) {
@@ -665,16 +662,17 @@ func (n *Node) integrateShuffle(received, sentToPeer []id.ID) {
 				n.passive.RemoveRandom(n.env.Rand())
 			}
 		}
-		n.passive.Add(node)
+		// Absent by the test above, and the eviction left a free slot.
+		n.passive.AddAbsent(node)
 	}
 }
 
-// evictSent removes one passive member that was sent to the shuffle peer,
-// returning the remaining candidates and whether an eviction happened.
+// evictSent removes the first of sent that is still a passive member,
+// returning the candidates after it and whether an eviction happened. It
+// only re-slices sent: one Remove per candidate, no write to the list.
 func (n *Node) evictSent(sent []id.ID) ([]id.ID, bool) {
 	for i, s := range sent {
-		if n.passive.Contains(s) {
-			n.passive.Remove(s)
+		if n.passive.Remove(s) {
 			return sent[i+1:], true
 		}
 	}

@@ -27,11 +27,13 @@ import (
 
 // DefaultSeenWindow is the default window, in rounds, of the per-node
 // delivered-message cache (Config.SeenWindow): a node remembers (and
-// deduplicates) the last SeenWindow round identifiers it delivered. Rounds
-// are allocated monotonically, so the direct-mapped cache behaves as a ring
-// over the most recent rounds; a copy arriving more than SeenWindow rounds
-// late would be re-delivered, the bounded-memory trade every deployed
-// message-id cache makes. Deliveries of one round are always fully drained
+// deduplicates) the last SeenWindow round identifiers it delivered. The
+// cache is roundcache's open-addressed table with FIFO eviction, so exactly
+// the SeenWindow most recently delivered rounds are held whatever their
+// identifiers look like (monotonic in the simulator, random 64-bit on the
+// TCP agents); a copy arriving more than SeenWindow rounds late would be
+// re-delivered, the bounded-memory trade every deployed message-id cache
+// makes. Deliveries of one round are always fully drained
 // before the harness starts the next, so the window only has to cover the
 // rounds genuinely in flight at once; 128 keeps the per-node footprint at
 // ~3KB (a 256-slot open-addressed table plus the 128-entry eviction ring) —

@@ -76,7 +76,6 @@ const (
 type simNode struct {
 	id    id.ID
 	proc  peer.Process
-	rand  *rng.Rand
 	alive bool
 
 	// parked holds scheduler events (one-shot timers, periodic
@@ -122,7 +121,7 @@ type Sim struct {
 
 	// aliveBits packs per-node liveness one bit per table index. The
 	// per-send liveness check is the one random access the hot dispatch
-	// path cannot avoid; against the 64-byte simNode records a 100k-node
+	// path cannot avoid; against the 56-byte simNode records a 100k-node
 	// population costs a DRAM miss per send, while the bitset (12.5KB)
 	// stays cache-resident.
 	aliveBits []uint64
@@ -241,8 +240,8 @@ type Endpoint struct {
 	sim  *Sim
 	self id.ID
 	idx  int32
-	rand *rng.Rand
-	sh   *shard // the shard that owns the node
+	rand rng.Rand // by value: a draw reads the state in the endpoint's own lines
+	sh   *shard   // the shard that owns the node
 }
 
 var _ peer.Env = (*Endpoint)(nil)
@@ -251,7 +250,7 @@ var _ peer.Env = (*Endpoint)(nil)
 func (e *Endpoint) Self() id.ID { return e.self }
 
 // Rand returns the node's private random stream.
-func (e *Endpoint) Rand() *rng.Rand { return e.rand }
+func (e *Endpoint) Rand() *rng.Rand { return &e.rand }
 
 // Send enqueues m for delivery to dst, or returns peer.ErrPeerDown if dst has
 // already failed (TCP-style synchronous failure detection). The message is
@@ -329,8 +328,8 @@ func (s *Sim) Add(nodeID id.ID, factory func(peer.Env) peer.Process) {
 	if nodeID != id.ID(idx+1) {
 		s.dense = false
 	}
-	ep := &Endpoint{sim: s, self: nodeID, idx: idx, rand: s.rand.Split(), sh: s.shardOf(idx)}
-	s.nodes = append(s.nodes, simNode{id: nodeID, rand: ep.rand, alive: true})
+	ep := &Endpoint{sim: s, self: nodeID, idx: idx, rand: *s.rand.Split(), sh: s.shardOf(idx)}
+	s.nodes = append(s.nodes, simNode{id: nodeID, alive: true})
 	s.index[nodeID] = idx
 	for int(idx)>>6 >= len(s.aliveBits) {
 		s.aliveBits = append(s.aliveBits, 0)

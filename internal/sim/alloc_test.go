@@ -8,11 +8,13 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 
+	"hyparview/internal/core"
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 )
@@ -122,16 +124,46 @@ func TestShardedBroadcastSteadyStateZeroAlloc(t *testing.T) {
 // a membership cycle is one OnCycle and one near-empty Drain per node. What a
 // steady-state cycle allocates is the protocol's — two frozen shuffle lists
 // per node, the request's and the reply's (see "Message ownership" in package
-// peer) — plus the cycle's node order; the 300 Drains add nothing, at one
+// peer) — plus the cycle's node order, and the figure is exact: every walk
+// ends in exactly one reply (a relay never forwards to the origin) and
+// nothing else on the path allocates. The 300 Drains add nothing, at one
 // shard or two (netsim's TestNearEmptyDrainIsFree is the engine-only pin).
 func TestRunCycleDrainsAllocateNothing(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		const n = 300
 		c := NewCluster(HyParView, Options{N: n, Seed: 1, Shards: shards})
 		c.Stabilize(20)
-		if allocs := testing.AllocsPerRun(20, c.Sim.RunCycle); allocs > 2*n+1 {
-			t.Errorf("shards=%d: a steady-state cycle allocates %.0f, want at most %d (2 per node + 1)", shards, allocs, 2*n+1)
+		if allocs := testing.AllocsPerRun(20, c.Sim.RunCycle); allocs != 2*n+1 {
+			t.Errorf("shards=%d: a steady-state cycle allocates %.0f, want %d (2 per node + 1)", shards, allocs, 2*n+1)
 		}
+	}
+}
+
+// TestNodeOwnsNoPassiveSizedScratch keeps a per-view sampling scratch from
+// creeping back: in a stabilized cluster the only slices of a core.Node with
+// room for a whole passive view are the view's own member array and, on the
+// nodes a long repair episode visited, its two buffers (the candidates tried
+// and the shuffled snapshot they are picked from).
+func TestNodeOwnsNoPassiveSizedScratch(t *testing.T) {
+	c := NewCluster(HyParView, Options{N: 300, Seed: 1})
+	c.Stabilize(20)
+	allowed := map[string]bool{".passive.order": true, ".repairTried": true, ".pickScratch": true}
+	passiveSize := core.DefaultConfig().PassiveSize
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			if v.Cap() >= passiveSize && !allowed[path] {
+				t.Fatalf("core.Node%s holds a slice of capacity %d (passive view: %d)", path, v.Cap(), passiveSize)
+			}
+		}
+	}
+	for _, nodeID := range c.IDs() {
+		walk(reflect.ValueOf(c.Membership(nodeID).(*core.Node)).Elem(), "")
 	}
 }
 

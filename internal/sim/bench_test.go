@@ -95,3 +95,30 @@ func BenchmarkCluster1M(b *testing.B) {
 	}
 	benchCluster(b, 1_000_000)
 }
+
+// BenchmarkStabilize10k is the go-test-level number for the membership
+// path: one iteration is one Stabilize(1) — every node's OnCycle (a shuffle
+// initiated, walked, answered and integrated at both ends, plus any repair)
+// and the near-empty Drain behind it — on a stabilized 10k cluster. It
+// reports the cost per node and cycle, the unit bench's
+// core.cycle_us_per_node uses, and the allocations per node and cycle (two:
+// the request's and the reply's frozen lists). Run with:
+//
+//	go test ./internal/sim/ -run '^$' -bench BenchmarkStabilize10k -benchtime 50x
+func BenchmarkStabilize10k(b *testing.B) {
+	const n = 10_000
+	c := NewCluster(HyParView, Options{N: n, Seed: 1})
+	c.Stabilize(20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Stabilize(1)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	nodeCycles := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodeCycles, "ns/node-cycle")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/nodeCycles, "allocs/node-cycle")
+}

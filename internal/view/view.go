@@ -10,6 +10,13 @@
 // the per-delivery hot path (no hashing, no pointer chasing, no per-insert
 // allocation), which is measurable at 100k-node populations where view
 // lookups run hundreds of thousands of times per broadcast.
+//
+// SampleInto selects on the member array itself: it swaps the drawn members
+// to the front, copies them out and undoes the swaps before it returns, so no
+// per-view scratch copy exists. Mutating and restoring is safe because a view
+// belongs to one protocol node, one goroutine at a time delivers to that
+// node, and nothing — no callback, no send — runs between the first swap and
+// the last undo.
 package view
 
 import (
@@ -23,8 +30,7 @@ import (
 type View struct {
 	cap     int
 	order   []id.ID
-	version uint64  // incremented on every membership change
-	scratch []id.ID // reused by SampleInto's partial Fisher-Yates
+	version uint64 // incremented on every membership change
 
 	// inline backs order for small capacities (every active view: the
 	// paper's configurations use 5). A View embedded by value in a protocol
@@ -107,9 +113,17 @@ func (v *View) Add(node id.ID) bool {
 	if v.Full() {
 		return false
 	}
+	v.AddAbsent(node)
+	return true
+}
+
+// AddAbsent appends node without the checks Add makes: the caller has just
+// established that node is not Nil, not a member, and that the view is not
+// full. It exists for the paths that test membership themselves and would
+// otherwise pay the scan twice.
+func (v *View) AddAbsent(node id.ID) {
 	v.order = append(v.order, node)
 	v.version++
-	return true
 }
 
 // Remove deletes node and reports whether it was present.
@@ -118,11 +132,17 @@ func (v *View) Remove(node id.ID) bool {
 	if i < 0 {
 		return false
 	}
+	v.removeAt(i)
+	return true
+}
+
+// removeAt deletes the member at position i by moving the last member into
+// its place.
+func (v *View) removeAt(i int) {
 	last := len(v.order) - 1
 	v.order[i] = v.order[last]
 	v.order = v.order[:last]
 	v.version++
-	return true
 }
 
 // RemoveRandom deletes a uniformly random member and returns it; it returns
@@ -131,8 +151,9 @@ func (v *View) RemoveRandom(r *rng.Rand) (id.ID, bool) {
 	if len(v.order) == 0 {
 		return id.Nil, false
 	}
-	node := v.order[r.Intn(len(v.order))]
-	v.Remove(node)
+	i := r.Intn(len(v.order))
+	node := v.order[i]
+	v.removeAt(i)
 	return node, true
 }
 
@@ -183,8 +204,8 @@ func (v *View) Sample(r *rng.Rand, n int) []id.ID {
 // dst and returns the extended slice. It consumes exactly the same random
 // draws as Sample for the same (n, membership), so the two are
 // interchangeable without perturbing a seeded run; the difference is purely
-// allocation — SampleInto scratches on a buffer owned by the view and
-// appends into caller-provided memory.
+// allocation — SampleInto appends into caller-provided memory. The view's
+// order and Version are the same on return as on entry.
 func (v *View) SampleInto(r *rng.Rand, n int, dst []id.ID) []id.ID {
 	if n <= 0 || len(v.order) == 0 {
 		return dst
@@ -196,15 +217,23 @@ func (v *View) SampleInto(r *rng.Rand, n int, dst []id.ID) []id.ID {
 		r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return dst
 	}
-	// Partial Fisher-Yates over a scratch copy keeps the view's internal
-	// order untouched (Members/At iteration order is part of the
-	// deterministic-trace contract).
-	v.scratch = append(v.scratch[:0], v.order...)
-	tmp := v.scratch
+	// Partial Fisher-Yates on the member array itself, undone before
+	// returning: the view's internal order is part of the deterministic-trace
+	// contract (Members/At iteration order). Each swap position is parked in
+	// dst; undoing the swaps last to first, the member a step selected is at
+	// position i again exactly when that step is about to be undone, and
+	// takes the parked position's place.
+	m := v.order
 	for i := 0; i < n; i++ {
-		j := i + r.Intn(len(tmp)-i)
-		tmp[i], tmp[j] = tmp[j], tmp[i]
-		dst = append(dst, tmp[i])
+		j := i + r.Intn(len(m)-i)
+		m[i], m[j] = m[j], m[i]
+		dst = append(dst, id.ID(j))
+	}
+	out := dst[len(dst)-n:]
+	for i := n - 1; i >= 0; i-- {
+		j := int(out[i])
+		out[i] = m[i]
+		m[i], m[j] = m[j], m[i]
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package view
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +290,109 @@ func TestRandomAccessor(t *testing.T) {
 	}
 	if v.Cap() != 3 {
 		t.Errorf("Cap = %d", v.Cap())
+	}
+}
+
+// referenceSample is SampleInto as it was first written: a partial
+// Fisher-Yates over a copy of the membership, or a full shuffle of the copy
+// when n covers the view. It is what the in-place SampleInto must equal draw
+// for draw.
+func referenceSample(members []id.ID, r *rng.Rand, n int) []id.ID {
+	if n <= 0 || len(members) == 0 {
+		return nil
+	}
+	tmp := append([]id.ID(nil), members...)
+	if n >= len(tmp) {
+		r.Shuffle(len(tmp), func(i, j int) { tmp[i], tmp[j] = tmp[j], tmp[i] })
+		return tmp
+	}
+	for i := 0; i < n; i++ {
+		j := i + r.Intn(len(tmp)-i)
+		tmp[i], tmp[j] = tmp[j], tmp[i]
+	}
+	return tmp[:n]
+}
+
+// TestSampleIntoMatchesReference is the differential test of the in-place
+// sample: over random view sizes, sample sizes (past the view's length too)
+// and seeds it returns the reference's members in the reference's order,
+// consumes the same number of draws, leaves the view's order and Version as
+// they were, and appends behind a non-empty dst prefix without touching it.
+func TestSampleIntoMatchesReference(t *testing.T) {
+	pick := rng.New(7)
+	for trial := 0; trial < 4000; trial++ {
+		size := pick.Intn(41)
+		v := New(40)
+		for v.Len() < size {
+			v.Add(id.ID(1 + pick.Intn(1000)))
+		}
+		for k := pick.Intn(4); k > 0 && !v.Empty(); k-- { // removals scramble the order
+			v.RemoveRandom(pick)
+		}
+		n := pick.Intn(v.Len() + 3)
+		seed := pick.Uint64()
+		before, version := v.Members(), v.Version()
+
+		ra, rb := rng.New(seed), rng.New(seed)
+		want := referenceSample(before, ra, n)
+		prefix := []id.ID{id.ID(1 << 40), id.ID(1<<40 + 1)}
+		got := v.SampleInto(rb, n, append([]id.ID(nil), prefix...))
+
+		if !slices.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("len %d n %d: dst prefix disturbed: %v", len(before), n, got[:len(prefix)])
+		}
+		if !slices.Equal(got[len(prefix):], want) {
+			t.Fatalf("len %d n %d: sampled %v, reference %v", len(before), n, got[len(prefix):], want)
+		}
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatalf("len %d n %d: consumed a different number of draws than the reference", len(before), n)
+		}
+		if !slices.Equal(v.Members(), before) || v.Version() != version {
+			t.Fatalf("len %d n %d: view changed by sampling: %v -> %v, version %d -> %d",
+				len(before), n, before, v.Members(), version, v.Version())
+		}
+		if s := v.Sample(rng.New(seed), n); !slices.Equal(s, want) {
+			t.Fatalf("len %d n %d: Sample %v, reference %v", len(before), n, s, want)
+		}
+	}
+}
+
+// TestRemoveRandomMatchesDrawThenRemove pins removal by position to what it
+// replaced: draw Intn(Len), then Remove the member found there.
+func TestRemoveRandomMatchesDrawThenRemove(t *testing.T) {
+	a, b := New(30), New(30)
+	for i := 1; i <= 30; i++ {
+		a.Add(id.ID(i))
+		b.Add(id.ID(i))
+	}
+	ra, rb := rng.New(11), rng.New(11)
+	for !a.Empty() {
+		want := b.At(rb.Intn(b.Len()))
+		b.Remove(want)
+		got, ok := a.RemoveRandom(ra)
+		if !ok || got != want {
+			t.Fatalf("RemoveRandom = %v, %v; draw-then-Remove removed %v", got, ok, want)
+		}
+		if !slices.Equal(a.Members(), b.Members()) || a.Version() != b.Version() {
+			t.Fatalf("views diverged: %v (v%d) vs %v (v%d)", a.Members(), a.Version(), b.Members(), b.Version())
+		}
+	}
+	if _, ok := a.RemoveRandom(ra); ok {
+		t.Error("RemoveRandom on an empty view reported a removal")
+	}
+}
+
+// TestAddAbsentIsAddWithoutTheChecks: on an absent id and a non-full view the
+// two are the same operation.
+func TestAddAbsentIsAddWithoutTheChecks(t *testing.T) {
+	a, b := New(8), New(8)
+	for i := 1; i <= 8; i++ {
+		a.AddAbsent(id.ID(i))
+		if !b.Add(id.ID(i)) {
+			t.Fatalf("Add(%d) refused", i)
+		}
+	}
+	if !slices.Equal(a.Members(), b.Members()) || a.Version() != b.Version() || !a.Full() {
+		t.Fatalf("AddAbsent %v (v%d), Add %v (v%d)", a.Members(), a.Version(), b.Members(), b.Version())
 	}
 }
