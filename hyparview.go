@@ -141,12 +141,12 @@ const (
 // accounting (deliveries, duplicates, forwards, failed sends).
 type AgentBroadcastStats = transport.BroadcastStats
 
-// TransportConfig tunes the TCP transport: dial/write timeouts, queue and
-// batch sizing, and the connection lifecycle — redial backoff (RedialBase/
-// RedialCap/RedialBudget), the suspicion window bounding how long a watched
-// outage may last before the failure detector fires, the graceful-drain
-// deadline for deliberate teardowns, and the socket-level fault-injection
-// seam (Dial/WrapConn, see internal/faults.Sockets).
+// TransportConfig tunes the TCP transport's connection lifecycle — redial
+// backoff (RedialBase/RedialCap), the suspicion window bounding how long a
+// watched outage may last before the failure detector fires, the
+// graceful-drain deadline for deliberate teardowns — and carries the
+// fault-injection seams (Dial/WrapConn, see internal/faults.Sockets;
+// Intercept). Timeouts, queue depth and batch sizing are constants.
 type TransportConfig = transport.Config
 
 // TransportStats is a snapshot of a TCP agent's data-plane and lifecycle

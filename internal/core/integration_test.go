@@ -6,6 +6,7 @@ import (
 	"hyparview/internal/core"
 	"hyparview/internal/graph"
 	"hyparview/internal/id"
+	"hyparview/internal/msg"
 	"hyparview/internal/netsim"
 	"hyparview/internal/peer"
 )
@@ -194,5 +195,57 @@ func TestDifferentSeedsDifferentOverlay(t *testing.T) {
 	}
 	if same == total {
 		t.Error("different seeds produced identical overlays")
+	}
+}
+
+// TestJoinMessageFlow taps the simulator's deliveries while 12 nodes join
+// through node 1 and asserts the canonical join flow of §4.2: every JOIN is
+// delivered at the contact, and FORWARDJOIN walks follow the first JOIN.
+func TestJoinMessageFlow(t *testing.T) {
+	type delivery struct {
+		to id.ID
+		ty msg.Type
+	}
+	var log []delivery
+	s := netsim.New(1)
+	s.Tap = func(_, to id.ID, m msg.Message) { log = append(log, delivery{to, m.Type}) }
+	for i := 1; i <= 12; i++ {
+		var nd *core.Node
+		s.Add(id.ID(i), func(env peer.Env) peer.Process {
+			nd = core.New(env, core.Config{})
+			return nd
+		})
+		if i > 1 {
+			if err := nd.Join(1); err != nil {
+				t.Fatal(err)
+			}
+			s.Drain()
+		}
+	}
+	joins, firstJoin, firstFwd := 0, -1, -1
+	for i, d := range log {
+		switch d.ty {
+		case msg.Join:
+			joins++
+			if firstJoin < 0 {
+				firstJoin = i
+			}
+			if d.to != 1 {
+				t.Errorf("JOIN delivered at %v, want contact n1", d.to)
+			}
+		case msg.ForwardJoin:
+			if firstFwd < 0 {
+				firstFwd = i
+			}
+		}
+	}
+	if joins != 11 {
+		t.Fatalf("JOIN deliveries = %d, want 11", joins)
+	}
+	if firstFwd < 0 {
+		t.Fatal("no FORWARDJOIN walks observed")
+	}
+	if firstFwd < firstJoin {
+		t.Error("FORWARDJOIN observed before any JOIN")
 	}
 }

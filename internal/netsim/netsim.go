@@ -221,10 +221,12 @@ type Sim struct {
 // New returns an empty simulator seeded with seed, with one shard.
 func New(seed uint64) *Sim { return NewSharded(seed, 1) }
 
-// nodeIndex translates a node identifier to its table index. In the dense
-// id regime (see Sim.dense) this is a bounds check and a subtraction; only
-// irregular populations pay the map lookup.
-func (s *Sim) nodeIndex(nodeID id.ID) (int32, bool) {
+// Index translates a node identifier to its table index — its position in
+// Add order, which harnesses key their own per-node tables by — and reports
+// whether the node exists. In the dense id regime (see Sim.dense) this is a
+// bounds check and a subtraction; only irregular populations pay the map
+// lookup.
+func (s *Sim) Index(nodeID id.ID) (int32, bool) {
 	if s.dense {
 		if nodeID == 0 || uint64(nodeID) > uint64(len(s.nodes)) {
 			return 0, false
@@ -270,7 +272,7 @@ func (e *Endpoint) SendRef(dst id.ID, m *msg.Message) error {
 // Probe reports whether a connection to dst could be established.
 func (e *Endpoint) Probe(dst id.ID) error {
 	s := e.sim
-	ti, ok := s.nodeIndex(dst)
+	ti, ok := s.Index(dst)
 	if !ok || !s.aliveAt(ti) || !s.reachable(e.self, dst) {
 		s.countSendFailure(e.sh)
 		return fmt.Errorf("probe %v: %w", dst, peer.ErrPeerDown)
@@ -382,7 +384,7 @@ func (s *Sim) flushDowns() {
 		slices.Sort(watcherIDs)
 		vDead := !s.Alive(victim)
 		for _, w := range watcherIDs {
-			wi, _ := s.nodeIndex(w)
+			wi, _ := s.Index(w)
 			live := s.nodes[wi].alive
 			// A crash resets every connection; a partition resets only the
 			// links that cross the cut.
@@ -429,7 +431,7 @@ func (s *Sim) RunCycle() {
 	alive := s.AliveIDs()
 	s.rand.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
 	for _, nodeID := range alive {
-		ni, _ := s.nodeIndex(nodeID)
+		ni, _ := s.Index(nodeID)
 		n := &s.nodes[ni]
 		if !n.alive {
 			continue // may have "failed" mid-cycle in churn scenarios
@@ -450,7 +452,7 @@ func (s *Sim) RunCycles(count int) {
 // future sends to it fail with peer.ErrPeerDown, and nodes watching it (open
 // TCP connections) receive an OnPeerDown notification at the next Drain.
 func (s *Sim) Fail(nodeID id.ID) {
-	ni, ok := s.nodeIndex(nodeID)
+	ni, ok := s.Index(nodeID)
 	if !ok || !s.nodes[ni].alive {
 		return
 	}
@@ -472,7 +474,7 @@ func (s *Sim) Fail(nodeID id.ID) {
 // the traffic now in flight, parked periodic registrations resume one
 // interval from now.
 func (s *Sim) Revive(nodeID id.ID) {
-	ni, ok := s.nodeIndex(nodeID)
+	ni, ok := s.Index(nodeID)
 	if !ok || s.nodes[ni].alive {
 		return
 	}
@@ -495,7 +497,7 @@ func (s *Sim) Revive(nodeID id.ID) {
 
 // Alive reports whether nodeID exists and has not failed.
 func (s *Sim) Alive(nodeID id.ID) bool {
-	ni, ok := s.nodeIndex(nodeID)
+	ni, ok := s.Index(nodeID)
 	return ok && s.nodes[ni].alive
 }
 
@@ -540,7 +542,7 @@ func (s *Sim) RandomAlive(r *rng.Rand) (id.ID, bool) {
 
 // Process returns the process hosted at nodeID, or nil if unknown.
 func (s *Sim) Process(nodeID id.ID) peer.Process {
-	ni, ok := s.nodeIndex(nodeID)
+	ni, ok := s.Index(nodeID)
 	if !ok {
 		return nil
 	}

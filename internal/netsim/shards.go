@@ -253,7 +253,7 @@ func (s *Sim) Shards() int { return len(s.shards) }
 // the key a host uses to keep its Delivery-callback state per shard. It is 0
 // for unknown nodes.
 func (s *Sim) ShardOf(nodeID id.ID) int {
-	if idx, ok := s.nodeIndex(nodeID); ok {
+	if idx, ok := s.Index(nodeID); ok {
 		return s.shardOf(idx).id
 	}
 	return 0
@@ -413,7 +413,7 @@ func (s *Sim) enqueuePeriodic(se sevent) {
 // shard (nil for harness sends). m is never retained: the engine stores
 // exactly one copy.
 func (s *Sim) send(sh *shard, from, to id.ID, m *msg.Message) error {
-	ti, ok := s.nodeIndex(to)
+	ti, ok := s.Index(to)
 	if !ok || !s.aliveAt(ti) || !s.reachable(from, to) {
 		s.countSendFailure(sh)
 		return fmt.Errorf("send %v->%v: %w", from, to, peer.ErrPeerDown)
@@ -484,7 +484,7 @@ func (s *Sim) admit() error {
 // dead destination is reported as down, matching Send; a node dying
 // afterwards drops the copy at delivery time like any in-flight message.
 func (s *Sim) Redeliver(from, to id.ID, m msg.Message, delay uint64) error {
-	ti, ok := s.nodeIndex(to)
+	ti, ok := s.Index(to)
 	if !ok || !s.aliveAt(ti) {
 		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
 	}

@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 
-	"hyparview/internal/core"
 	"hyparview/internal/faults"
 	"hyparview/internal/id"
 	"hyparview/internal/metrics"
@@ -336,11 +335,11 @@ func PartitionHealMidcast(opts Options, plan faults.PartitionPlan) PartitionMidc
 	// hold the partition until HealAt, heal, and run to quiescence.
 	src := c.ids[len(c.ids)-1]
 	round := c.Tracker.NextRound()
-	c.gossipers[src].Broadcast(round, nil)
+	c.at(src).Top.Broadcast(round, nil)
 	c.Sim.RunFor(plan.CutAt)
 	deliveredAtCut := 0
 	for _, nodeID := range c.Sim.AliveIDs() {
-		if c.gossipers[nodeID].Seen(round) {
+		if c.at(nodeID).Top.Seen(round) {
 			deliveredAtCut++
 		}
 	}
@@ -363,7 +362,7 @@ func PartitionHealMidcast(opts Options, plan faults.PartitionPlan) PartitionMidc
 		DeliveredAtCut: deliveredAtCut,
 	}
 	for _, nodeID := range c.Sim.AliveIDs() {
-		if side[nodeID] == 1 && c.gossipers[nodeID].Seen(round) {
+		if side[nodeID] == 1 && c.at(nodeID).Top.Seen(round) {
 			res.MinorityDelivered++
 		}
 	}
@@ -378,18 +377,17 @@ func PartitionHealMidcast(opts Options, plan faults.PartitionPlan) PartitionMidc
 // whose target is not a current overlay neighbor. Zero means every eager
 // edge is backed by a real (symmetric, live) membership link.
 func (c *Cluster) PhantomEagerEdges() int {
-	type eagerer interface{ EagerPeers() []id.ID }
 	count := 0
 	for _, nodeID := range c.Sim.AliveIDs() {
-		g, ok := c.gossipers[nodeID].(eagerer)
-		if !ok {
+		st := c.at(nodeID)
+		if st.Plumtree == nil {
 			continue
 		}
 		neighbors := make(map[id.ID]bool)
-		for _, p := range c.membership[nodeID].Neighbors() {
+		for _, p := range st.Membership.Neighbors() {
 			neighbors[p] = true
 		}
-		for _, p := range g.EagerPeers() {
+		for _, p := range st.Plumtree.EagerPeers() {
 			if !neighbors[p] {
 				count++
 			}
@@ -475,11 +473,9 @@ func advByzantineTamper(opts Options, msgs int) AdversarialPoint {
 
 	var rejected, unsolicited uint64
 	for _, nodeID := range c.Sim.AliveIDs() {
-		if hv, ok := c.Membership(nodeID).(interface{ Stats() core.Stats }); ok {
-			st := hv.Stats()
-			rejected += st.ShuffleEntriesRejected
-			unsolicited += st.UnsolicitedShuffleReplies
-		}
+		st := c.at(nodeID).Core.Stats()
+		rejected += st.ShuffleEntriesRejected
+		unsolicited += st.UnsolicitedShuffleReplies
 	}
 	st := inj.Stats()
 	const floor = 0.99

@@ -26,6 +26,7 @@ import (
 	"hyparview/internal/pubsub"
 	"hyparview/internal/rng"
 	"hyparview/internal/scamp"
+	"hyparview/internal/stack"
 	"hyparview/internal/xbot"
 )
 
@@ -230,10 +231,10 @@ type Cluster struct {
 	Sim      *netsim.Sim
 	Tracker  *gossip.Tracker
 
-	ids        []id.ID
-	gossipers  map[id.ID]gossip.Broadcaster
-	membership map[id.ID]peer.Membership
-	routers    map[id.ID]*pubsub.Router
+	// ids and stacks hold the population in join order, which is also the
+	// simulator's node-table order (Sim.Index).
+	ids    []id.ID
+	stacks []stack.Stack
 
 	// Virtual-time delivery tracking: per in-flight round, the clock at
 	// broadcast time (written between drains, only read during them). Only
@@ -274,9 +275,8 @@ func NewCluster(proto Protocol, opts Options) *Cluster {
 		Opts:       opts,
 		Sim:        netsim.NewSharded(opts.Seed, opts.Shards),
 		Tracker:    gossip.NewTrackerParts(opts.Shards),
-		gossipers:  make(map[id.ID]gossip.Broadcaster, opts.N),
-		membership: make(map[id.ID]peer.Membership, opts.N),
-		routers:    make(map[id.ID]*pubsub.Router),
+		ids:        make([]id.ID, 0, opts.N),
+		stacks:     make([]stack.Stack, 0, opts.N),
 		roundStart: make(map[uint64]uint64),
 		parts:      make([]deliveryPart, opts.Shards),
 	}
@@ -293,129 +293,101 @@ func NewCluster(proto Protocol, opts Options) *Cluster {
 	}
 	c.timed = c.Sim.Latency != nil
 	for i := 0; i < opts.N; i++ {
-		nodeID := id.ID(i + 1)
-		c.ids = append(c.ids, nodeID)
-		var joiner interface{ Join(id.ID) error }
-		c.Sim.Add(nodeID, func(env peer.Env) peer.Process {
-			m := c.newMembership(env, i)
-			joiner = m.(interface{ Join(id.ID) error })
-			g := c.newBroadcaster(env, m)
-			c.gossipers[nodeID] = g
-			c.membership[nodeID] = m
-			return g
-		})
-		if i > 0 {
-			// Paper §5: one-by-one joins, no cycles in between. HyParView
-			// and Cyclon use a single contact; SCAMP uses a random node
-			// already in the overlay.
-			contact := c.ids[0]
-			if proto == Scamp {
-				contact = c.ids[c.Sim.Rand().Intn(i)]
-			}
-			if err := joiner.Join(contact); err != nil {
-				panic(fmt.Sprintf("sim: join of %v via %v failed: %v", nodeID, contact, err))
-			}
-			c.Sim.Drain()
+		st := c.add(id.ID(i + 1))
+		if i == 0 {
+			continue
+		}
+		// Paper §5: one-by-one joins, no cycles in between. HyParView
+		// and Cyclon use a single contact; SCAMP uses a random node
+		// already in the overlay.
+		contact := c.ids[0]
+		if proto == Scamp {
+			contact = c.ids[c.Sim.Rand().Intn(i)]
+		}
+		if err := c.join(st, contact); err != nil {
+			panic(fmt.Sprintf("sim: join of %v via %v failed: %v", c.ids[i], contact, err))
 		}
 	}
 	return c
 }
 
-// newMembership constructs the protocol instance for the node with join
-// index i.
-func (c *Cluster) newMembership(env peer.Env, i int) peer.Membership {
+// add registers one more node with the simulator and assembles its protocol
+// stack on the environment the simulator hands out. The returned pointer is
+// valid until the next add.
+func (c *Cluster) add(nodeID id.ID) *stack.Stack {
+	i := len(c.ids)
+	c.Sim.Add(nodeID, func(env peer.Env) peer.Process {
+		c.stacks = append(c.stacks, c.build(env, i))
+		return c.stacks[i].Top
+	})
+	c.ids = append(c.ids, nodeID)
+	return &c.stacks[i]
+}
+
+// join bootstraps a freshly added node through contact and fully processes
+// the join traffic.
+func (c *Cluster) join(st *stack.Stack, contact id.ID) error {
+	err := st.Membership.(interface{ Join(id.ID) error }).Join(contact)
+	c.Sim.Drain()
+	return err
+}
+
+// build assembles the stack of the node with join index i: the options in
+// stack.Config's terms, plus the baseline membership protocols the stack
+// package does not know.
+func (c *Cluster) build(env peer.Env, i int) stack.Stack {
+	cfg := stack.Config{
+		Core:      c.Opts.HyParView,
+		XBot:      c.Opts.XBot,
+		Fanout:    c.Opts.Fanout,
+		PubSub:    c.Opts.PubSub,
+		NextRound: c.Tracker.NextRound,
+		Deliver:   c.parts[c.Sim.ShardOf(env.Self())].fn,
+	}
+	if c.Opts.Broadcast == BroadcastPlumtree {
+		cfg.Plumtree = &c.Opts.Plumtree
+	}
 	switch c.Protocol {
 	case HyParView:
-		cfg := c.Opts.HyParView
-		if c.Opts.ShuffleInterval > 0 && cfg.ShuffleInterval == 0 {
-			cfg.ShuffleInterval = c.Opts.ShuffleInterval
-		}
+		cfg.RoundTicks = c.Opts.ShuffleInterval
 		if c.Opts.ConfigureHyParView != nil {
-			cfg = c.Opts.ConfigureHyParView(i, cfg.WithDefaults())
+			cfg.Core = c.Opts.ConfigureHyParView(i, cfg.CoreConfig())
 		}
-		hv := core.New(env, cfg)
 		if c.Opts.Optimizer == OptimizerXBot {
 			// By default the latency model doubles as the cost oracle: its
 			// Cost strips jitter, modelling a node averaging RTT probes.
-			oracle := c.Opts.Oracle
-			if oracle == nil {
-				oracle = c.Opts.LatencyModel
+			cfg.Oracle = c.Opts.Oracle
+			if cfg.Oracle == nil {
+				cfg.Oracle = c.Opts.LatencyModel
 			}
-			xcfg := c.Opts.XBot.DeriveInterval(c.Opts.ShuffleInterval)
-			return xbot.New(env, hv, xcfg, oracle)
 		}
-		return hv
-	case Cyclon:
-		cfg := c.Opts.Cyclon
-		cfg.DetectFailures = false
-		return cyclon.New(env, cfg)
-	case CyclonAcked:
-		cfg := c.Opts.Cyclon
-		cfg.DetectFailures = true
-		return cyclon.New(env, cfg)
+		return stack.Build(env, cfg)
+	case Cyclon, CyclonAcked:
+		// CyclonAcked acknowledges every send, so failed sends purge the view
+		// entry; plain Cyclon gossips fire-and-forget.
+		acked := c.Protocol == CyclonAcked
+		ccfg := c.Opts.Cyclon
+		ccfg.DetectFailures = acked
+		return stack.Over(env, cyclon.New(env, ccfg), acked, cfg)
 	case Scamp:
-		return scamp.New(env, c.Opts.Scamp)
+		return stack.Over(env, scamp.New(env, c.Opts.Scamp), false, cfg)
 	default:
 		panic(fmt.Sprintf("sim: unknown protocol %v", c.Protocol))
 	}
 }
 
-// gossipConfig maps the protocol to its broadcast behaviour (paper §5).
-func (c *Cluster) gossipConfig() gossip.Config {
-	switch c.Protocol {
-	case HyParView:
-		// Deterministic flooding over TCP links doubling as failure
-		// detectors.
-		return gossip.Config{Mode: gossip.Flood, ReportPeerDown: true}
-	case CyclonAcked:
-		// Random fan-out with per-send acknowledgments.
-		return gossip.Config{Mode: gossip.Fanout, Fanout: c.Opts.Fanout, ReportPeerDown: true}
-	default:
-		// Plain Cyclon and SCAMP: fire-and-forget random fan-out.
-		return gossip.Config{Mode: gossip.Fanout, Fanout: c.Opts.Fanout}
+// at returns the stack of nodeID, the zero Stack when the node does not
+// exist.
+func (c *Cluster) at(nodeID id.ID) stack.Stack {
+	if i, ok := c.Sim.Index(nodeID); ok {
+		return c.stacks[i]
 	}
-}
-
-// newBroadcaster builds the broadcast-layer node selected by Opts.Broadcast
-// over the membership instance m.
-func (c *Cluster) newBroadcaster(env peer.Env, m peer.Membership) gossip.Broadcaster {
-	deliver := c.parts[c.Sim.ShardOf(env.Self())].fn
-	var router *pubsub.Router
-	if c.Opts.PubSub != nil {
-		cfg := *c.Opts.PubSub
-		if cfg.NextRound == nil {
-			cfg.NextRound = c.Tracker.NextRound
-		}
-		if cfg.Fallback == nil {
-			cfg.Fallback = deliver
-		}
-		router = pubsub.New(cfg)
-		deliver = router.OnBroadcast
-	}
-	var b gossip.Broadcaster
-	if c.Opts.Broadcast == BroadcastPlumtree {
-		pcfg := c.Opts.Plumtree
-		// Over HyParView and CyclonAcked, broadcast sends double as the
-		// failure detector, exactly as in gossip mode; an explicit opt-in
-		// via Options.Plumtree is honored for the other protocols too.
-		if c.Protocol == HyParView || c.Protocol == CyclonAcked {
-			pcfg.ReportPeerDown = true
-		}
-		b = plumtree.New(env, m, pcfg, deliver)
-	} else {
-		b = gossip.New(env, m, c.gossipConfig(), deliver)
-	}
-	if router != nil {
-		router.Bind(env, b)
-		c.routers[env.Self()] = router
-		return router
-	}
-	return b
+	return stack.Stack{}
 }
 
 // Router returns the pub/sub router of nodeID, or nil when Options.PubSub is
 // unset or the node does not exist.
-func (c *Cluster) Router(nodeID id.ID) *pubsub.Router { return c.routers[nodeID] }
+func (c *Cluster) Router(nodeID id.ID) *pubsub.Router { return c.at(nodeID).Router }
 
 // deliver is the Delivery callback installed on every broadcaster of the
 // part's shard: it feeds the reliability tracker and, in latency mode,
@@ -541,7 +513,7 @@ func (c *Cluster) broadcastMeasured() (rel float64, maxHops int, avgHops, maxLat
 	alive := c.Sim.AliveCount()
 	round := c.Tracker.NextRound()
 	c.beginRound(round)
-	c.gossipers[source].Broadcast(round, nil)
+	c.at(source).Top.Broadcast(round, nil)
 	c.Sim.Drain()
 	rel = c.Tracker.Reliability(round, alive)
 	maxHops = c.Tracker.MaxHops(round)
@@ -581,33 +553,32 @@ func (c *Cluster) BroadcastBurst(count int) []float64 {
 // Snapshot captures the live overlay for graph analysis. For HyParView the
 // overlay is the active views (paper footnote 5).
 func (c *Cluster) Snapshot() *graph.Snapshot {
-	alive := c.Sim.AliveIDs()
-	return graph.Build(alive, func(n id.ID) []id.ID {
-		return c.membership[n].Neighbors()
-	})
+	return graph.Build(c.Sim.AliveIDs(), c.neighbors)
 }
 
 // Accuracy computes the paper's view-accuracy metric over the live nodes.
 func (c *Cluster) Accuracy() float64 {
-	return graph.Accuracy(c.Sim.AliveIDs(), func(n id.ID) []id.ID {
-		return c.membership[n].Neighbors()
-	}, c.Sim.Alive)
+	return graph.Accuracy(c.Sim.AliveIDs(), c.neighbors, c.Sim.Alive)
 }
 
-// Membership exposes the protocol instance of one node (tests, metrics).
-func (c *Cluster) Membership(n id.ID) peer.Membership { return c.membership[n] }
+// neighbors returns the overlay out-neighbors of an existing node.
+func (c *Cluster) neighbors(n id.ID) []id.ID { return c.at(n).Membership.Neighbors() }
 
-// Gossiper exposes the broadcast-layer node of one node (tests, metrics).
-// The concrete type is *gossip.Node or *plumtree.Node per Opts.Broadcast.
-func (c *Cluster) Gossiper(n id.ID) gossip.Broadcaster { return c.gossipers[n] }
+// Membership exposes the protocol instance of one node (tests, metrics).
+func (c *Cluster) Membership(n id.ID) peer.Membership { return c.at(n).Membership }
+
+// Gossiper exposes the top of one node's stack (tests, metrics): the
+// *gossip.Node or *plumtree.Node per Opts.Broadcast, or the *pubsub.Router
+// wrapping it under Opts.PubSub.
+func (c *Cluster) Gossiper(n id.ID) gossip.Broadcaster { return c.at(n).Top }
 
 // CounterTotals sums the broadcast-layer counters over the whole population
 // (live and failed): locally delivered first copies, redundant payload
 // receptions, successful payload forwards, and rejected sends. Experiments
 // snapshot the totals around a burst to compute the RMR metric.
 func (c *Cluster) CounterTotals() (delivered, duplicates, forwarded, sendFails uint64) {
-	for _, g := range c.gossipers {
-		d, dup, fwd, sf := g.Counters()
+	for i := range c.stacks {
+		d, dup, fwd, sf := c.stacks[i].Top.Counters()
 		delivered += d
 		duplicates += dup
 		forwarded += fwd
@@ -689,7 +660,7 @@ func (c *Cluster) ActiveLinkCosts() []float64 {
 	}
 	var out []float64
 	for _, nodeID := range c.Sim.AliveIDs() {
-		for _, p := range c.membership[nodeID].Neighbors() {
+		for _, p := range c.neighbors(nodeID) {
 			out = append(out, float64(model.Cost(nodeID, p)))
 		}
 	}
@@ -703,16 +674,12 @@ func (c *Cluster) MeanActiveLinkCost() float64 {
 }
 
 // IDs returns the full population (live and failed) in join order.
-func (c *Cluster) IDs() []id.ID {
-	out := make([]id.ID, len(c.ids))
-	copy(out, c.ids)
-	return out
-}
+func (c *Cluster) IDs() []id.ID { return c.Sim.IDs() }
 
 // ResetSeen clears all per-node delivered-message tables; long experiments
 // call this between phases to bound memory.
 func (c *Cluster) ResetSeen() {
-	for _, g := range c.gossipers {
-		g.ResetSeen()
+	for i := range c.stacks {
+		c.stacks[i].Top.ResetSeen()
 	}
 }

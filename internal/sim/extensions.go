@@ -20,7 +20,6 @@ import (
 	"hyparview/internal/graph"
 	"hyparview/internal/id"
 	"hyparview/internal/metrics"
-	"hyparview/internal/peer"
 )
 
 // OverheadRow is one protocol's traffic measurement.
@@ -134,20 +133,9 @@ func Churn(opts Options, churnPct float64, cycles, probes int) ([]ChurnResult, *
 }
 
 // addNode joins one additional node to a running cluster through contact.
+// An unreachable contact leaves the newcomer isolated, as it would a real one.
 func (c *Cluster) addNode(nodeID id.ID, contact id.ID) {
-	idx := len(c.ids)
-	var joiner interface{ Join(id.ID) error }
-	c.Sim.Add(nodeID, func(env peer.Env) peer.Process {
-		m := c.newMembership(env, idx)
-		joiner = m.(interface{ Join(id.ID) error })
-		g := c.newBroadcaster(env, m)
-		c.gossipers[nodeID] = g
-		c.membership[nodeID] = m
-		return g
-	})
-	c.ids = append(c.ids, nodeID)
-	_ = joiner.Join(contact)
-	c.Sim.Drain()
+	_ = c.join(c.add(nodeID), contact)
 }
 
 // PassiveResilience sweeps the passive view size and reports post-failure
@@ -279,7 +267,7 @@ func PartitionHeal(opts Options, frac float64, partCycles, healCycles int) (Part
 	for probe := 0; probe < 5; probe++ {
 		src := minorityIDs[c.Sim.Rand().Intn(len(minorityIDs))]
 		round := c.Tracker.NextRound()
-		c.gossipers[src].Broadcast(round, nil)
+		c.at(src).Top.Broadcast(round, nil)
 		c.Sim.Drain()
 		sideRel += c.Tracker.Reliability(round, len(minorityIDs))
 		c.Tracker.Forget(round)
@@ -295,8 +283,7 @@ func PartitionHeal(opts Options, frac float64, partCycles, healCycles int) (Part
 				ids = append(ids, nodeID)
 			}
 		}
-		snap := graphBuild(ids, c)
-		if !snap.IsConnected() {
+		if !graph.Build(ids, c.neighbors).IsConnected() {
 			sidesOK = false
 		}
 	}
@@ -312,9 +299,4 @@ func PartitionHeal(opts Options, frac float64, partCycles, healCycles int) (Part
 		"minority-side-rel", "sides-connected", "post-heal-lcc")
 	t.AddRow(res.SideReliability, res.SidesConnected, res.MergedLCC)
 	return res, t
-}
-
-// graphBuild snapshots the overlay restricted to ids.
-func graphBuild(ids []id.ID, c *Cluster) *graph.Snapshot {
-	return graph.Build(ids, func(n id.ID) []id.ID { return c.membership[n].Neighbors() })
 }

@@ -9,7 +9,6 @@ import (
 
 	"hyparview/internal/metrics"
 	"hyparview/internal/netsim"
-	"hyparview/internal/xbot"
 )
 
 // XBotResult is one arm (oblivious or optimized) of the comparison.
@@ -80,11 +79,9 @@ func measureArm(opts Options, optimized bool, msgs int) XBotResult {
 		Symmetry:        snap.SymmetryFraction(),
 		Connected:       snap.IsConnected(),
 	}
-	if optimized {
-		for _, nodeID := range c.Sim.AliveIDs() {
-			if xn, ok := c.Membership(nodeID).(*xbot.Node); ok {
-				res.SwapsCompleted += xn.Stats().SwapsCompleted
-			}
+	for _, nodeID := range c.Sim.AliveIDs() {
+		if xn := c.at(nodeID).XBot; xn != nil {
+			res.SwapsCompleted += xn.Stats().SwapsCompleted
 		}
 	}
 	return res

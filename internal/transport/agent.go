@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"hyparview/internal/core"
-	"hyparview/internal/gossip"
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/peer"
 	"hyparview/internal/plumtree"
 	"hyparview/internal/pubsub"
 	"hyparview/internal/rng"
+	"hyparview/internal/stack"
 	"hyparview/internal/xbot"
 )
 
@@ -51,7 +51,8 @@ type AgentConfig struct {
 	// CyclePeriod is the shuffle period (ΔT). Zero disables automatic
 	// cycles; Cycle can then be driven manually (useful in tests).
 	CyclePeriod time.Duration
-	// Transport tunes dial/write timeouts.
+	// Transport tunes the connection lifecycle (redial backoff, suspicion
+	// window, drain deadline) and carries the fault-injection seams.
 	Transport Config
 	// Seed drives the node's deterministic randomness; zero derives a seed
 	// from the bound address.
@@ -75,9 +76,9 @@ type AgentConfig struct {
 	// 4-node coordinated swap handshake continuously rewires the active view
 	// toward low-latency links. Each optimization attempt probes
 	// XBot.Candidates passive-view members; probing a dead candidate costs
-	// one failed dial (Transport.DialTimeout) on the agent goroutine — the
-	// same price HyParView's own view repair pays per dead passive entry —
-	// so keep DialTimeout modest on overlays with heavy churn.
+	// one failed dial (at most the transport's 3s dial timeout, usually an
+	// immediate refusal) on the agent goroutine — the same price HyParView's
+	// own view repair pays per dead passive entry.
 	Optimize bool
 	// XBot overrides optimizer parameters when Optimize is set; zero fields
 	// take the protocol's defaults. XBot.Period counts membership cycles
@@ -119,34 +120,25 @@ type AgentConfig struct {
 	OnNeighborDown func(peerID id.ID, reason core.DownReason)
 }
 
-// agentEnv adapts Transport to peer.Env for the protocol goroutine. The
-// scheduler half of the contract is the agent's real-clock scheduler: timers
-// are protocol-owned, there is no self-addressed-send interception.
+// agentEnv is the peer.Env the protocol stack runs in: the transport's
+// Self/Probe/Watch/Unwatch, the agent's real-clock scheduler's
+// Now/After/Every — timers are protocol-owned, there is no
+// self-addressed-send interception — and the node's random stream.
 type agentEnv struct {
-	a *Agent
-	r *rng.Rand
+	*Transport
+	*clockScheduler
+	rand *rng.Rand
 }
 
 var _ peer.Env = (*agentEnv)(nil)
 
-func (e *agentEnv) Self() id.ID { return e.a.tr.Self() }
+func (e *agentEnv) Rand() *rng.Rand { return e.rand }
 
 func (e *agentEnv) Send(d id.ID, m msg.Message) error {
-	if d == e.a.tr.Self() {
+	if d == e.Self() {
 		return fmt.Errorf("transport: self-send unsupported; schedule timers via peer.Scheduler")
 	}
-	return e.a.tr.Send(d, m)
-}
-
-func (e *agentEnv) Probe(d id.ID) error { return e.a.tr.Probe(d) }
-func (e *agentEnv) Watch(d id.ID)       { e.a.tr.Watch(d) }
-func (e *agentEnv) Unwatch(d id.ID)     { e.a.tr.Unwatch(d) }
-func (e *agentEnv) Rand() *rng.Rand     { return e.r }
-
-func (e *agentEnv) Now() uint64                       { return e.a.sched.Now() }
-func (e *agentEnv) After(delay uint64, m msg.Message) { e.a.sched.After(delay, m) }
-func (e *agentEnv) Every(interval uint64, m msg.Message) {
-	e.a.sched.Every(interval, m)
+	return e.Transport.Send(d, m)
 }
 
 // pingState is one outstanding PING: who it was sent to and when.
@@ -175,13 +167,9 @@ type inboxOp struct {
 // protocol needs no locking — the same discipline the simulator enforces.
 type Agent struct {
 	tr           *Transport
-	node         *core.Node
-	xnode        *xbot.Node     // non-nil when optimizing
-	ptree        *plumtree.Node // non-nil in BroadcastPlumtree mode
-	router       *pubsub.Router // non-nil when AgentConfig.PubSub is set
-	broadcaster  gossip.Broadcaster
+	stack        stack.Stack // assembled once in NewAgent; the layers run on the actor goroutine only
 	rand         *rng.Rand
-	rtt          *rttOracle
+	rtt          *rttOracle // non-nil when optimizing
 	sched        *clockScheduler
 	pings        map[uint64]pingState
 	ledger       *probeLedger // non-nil when SuspectAfter > 0
@@ -196,8 +184,41 @@ type Agent struct {
 }
 
 // NewAgent binds a listener on listenAddr and starts the actor loop. Close
-// must be called to release the listener and goroutines.
+// must be called to release the listener and goroutines. An inconsistent
+// Core configuration or an unknown Broadcast mode is returned as an error
+// before anything is bound.
 func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
+	// The agent's options in the stack's terms: wall-clock periods become
+	// scheduler ticks. The oracle and the round allocator are filled in below,
+	// once the transport they depend on exists.
+	scfg := stack.Config{Core: cfg.Core, XBot: cfg.XBot, PubSub: cfg.PubSub}
+	if cfg.CyclePeriod > 0 {
+		// ΔT: the core schedules its own periodic rounds on the agent's
+		// clock; the tick cascades down the whole stack.
+		scfg.RoundTicks = ticks(cfg.CyclePeriod)
+	}
+	switch cfg.Broadcast {
+	case BroadcastFlood:
+	case BroadcastPlumtree:
+		pcfg := cfg.Plumtree
+		if pcfg.TimerDelay == 0 {
+			ptimer := cfg.PlumtreeTimer
+			if ptimer <= 0 {
+				ptimer = 200 * time.Millisecond
+			}
+			pcfg.TimerDelay = ticks(ptimer)
+		}
+		scfg.Plumtree = &pcfg
+	default:
+		return nil, fmt.Errorf("transport: unknown broadcast mode %v", cfg.Broadcast)
+	}
+	if cb := cfg.OnDeliver; cb != nil {
+		scfg.Deliver = func(_ uint64, _ uint32, payload []byte, _ int) { cb(payload) }
+	}
+	if err := scfg.CoreConfig().Validate(); err != nil {
+		return nil, fmt.Errorf("transport: agent config: %w", err)
+	}
+
 	a := &Agent{
 		// The inbox decouples transport reader goroutines from the protocol
 		// actor. It is deliberately bounded: if the actor falls behind,
@@ -210,51 +231,31 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 		pings:      make(map[uint64]pingState),
 		replySlots: make(chan struct{}, 16),
 	}
-	ptimer := cfg.PlumtreeTimer
-	if ptimer <= 0 {
-		ptimer = 200 * time.Millisecond
-	}
-	tr, err := Listen(listenAddr, cfg.Transport,
-		func(from id.ID, m msg.Message) {
-			select {
-			case a.inbox <- inboxOp{from: from, m: m}:
-			case <-a.stop:
-			}
-		},
-		func(peerID id.ID) {
-			a.enqueue(func() { a.broadcaster.OnPeerDown(peerID) })
-		})
+	tr, err := Listen(listenAddr, cfg.Transport, a.post, func(peerID id.ID) {
+		a.enqueue(func() { a.stack.Top.OnPeerDown(peerID) })
+	})
 	if err != nil {
 		return nil, err
 	}
 	a.tr = tr
 	// The real-clock half of the peer.Scheduler contract: scheduled messages
 	// re-enter the actor loop as self-deliveries at the top of the protocol
-	// stack, exactly as the simulator delivers them.
-	a.sched = newClockScheduler(func(m msg.Message) {
-		// Scheduled messages ride the delivery path (fn nil): dispatch
-		// routes tick kinds straight down the broadcaster stack, exactly
-		// like a self-delivery in the simulator, with no closure per tick.
-		select {
-		case a.inbox <- inboxOp{from: a.tr.Self(), m: m}:
-		case <-a.stop:
-		}
-	}, a.stop)
+	// stack, exactly as the simulator delivers them — on the delivery path,
+	// with no closure per tick.
+	a.sched = newClockScheduler(func(m msg.Message) { a.post(tr.Self(), m) }, a.stop)
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = uint64(tr.Self()) ^ uint64(time.Now().UnixNano())
 	}
 	a.rand = rng.New(seed)
-	env := &agentEnv{a: a, r: a.rand}
-	ccfg := cfg.Core
-	if cfg.CyclePeriod > 0 && ccfg.ShuffleInterval == 0 {
-		// ΔT: the core schedules its own periodic rounds on the agent's
-		// clock; the tick cascades down the whole stack.
-		ccfg.ShuffleInterval = ticks(cfg.CyclePeriod)
+	scfg.NextRound = a.rand.Uint64
+	if cfg.Optimize {
+		a.rtt = newRTTOracle(tr.Self(), a.sendPing)
+		scfg.Oracle = a.rtt
 	}
-	a.node = core.New(env, ccfg)
+	a.stack = stack.Build(&agentEnv{tr, a.sched, a.rand}, scfg)
 	userDown := cfg.OnNeighborDown
-	a.node.SetListener(core.Listener{
+	a.stack.Core.SetListener(core.Listener{
 		NeighborUp: cfg.OnNeighborUp,
 		NeighborDown: func(p id.ID, reason core.DownReason) {
 			if reason != core.DownFailed {
@@ -272,21 +273,6 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 		},
 	})
 
-	// Membership stack: X-BOT (when optimizing) wraps the HyParView core and
-	// is itself a peer.Membership, so the broadcast layer stacks on top
-	// unchanged — the same layering the simulator uses.
-	var member peer.Membership = a.node
-	if cfg.Optimize {
-		a.rtt = newRTTOracle(tr.Self(), a.sendPing)
-		xcfg := cfg.XBot
-		if cfg.CyclePeriod > 0 {
-			// Scheduler-driven optimization rounds: Period membership cycles
-			// between attempts, expressed in clock ticks.
-			xcfg = xcfg.DeriveInterval(ticks(cfg.CyclePeriod))
-		}
-		a.xnode = xbot.New(env, a.node, xcfg, a.rtt)
-		member = a.xnode
-	}
 	a.suspectAfter = cfg.SuspectAfter
 	if a.suspectAfter > 0 {
 		a.ledger = newProbeLedger()
@@ -305,42 +291,6 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 		a.probeTicker = time.NewTicker(a.probePeriod)
 	}
 
-	var deliver gossip.Delivery
-	if cb := cfg.OnDeliver; cb != nil {
-		deliver = func(_ uint64, _ uint32, payload []byte, _ int) { cb(payload) }
-	}
-	if cfg.PubSub != nil {
-		// Two-phase router construction: the inner broadcaster takes the
-		// router's OnBroadcast as its delivery callback, then Bind (below)
-		// closes the loop — the same wiring the simulator's clusters use.
-		rcfg := *cfg.PubSub
-		if rcfg.NextRound == nil {
-			rcfg.NextRound = a.rand.Uint64
-		}
-		if rcfg.Fallback == nil {
-			rcfg.Fallback = deliver
-		}
-		a.router = pubsub.New(rcfg)
-		deliver = a.router.OnBroadcast
-	}
-	switch cfg.Broadcast {
-	case BroadcastPlumtree:
-		pcfg := cfg.Plumtree
-		pcfg.ReportPeerDown = true
-		if pcfg.TimerDelay == 0 {
-			pcfg.TimerDelay = ticks(ptimer)
-		}
-		a.ptree = plumtree.New(env, member, pcfg, deliver)
-		a.broadcaster = a.ptree
-	default:
-		a.broadcaster = gossip.New(env, member,
-			gossip.Config{Mode: gossip.Flood, ReportPeerDown: true}, deliver)
-	}
-	if a.router != nil {
-		a.router.Bind(env, a.broadcaster)
-		a.broadcaster = a.router
-	}
-
 	go a.loop()
 	return a, nil
 }
@@ -353,6 +303,16 @@ func ticks(d time.Duration) uint64 {
 		t = 1
 	}
 	return t
+}
+
+// post queues one delivery (network or scheduler) for the actor loop, giving
+// up when the agent stops. Transport reader goroutines block here while the
+// inbox is full: that is the backpressure the inbox bound exists for.
+func (a *Agent) post(from id.ID, m msg.Message) {
+	select {
+	case a.inbox <- inboxOp{from: from, m: m}:
+	case <-a.stop:
+	}
 }
 
 // enqueue hands fn to the actor loop without blocking. It may be called
@@ -421,7 +381,7 @@ func (a *Agent) dispatch(from id.ID, m msg.Message) {
 	case msg.Pong:
 		a.onPong(from, m.Round)
 	default:
-		a.broadcaster.Deliver(from, m)
+		a.stack.Top.Deliver(from, m)
 	}
 }
 
@@ -496,7 +456,7 @@ func (a *Agent) onProbeTick() {
 			delete(a.pings, nonce)
 		}
 	}
-	active := a.node.Active()
+	active := a.stack.Core.Active()
 	for _, p := range active {
 		if a.ledger != nil {
 			if misses := a.ledger.tick(p); misses >= a.suspectAfter {
@@ -516,7 +476,7 @@ func (a *Agent) onProbeTick() {
 	for _, p := range active {
 		keep[p] = true
 	}
-	for _, p := range a.node.Passive() {
+	for _, p := range a.stack.Core.Passive() {
 		keep[p] = true
 	}
 	for _, st := range a.pings {
@@ -566,7 +526,7 @@ func (a *Agent) Addr() string { return a.tr.Addr() }
 func (a *Agent) Join(contactAddr string) error {
 	contact := a.tr.Register(contactAddr)
 	var joinErr error
-	if err := a.call(func() { joinErr = a.node.Join(contact) }); err != nil {
+	if err := a.call(func() { joinErr = a.stack.Core.Join(contact) }); err != nil {
 		return err
 	}
 	if joinErr != nil {
@@ -582,58 +542,51 @@ func (a *Agent) Register(addr string) id.ID { return a.tr.Register(addr) }
 // broadcast layer. The round identifier is drawn from the node's random
 // stream; collisions across 64 bits are negligible.
 func (a *Agent) Broadcast(payload []byte) error {
-	return a.call(func() { a.broadcaster.Broadcast(a.rand.Uint64(), payload) })
+	return a.call(func() { a.stack.Top.Broadcast(a.rand.Uint64(), payload) })
 }
 
 // ErrNoPubSub is returned by the pub/sub API on agents built without
 // AgentConfig.PubSub.
 var ErrNoPubSub = fmt.Errorf("transport: agent built without AgentConfig.PubSub")
 
+// onRouter runs op against the pub/sub router on the actor goroutine.
+func (a *Agent) onRouter(op func(*pubsub.Router) error) error {
+	if a.stack.Router == nil {
+		return ErrNoPubSub
+	}
+	var err error
+	if cerr := a.call(func() { err = op(a.stack.Router) }); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
 // Subscribe registers fn for topic on the agent's pub/sub router. Handlers
 // run on the agent goroutine with frozen, read-only payloads — copy before
 // retaining or crossing goroutines.
 func (a *Agent) Subscribe(topic uint32, fn pubsub.Handler) error {
-	if a.router == nil {
-		return ErrNoPubSub
-	}
-	var err error
-	if cerr := a.call(func() { err = a.router.Subscribe(topic, fn) }); cerr != nil {
-		return cerr
-	}
-	return err
+	return a.onRouter(func(r *pubsub.Router) error { return r.Subscribe(topic, fn) })
 }
 
 // Publish disseminates payload on topic over the overlay through the pub/sub
 // router (batched per AgentConfig.PubSub). The payload is frozen from this
 // call on, per the ownership rules on package peer.
 func (a *Agent) Publish(topic uint32, payload []byte) error {
-	if a.router == nil {
-		return ErrNoPubSub
-	}
-	var err error
-	if cerr := a.call(func() { err = a.router.Publish(topic, payload) }); cerr != nil {
-		return cerr
-	}
-	return err
+	return a.onRouter(func(r *pubsub.Router) error { return r.Publish(topic, payload) })
 }
 
 // FlushPubSub broadcasts every open batch frame now, ahead of the size
 // threshold or flush tick.
 func (a *Agent) FlushPubSub() error {
-	if a.router == nil {
-		return ErrNoPubSub
-	}
-	return a.call(func() { a.router.Flush() })
+	return a.onRouter(func(r *pubsub.Router) error { r.Flush(); return nil })
 }
 
 // PubSubStats returns the pub/sub router's counters; ok is false when the
 // agent runs without AgentConfig.PubSub.
 func (a *Agent) PubSubStats() (stats pubsub.Stats, ok bool) {
-	_ = a.call(func() {
-		if a.router != nil {
-			stats, ok = a.router.Stats(), true
-		}
-	})
+	if l := a.stack.Router; l != nil {
+		_ = a.call(func() { stats, ok = l.Stats(), true })
+	}
 	return stats, ok
 }
 
@@ -642,27 +595,27 @@ func (a *Agent) PubSubStats() (stats pubsub.Stats, ok bool) {
 // the X-BOT optimization attempt cadence; agents with a CyclePeriod run
 // both through the scheduler instead.
 func (a *Agent) Cycle() error {
-	return a.call(func() { a.broadcaster.OnCycle() })
+	return a.call(func() { a.stack.Top.OnCycle() })
 }
 
 // ActiveView returns a snapshot of the active view.
 func (a *Agent) ActiveView() []id.ID {
 	var out []id.ID
-	_ = a.call(func() { out = a.node.Active() })
+	_ = a.call(func() { out = a.stack.Core.Active() })
 	return out
 }
 
 // PassiveView returns a snapshot of the passive view.
 func (a *Agent) PassiveView() []id.ID {
 	var out []id.ID
-	_ = a.call(func() { out = a.node.Passive() })
+	_ = a.call(func() { out = a.stack.Core.Passive() })
 	return out
 }
 
 // Stats returns a snapshot of the protocol counters.
 func (a *Agent) Stats() core.Stats {
 	var out core.Stats
-	_ = a.call(func() { out = a.node.Stats() })
+	_ = a.call(func() { out = a.stack.Core.Stats() })
 	return out
 }
 
@@ -686,7 +639,7 @@ type BroadcastStats struct {
 func (a *Agent) BroadcastStats() BroadcastStats {
 	var out BroadcastStats
 	_ = a.call(func() {
-		out.Delivered, out.Duplicates, out.Forwarded, out.SendFails = a.broadcaster.Counters()
+		out.Delivered, out.Duplicates, out.Forwarded, out.SendFails = a.stack.Top.Counters()
 	})
 	return out
 }
@@ -703,22 +656,18 @@ func (a *Agent) TransportStats() Stats { return a.tr.Stats() }
 // PlumtreeStats returns the Plumtree control-plane counters; ok is false
 // when the agent runs flood broadcast.
 func (a *Agent) PlumtreeStats() (stats plumtree.ControlStats, ok bool) {
-	_ = a.call(func() {
-		if a.ptree != nil {
-			stats, ok = a.ptree.Control(), true
-		}
-	})
+	if l := a.stack.Plumtree; l != nil {
+		_ = a.call(func() { stats, ok = l.Control(), true })
+	}
 	return stats, ok
 }
 
 // OptimizerStats returns the X-BOT handshake counters; ok is false when the
 // agent runs without the optimizer.
 func (a *Agent) OptimizerStats() (stats xbot.Stats, ok bool) {
-	_ = a.call(func() {
-		if a.xnode != nil {
-			stats, ok = a.xnode.Stats(), true
-		}
-	})
+	if l := a.stack.XBot; l != nil {
+		_ = a.call(func() { stats, ok = l.Stats(), true })
+	}
 	return stats, ok
 }
 
@@ -732,7 +681,7 @@ func (a *Agent) MeanLinkCost() (mean float64, ok bool) {
 		}
 		var sum float64
 		var n int
-		for _, p := range a.node.Active() {
+		for _, p := range a.stack.Core.Active() {
 			if c, measured := a.rtt.estimate(p); measured {
 				sum += c
 				n++
@@ -750,11 +699,11 @@ func (a *Agent) MeanLinkCost() (mean float64, ok bool) {
 func (a *Agent) Close() error {
 	var err error
 	a.closeOnce.Do(func() {
-		if a.router != nil {
+		if a.stack.Router != nil {
 			// Flush buffered publishes while the actor loop still runs, so a
 			// shutdown never strands a batch (the zero-loss half of the
 			// batching contract; OnPeerDown handles the overlay-change half).
-			_ = a.call(func() { a.router.Close() })
+			_ = a.call(func() { a.stack.Router.Close() })
 		}
 		close(a.stop)
 		<-a.done

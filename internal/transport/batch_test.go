@@ -71,7 +71,7 @@ func (s *rawSink) conn(t *testing.T) net.Conn {
 
 // fillQueue sends frames at dst until one sheds with ErrOverflow: at that
 // point the writer goroutine is blocked in a write and the send queue holds
-// SendQueue frames. Returns the number of frames accepted into the queue or
+// sendQueue frames. Returns the number of frames accepted into the queue or
 // the kernel.
 func fillQueue(t *testing.T, tr *Transport, dst id.ID, payload []byte) int {
 	t.Helper()
@@ -155,7 +155,7 @@ func TestBatchedWritesEngageAndPreserveFrames(t *testing.T) {
 	}
 
 	// Big frames block the writer and fill the kernel buffer; the queue
-	// then holds SendQueue more (these will flush in batches once the sink
+	// then holds sendQueue more (these will flush in batches once the sink
 	// reads). Count every frame the transport accepted.
 	accepted := fillQueue(t, a, dst, make([]byte, 16<<10))
 

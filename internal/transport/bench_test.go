@@ -177,7 +177,7 @@ func benchBroadcastThroughput(b *testing.B, n int) {
 		waitFor(int64((i + 1) * n))
 	}
 
-	const window = 32 // in-flight broadcasts; keeps queues under SendQueue
+	const window = 32 // in-flight broadcasts; keeps queues under sendQueue
 	base := delivered.Load()
 	var framesBefore, writesBefore uint64
 	for _, a := range agents {

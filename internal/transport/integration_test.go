@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"hyparview/internal/core"
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
-	"hyparview/internal/trace"
 )
 
 // loopbackCluster is a set of TCP agents on loopback sharing a delivery
@@ -153,82 +153,115 @@ func TestAgentFullStackSoak(t *testing.T) {
 	}
 }
 
-// TestAgentTraceNeighborEvents wires internal/trace rings into live agents
+// neighborEvent is one NeighborUp (up) or NeighborDown callback as an agent
+// reported it; its index in the log is its order.
+type neighborEvent struct {
+	up     bool
+	peer   id.ID
+	reason core.DownReason
+}
+
+// neighborLog collects an agent's neighbor callbacks in order. The callbacks
+// run on the agent goroutine, the test reads from its own.
+type neighborLog struct {
+	mu     sync.Mutex
+	events []neighborEvent
+}
+
+func (l *neighborLog) record(ev neighborEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, ev)
+}
+
+func (l *neighborLog) snapshot() []neighborEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]neighborEvent(nil), l.events...)
+}
+
+// TestAgentTraceNeighborEvents records the neighbor callbacks of live agents
 // and asserts the NeighborUp/NeighborDown ordering of a join/leave over TCP:
 // the join raises the link at both ends before anything lowers it, and the
 // surviving end records exactly one NeighborDown — after its NeighborUp —
 // when the peer's process dies (TCP reset as failure detector).
 func TestAgentTraceNeighborEvents(t *testing.T) {
-	mk := func(seed uint64) (*Agent, *trace.Ring) {
-		ring := trace.NewRing(64)
+	mk := func(seed uint64) (*Agent, *neighborLog) {
+		log := &neighborLog{}
 		a, err := NewAgent("127.0.0.1:0", AgentConfig{
 			CyclePeriod: 50 * time.Millisecond,
 			Seed:        seed,
 			OnNeighborUp: func(peer id.ID) {
-				ring.Record(trace.Event{Kind: trace.NeighborUp, Peer: peer})
+				log.record(neighborEvent{up: true, peer: peer})
 			},
 			OnNeighborDown: func(peer id.ID, reason core.DownReason) {
-				ring.Record(trace.Event{Kind: trace.NeighborDown, Peer: peer, Note: reason.String()})
+				log.record(neighborEvent{peer: peer, reason: reason})
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a, ring
+		return a, log
 	}
-	a, ringA := mk(1)
+	a, logA := mk(1)
 	defer a.Close()
-	b, ringB := mk(2)
+	b, logB := mk(2)
 	defer b.Close()
 
 	if err := b.Join(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitEvent(t, ringA, trace.NeighborUp, b.Self())
-	waitEvent(t, ringB, trace.NeighborUp, a.Self())
-	if down := ringA.OfKind(trace.NeighborDown); len(down) != 0 {
-		t.Fatalf("NeighborDown before any leave: %v", down)
+	upAt := waitEvent(t, logA, true, b.Self())
+	waitEvent(t, logB, true, a.Self())
+	for _, ev := range logA.snapshot() {
+		if !ev.up {
+			t.Fatalf("NeighborDown before any leave: %+v", ev)
+		}
 	}
 
 	_ = b.Close()
-	down := waitEvent(t, ringA, trace.NeighborDown, b.Self())
-	up := ringA.OfKind(trace.NeighborUp)[0]
-	if down.Seq <= up.Seq {
-		t.Errorf("NeighborDown seq %d not after NeighborUp seq %d", down.Seq, up.Seq)
+	downAt := waitEvent(t, logA, false, b.Self())
+	events := logA.snapshot()
+	if downAt <= upAt {
+		t.Errorf("NeighborDown at %d not after NeighborUp at %d", downAt, upAt)
 	}
-	if down.Note != core.DownFailed.String() {
-		t.Errorf("down reason = %q, want %q (TCP reset)", down.Note, core.DownFailed)
+	if got := events[downAt].reason; got != core.DownFailed {
+		t.Errorf("down reason = %v, want %v (TCP reset)", got, core.DownFailed)
 	}
-	// Ordering invariant over the whole trace: every Down has an earlier Up
-	// for the same peer.
-	for _, d := range ringA.OfKind(trace.NeighborDown) {
+	// Ordering invariant over the whole log: every Down has an earlier Up for
+	// the same peer.
+	for i, d := range events {
+		if d.up {
+			continue
+		}
 		ok := false
-		for _, u := range ringA.OfKind(trace.NeighborUp) {
-			if u.Peer == d.Peer && u.Seq < d.Seq {
+		for _, u := range events[:i] {
+			if u.up && u.peer == d.peer {
 				ok = true
 				break
 			}
 		}
 		if !ok {
-			t.Errorf("NeighborDown %v without earlier NeighborUp", d)
+			t.Errorf("NeighborDown %+v without earlier NeighborUp", d)
 		}
 	}
 }
 
-// waitEvent blocks until ring holds an event of the given kind and peer.
-func waitEvent(t testing.TB, ring *trace.Ring, kind trace.Kind, peer id.ID) trace.Event {
+// waitEvent blocks until log holds an up (or down) event for peer and returns
+// its position in the log.
+func waitEvent(t testing.TB, log *neighborLog, up bool, peer id.ID) int {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, ev := range ring.OfKind(kind) {
-			if ev.Peer == peer {
-				return ev
+		for i, ev := range log.snapshot() {
+			if ev.up == up && ev.peer == peer {
+				return i
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("no %v event for peer %v; trace:\n%s", kind, peer, ring.Dump())
-	return trace.Event{}
+	t.Fatalf("no up=%v event for peer %v; log: %+v", up, peer, log.snapshot())
+	return -1
 }
 
 // TestAgentPlumtreeTimerRealClock is the real-clock scheduling regression for

@@ -24,12 +24,11 @@ import (
 // with socket-level faults injected (internal/faults.Sockets).
 
 // fastLifecycle returns a Config with the lifecycle knobs tightened for
-// loopback tests: quick backoff, small budget, sub-second suspicion window.
+// loopback tests: quick backoff, sub-second suspicion window.
 func fastLifecycle() Config {
 	return Config{
 		RedialBase:      5 * time.Millisecond,
 		RedialCap:       40 * time.Millisecond,
-		RedialBudget:    4,
 		SuspicionWindow: time.Second,
 		DrainTimeout:    200 * time.Millisecond,
 	}

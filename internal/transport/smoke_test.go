@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hyparview/internal/core"
 )
 
 func TestAgentSmoke(t *testing.T) {
@@ -42,5 +44,23 @@ func TestAgentSmoke(t *testing.T) {
 	}
 	if got := delivered.Load(); got != 8 {
 		t.Fatalf("delivered=%d want 8", got)
+	}
+}
+
+// TestNewAgentRejectsBadConfig: a configuration the protocol stack cannot be
+// built from is an error from NewAgent, returned before the listener is
+// bound — not a panic out of core.New with the accept loop already running
+// (the package's TestMain would report that goroutine), and not a silent
+// fall-back to flooding.
+func TestNewAgentRejectsBadConfig(t *testing.T) {
+	for name, cfg := range map[string]AgentConfig{
+		"ShuffleKa above ActiveSize": {Core: core.Config{ShuffleKa: 9}},
+		"unknown broadcast mode":     {Broadcast: BroadcastMode(7)},
+	} {
+		a, err := NewAgent("127.0.0.1:0", cfg)
+		if err == nil {
+			_ = a.Close()
+			t.Errorf("%s: NewAgent succeeded, want an error", name)
+		}
 	}
 }

@@ -51,47 +51,41 @@ const (
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
-// Config tunes transport behaviour.
-type Config struct {
-	// DialTimeout bounds connection establishment (default 3s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds a single frame write (default 5s).
-	WriteTimeout time.Duration
-	// SendQueue caps the per-peer outbound frame queue (default 256). Frames
-	// are written by a per-peer writer goroutine; when a slow peer's
-	// queue is full the frame is shed and Send returns peer.ErrOverflow
-	// (counted in Stats.Overflowed) — the same degrade-don't-die overload
-	// semantics as the simulator's MaxQueue, instead of blocking the caller
-	// until overload becomes indistinguishable from peer death.
-	SendQueue int
-	// WriteBatch caps how many queued frames one writer wakeup gathers into
-	// a single vectored write (default 32). Under load the per-peer queue
-	// fills faster than the kernel drains it, so one writev flushes many
-	// frames — the data-plane counterpart of the pub/sub layer's
-	// publish-side batching. 1 disables coalescing.
-	WriteBatch int
-	// ReadBuffer sizes the per-connection buffered reader (default 8KiB).
-	// Length prefix and payload are decoded out of the buffer, so a batch of
-	// small frames arriving back-to-back touches the kernel once instead of
-	// twice per frame; payloads larger than the buffer bypass it and read
-	// directly into the frame buffer, still one syscall.
-	ReadBuffer int
+// Data-plane constants. They were options once; no caller, test or benchmark
+// ever set one to anything but the value here.
+const (
+	dialTimeout  = 3 * time.Second // bounds connection establishment
+	writeTimeout = 5 * time.Second // bounds a single frame write
+	// sendQueue caps the per-peer outbound frame queue; a full one sheds the
+	// frame (see Send) — the same degrade-don't-die overload semantics as the
+	// simulator's MaxQueue.
+	sendQueue = 256
+	// maxWriteBatch caps the frames one writer wakeup gathers into a single
+	// vectored write (see serve).
+	maxWriteBatch = 32
+	// readBuffer sizes the per-connection buffered reader (see readLoop);
+	// payloads larger than it bypass the buffer, still one syscall.
+	readBuffer = 8 << 10
+	// redialBudget caps dial attempts per outage on a watched link: transient
+	// failures become retries, and only a spent budget (or
+	// Config.SuspicionWindow) fires the watch.
+	redialBudget = 4
+)
 
+// Config tunes the connection lifecycle's clocks and carries the
+// fault-injection seams.
+type Config struct {
 	// RedialBase and RedialCap bound the decorrelated-jitter backoff between
 	// redial attempts on a broken watched link (defaults 25ms and 500ms).
 	// Each sleep is drawn from [RedialBase, 3×previous], capped, so retries
 	// across peers desynchronize instead of thundering in lockstep.
 	RedialBase time.Duration
 	RedialCap  time.Duration
-	// RedialBudget caps dial attempts per outage on a watched link (default
-	// 4). Transient dial or write failures become retries instead of an
-	// instant peer.ErrPeerDown verdict; only a spent budget fires the watch.
-	RedialBudget int
 	// SuspicionWindow is the wall-clock bound on one outage: once a watched
 	// link has been down this long the watch fires even if the attempt
-	// budget remains (default 2s). Together with RedialBudget it bounds how
-	// stale an active view can get: a dead neighbor is reported within
-	// roughly SuspicionWindow plus one DialTimeout.
+	// budget remains (default 2s). Together with the redial budget it bounds
+	// how stale an active view can get: a dead neighbor is reported within
+	// roughly SuspicionWindow plus one dial timeout.
 	SuspicionWindow time.Duration
 	// DrainTimeout bounds the graceful flush of a peer's queued frames on
 	// deliberate teardown — demotion, DISCONNECT, Close (default 200ms).
@@ -119,29 +113,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 5 * time.Second
-	}
-	if c.SendQueue == 0 {
-		c.SendQueue = 256
-	}
-	if c.WriteBatch <= 0 {
-		c.WriteBatch = 32
-	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 8 << 10
-	}
 	if c.RedialBase <= 0 {
 		c.RedialBase = 25 * time.Millisecond
 	}
 	if c.RedialCap <= 0 {
 		c.RedialCap = 500 * time.Millisecond
-	}
-	if c.RedialBudget <= 0 {
-		c.RedialBudget = 4
 	}
 	if c.SuspicionWindow <= 0 {
 		c.SuspicionWindow = 2 * time.Second
@@ -463,7 +439,7 @@ func (t *Transport) Send(dst id.ID, m msg.Message) error {
 
 // writeBatch is one writer wakeup's worth of frames: the iovec array handed
 // to the kernel and the owned scratches whose frame buffers it aliases. Both
-// slices ratchet to WriteBatch capacity and recycle through batchPool, so
+// slices ratchet to maxWriteBatch capacity and recycle through batchPool, so
 // the steady-state flush allocates nothing.
 type writeBatch struct {
 	bufs net.Buffers
@@ -524,7 +500,7 @@ func (t *Transport) runLink(l *link) {
 	}
 }
 
-// serve pumps queued frames into c — gathering up to WriteBatch frames per
+// serve pumps queued frames into c — gathering up to maxWriteBatch frames per
 // wakeup into one vectored write, so frames-per-syscall rises with pressure
 // and latency stays flat — until the connection breaks, a drain is
 // requested, or the link stops. On a write failure the gathered batch is
@@ -538,7 +514,7 @@ func (t *Transport) serve(l *link, c net.Conn, dead chan struct{}, epoch uint64,
 			wb.scs = append(wb.scs, sc)
 			wb.bufs = append(wb.bufs, sc.frame)
 		gather:
-			for len(wb.scs) < t.cfg.WriteBatch {
+			for len(wb.scs) < maxWriteBatch {
 				select {
 				case more := <-l.ch:
 					wb.scs = append(wb.scs, more)
@@ -569,12 +545,12 @@ func (t *Transport) serve(l *link, c net.Conn, dead chan struct{}, epoch uint64,
 
 // flushConn writes the gathered frames with the coalesced write deadline:
 // re-armed only once the armed deadline has decayed by more than a slack
-// threshold, because a frame is late only once the whole WriteTimeout
+// threshold, because a frame is late only once the whole writeTimeout
 // passed, so re-arming within the slack window buys nothing.
 func (t *Transport) flushConn(l *link, c net.Conn, wb *writeBatch) error {
 	now := time.Now()
-	if slack := t.cfg.WriteTimeout / 4; l.deadline.Sub(now) < t.cfg.WriteTimeout-slack {
-		l.deadline = now.Add(t.cfg.WriteTimeout)
+	if l.deadline.Sub(now) < writeTimeout-writeTimeout/4 {
+		l.deadline = now.Add(writeTimeout)
 		if err := c.SetWriteDeadline(l.deadline); err != nil {
 			return err
 		}
@@ -646,7 +622,7 @@ func (t *Transport) redial(l *link) bool {
 			_ = c.Close() // condemned while dialing; stay down
 			return false
 		}
-		if attempt >= t.cfg.RedialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
+		if attempt >= redialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
 			t.failLink(l, true)
 			return false
 		}
@@ -754,7 +730,7 @@ func (t *Transport) drainLink(l *link, c net.Conn, wb *writeBatch) {
 	_ = c.SetWriteDeadline(time.Now().Add(t.cfg.DrainTimeout))
 	for {
 	gather:
-		for len(wb.scs) < t.cfg.WriteBatch {
+		for len(wb.scs) < maxWriteBatch {
 			select {
 			case sc := <-l.ch:
 				wb.scs = append(wb.scs, sc)
@@ -913,7 +889,7 @@ func (t *Transport) establishWatched(dst id.ID) {
 		if err == nil || errors.Is(err, ErrClosed) {
 			return
 		}
-		if attempt >= t.cfg.RedialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
+		if attempt >= redialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
 			t.fireWatch(dst)
 			return
 		}
@@ -1018,9 +994,9 @@ func (t *Transport) dialAddr(addr string) (net.Conn, error) {
 	var c net.Conn
 	var err error
 	if dial != nil {
-		c, err = dial(addr, t.cfg.DialTimeout)
+		c, err = dial(addr, dialTimeout)
 	} else {
-		c, err = net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+		c, err = net.DialTimeout("tcp", addr, dialTimeout)
 	}
 	if err != nil {
 		return nil, err
@@ -1065,7 +1041,7 @@ func (t *Transport) conn(dst id.ID) (*link, error) {
 func (t *Transport) adopt(dst id.ID, c net.Conn) (*link, error) {
 	l := &link{
 		dst:      dst,
-		ch:       make(chan *sendScratch, t.cfg.SendQueue),
+		ch:       make(chan *sendScratch, sendQueue),
 		closed:   make(chan struct{}),
 		drainReq: make(chan struct{}),
 	}
@@ -1171,30 +1147,13 @@ type nopReader struct{}
 
 func (nopReader) Read([]byte) (int, error) { return 0, io.EOF }
 
-// readerPools shares sized bufio.Readers across every transport in the
-// process, keyed by buffer size. A reader is checked out for its
-// connection's whole lifetime, so a per-transport pool would hold nothing
-// but corpses: each new transport (tests and benchmarks start them by the
-// dozen) would re-allocate — and the runtime would re-zero — its entire
-// working set of buffers. Buffer sizes are process-wide constants in
-// practice, which is exactly the sharing axis sync.Map handles well.
-var readerPools sync.Map // int -> *sync.Pool
-
-func getReader(size int) *bufio.Reader {
-	p, ok := readerPools.Load(size)
-	if !ok {
-		p, _ = readerPools.LoadOrStore(size, &sync.Pool{
-			New: func() any { return bufio.NewReaderSize(nopReader{}, size) },
-		})
-	}
-	return p.(*sync.Pool).Get().(*bufio.Reader)
-}
-
-func putReader(size int, br *bufio.Reader) {
-	br.Reset(nopReader{})
-	if p, ok := readerPools.Load(size); ok {
-		p.(*sync.Pool).Put(br)
-	}
+// readerPool shares bufio.Readers across every transport in the process. A
+// reader is checked out for its connection's whole lifetime, so a
+// per-transport pool would hold nothing but corpses: each new transport
+// (tests and benchmarks start them by the dozen) would re-allocate — and the
+// runtime would re-zero — its entire working set of buffers.
+var readerPool = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nopReader{}, readBuffer) },
 }
 
 // readLoop decodes frames from c and dispatches them until the connection
@@ -1210,9 +1169,12 @@ func putReader(size int, br *bufio.Reader) {
 // (maxFrame here, list/payload caps in the codec) are unchanged.
 func (t *Transport) readLoop(c net.Conn) {
 	cr := countingReader{c: c, n: &t.readSyscalls}
-	br := getReader(t.cfg.ReadBuffer)
+	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(&cr)
-	defer putReader(t.cfg.ReadBuffer, br)
+	defer func() {
+		br.Reset(nopReader{})
+		readerPool.Put(br)
+	}()
 	var lenBuf [lenHeaderSize]byte
 	var buf []byte
 	for {
