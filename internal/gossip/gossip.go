@@ -28,16 +28,16 @@ import (
 // DefaultSeenWindow is the default window, in rounds, of the per-node
 // delivered-message cache (Config.SeenWindow): a node remembers (and
 // deduplicates) the last SeenWindow round identifiers it delivered. The
-// cache is roundcache's open-addressed table with FIFO eviction, so exactly
-// the SeenWindow most recently delivered rounds are held whatever their
+// cache is roundcache.Set, a ring of those identifiers, so exactly the
+// SeenWindow most recently delivered rounds are held whatever their
 // identifiers look like (monotonic in the simulator, random 64-bit on the
 // TCP agents); a copy arriving more than SeenWindow rounds late would be
 // re-delivered, the bounded-memory trade every deployed message-id cache
 // makes. Deliveries of one round are always fully drained
 // before the harness starts the next, so the window only has to cover the
 // rounds genuinely in flight at once; 128 keeps the per-node footprint at
-// ~3KB (a 256-slot open-addressed table plus the 128-entry eviction ring) —
-// flat for the life of the node — even at 100k-node populations.
+// 1 KiB (the 128-entry ring) — flat for the life of the node — even at
+// 100k-node populations.
 const DefaultSeenWindow = 128
 
 // Mode selects the forwarding strategy.
@@ -155,8 +155,8 @@ type Node struct {
 	// of the round delivered most recently. Flood redundancy means most
 	// receptions are duplicates of the round currently in flight, and this
 	// check resolves on the node's own (already loaded) cache line instead
-	// of a random access into the seen table. lastRound is also in the seen
-	// cache — this is an accelerator, not a second source of truth.
+	// of a scan of the seen ring. lastRound is also in the seen cache — this
+	// is an accelerator, not a second source of truth.
 	lastRound uint64
 	hasLast   bool
 

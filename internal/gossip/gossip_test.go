@@ -245,6 +245,72 @@ func TestResetSeenRedeliveryCountsAgain(t *testing.T) {
 	}
 }
 
+// offer delivers one copy of round from neighbor 2 and reports whether the
+// node took it as a first delivery.
+func offer(n *Node, round uint64) bool {
+	before, _, _, _ := n.Counters()
+	n.Deliver(2, msg.Message{Type: msg.Gossip, Sender: 2, Round: round})
+	after, _, _, _ := n.Counters()
+	return after != before
+}
+
+func TestExactlyOnceAcrossSeenWindowWrap(t *testing.T) {
+	// Three windows of consecutive rounds, so the seen ring wraps twice; each
+	// round is re-offered after every later round still in its window, so a
+	// duplicate is looked for at every distance from the newest entry.
+	const window = 8
+	n := New(newFakeEnv(1), &fakeMembership{neighbors: []id.ID{2}}, Config{SeenWindow: window}, nil)
+	for r := uint64(0); r < 3*window; r++ {
+		if !offer(n, r) {
+			t.Fatalf("round %d: first copy not delivered", r)
+		}
+		for old := r - min(r, window-1); old <= r; old++ {
+			if offer(n, old) {
+				t.Fatalf("round %d delivered again after round %d", old, r)
+			}
+		}
+	}
+	if !offer(n, 2*window-1) {
+		t.Error("the round just older than the window is still held: SeenWindow is not the capacity")
+	}
+}
+
+func TestFirstArrivalBelowNewestRound(t *testing.T) {
+	// Under a latency model round r+1 can reach a node before round r: r is
+	// below the largest identifier seen and still a first delivery.
+	n := New(newFakeEnv(1), &fakeMembership{neighbors: []id.ID{2}}, Config{}, nil)
+	for _, r := range []uint64{10, 12} {
+		if !offer(n, r) {
+			t.Fatalf("round %d not delivered", r)
+		}
+	}
+	if !offer(n, 11) {
+		t.Fatal("round 11, first seen after round 12, not delivered")
+	}
+	for _, r := range []uint64{11, 10, 12, 11} {
+		if offer(n, r) {
+			t.Errorf("duplicate of round %d delivered", r)
+		}
+	}
+}
+
+func TestResetSeenForgetsLargestRound(t *testing.T) {
+	n := New(newFakeEnv(1), &fakeMembership{neighbors: []id.ID{2}}, Config{}, nil)
+	for r := uint64(100); r < 105; r++ {
+		offer(n, r)
+	}
+	n.ResetSeen()
+	// Smaller than everything before the reset, then a round held before it.
+	for _, r := range []uint64{50, 102, 104} {
+		if !offer(n, r) {
+			t.Errorf("round %d not delivered after ResetSeen", r)
+		}
+		if offer(n, r) {
+			t.Errorf("round %d delivered twice after ResetSeen", r)
+		}
+	}
+}
+
 func TestTracker(t *testing.T) {
 	// One part is the plain tracker; with three, the same deliveries land in
 	// different writers' parts and every read must sum them.

@@ -9,31 +9,33 @@
 // array at high-water size, and at 100k nodes the per-delivery map traffic
 // dominates the whole protocol stack (see BENCH_sim.json).
 //
-// Both containers here are open-addressed hash tables (linear probing,
-// backward-shift deletion, fibonacci hashing) over fixed-capacity arrays,
-// with FIFO eviction: once capacity rounds are held, inserting a new round
-// evicts the round added capacity insertions ago. That bounds memory for the
-// life of the node, keeps the steady state allocation-free, and — unlike a
-// window keyed on round values — guarantees the most recent capacity
-// distinct rounds are remembered exactly, whatever the identifiers look
-// like. That last property matters: the simulator's harness allocates rounds
+// Both containers are fixed-capacity with FIFO eviction: once capacity
+// rounds are held, inserting a new round evicts the round added capacity
+// insertions ago. That bounds memory for the life of the node, keeps the
+// steady state allocation-free, and — unlike a window keyed on round values —
+// remembers the most recent capacity distinct rounds exactly, whatever the
+// identifiers look like: the simulator's harness allocates rounds
 // monotonically, but the TCP agents draw them from a 64-bit random stream,
 // and a cache that assumed monotonicity would evict live rounds under
 // birthday collisions and re-deliver (observed as reliability > 1 in the
-// 12-agent loopback soak before this design).
+// 12-agent loopback soak before this design). An evicted delivered-round
+// entry can at worst re-deliver a message older than capacity rounds — the
+// bounded-memory trade every deployed gossip message-id cache makes.
 //
-// An evicted delivered-round entry can at worst re-deliver a message older
-// than capacity rounds — the bounded-memory trade every deployed gossip
-// message-id cache makes.
+// Set is that contract and nothing else: a ring of the last capacity
+// identifiers, where eviction is the overwrite. Cache finds its values through
+// an open-addressed hash table beside a ring that names the round to evict.
 package roundcache
+
+import "math/bits"
 
 // fib is the 64-bit fibonacci hashing multiplier (2^64 / φ); the high bits
 // of round*fib spread both sequential and random round identifiers uniformly
 // over a power-of-two table.
 const fib = 0x9E3779B97F4A7C15
 
-// table is the shared open-addressed core: keys only, so Set embeds it alone
-// and Cache pairs it with a value array whose entries move in lockstep.
+// table is Cache's open-addressed core: keys only, paired with a value array
+// whose entries move in lockstep.
 type table struct {
 	keys  []uint64 // round+1 per slot; 0 = empty
 	fifo  []uint64 // ring of the last len(fifo) inserted rounds (+1; 0 = free)
@@ -44,19 +46,14 @@ type table struct {
 
 func (t *table) init(capacity int) {
 	c := ceilPow2(capacity)
-	t.keys = make([]uint64, 2*c) // ≤50% load keeps probe chains short
-	t.fifo = make([]uint64, c)
-	t.head = 0
-	t.n = 0
-	t.shift = 64
-	for 1<<(64-t.shift) < 2*c {
-		t.shift--
+	*t = table{
+		keys:  make([]uint64, 2*c), // ≤50% load keeps probe chains short
+		fifo:  make([]uint64, c),
+		shift: uint8(64 - bits.TrailingZeros(uint(2*c))),
 	}
 }
 
-func (t *table) home(round uint64) int {
-	return int((round * fib) >> t.shift)
-}
+func (t *table) home(round uint64) int { return int((round * fib) >> t.shift) }
 
 // find returns the slot holding round, or -1.
 func (t *table) find(round uint64) int {
@@ -96,24 +93,17 @@ func (t *table) remove(round uint64, swap func(from, to int)) bool {
 	mask := len(t.keys) - 1
 	t.keys[i] = 0
 	t.n--
-	// Backward shift: walk the probe chain after i, moving up any entry
-	// whose home position does not lie in the (hole, current] window —
-	// i.e. entries that could no longer be found once the hole stops their
-	// probe chain.
+	// Backward shift: walk the probe chain after i, moving into the hole any
+	// entry whose home does not lie in (hole, j] — one that could no longer
+	// be found once the hole stops its probe chain.
 	hole := i
 	for j := (i + 1) & mask; t.keys[j] != 0; j = (j + 1) & mask {
-		home := t.home(t.keys[j] - 1)
-		// Move keys[j] into the hole unless its home lies strictly after
-		// the hole on the cyclic probe path (in which case the hole does
-		// not break its chain).
-		if cyclicBetween(hole, home, j) {
+		if cyclicBetween(hole, t.home(t.keys[j]-1), j) {
 			continue
 		}
 		t.keys[hole] = t.keys[j]
 		t.keys[j] = 0
-		if swap != nil {
-			swap(j, hole)
-		}
+		swap(j, hole)
 		hole = j
 	}
 	return true
@@ -128,16 +118,12 @@ func cyclicBetween(hole, pos, j int) bool {
 	return pos > hole || pos <= j
 }
 
-// noteInsert records round in the FIFO ring and returns the round (if any)
-// that must be evicted to make room — the one inserted capacity insertions
-// ago, if it is still live.
+// noteInsert records round in the FIFO ring and returns the round (if any) to
+// evict to make room: the one inserted capacity insertions ago, if still live.
 func (t *table) noteInsert(round uint64) (evict uint64, ok bool) {
 	old := t.fifo[t.head]
 	t.fifo[t.head] = round + 1
-	t.head++
-	if t.head == len(t.fifo) {
-		t.head = 0
-	}
+	t.head = (t.head + 1) & (len(t.fifo) - 1)
 	if old == 0 {
 		return 0, false
 	}
@@ -147,17 +133,26 @@ func (t *table) noteInsert(round uint64) (evict uint64, ok bool) {
 func (t *table) reset() {
 	clear(t.keys)
 	clear(t.fifo)
-	t.head = 0
-	t.n = 0
+	t.head, t.n = 0, 0
 }
 
 // Set is a fixed-capacity set of round identifiers with allocation-free
-// Add/Contains/Remove and FIFO eviction. The zero value is invalid; use
-// NewSet, or embed a Set by value and Init it (one pointer dereference fewer
-// on every operation, which is measurable when the set is consulted per
-// delivered event across 100k cache-cold nodes).
+// Add/Contains and FIFO eviction: a ring of the last len(ring) distinct
+// rounds added. Any uint64 is an ordinary round. The zero value is invalid;
+// use NewSet, or embed a Set by value and Init it (one pointer dereference
+// fewer on every operation, which is measurable when the set is consulted
+// per delivered event across 100k cache-cold nodes).
 type Set struct {
-	t table
+	ring []uint64 // power-of-two length; ring[:n] is occupied
+	pos  int      // next write position: the oldest entry once full
+	n    int      // rounds held, ≤ len(ring)
+
+	// hi bounds from above every round written since Reset (if n > 0), so a
+	// round above it is absent without reading the ring: every first delivery
+	// when identifiers come from a counter, which keeps a set that exists
+	// once per node to one cold line per Add. Rounds at or below hi (random
+	// identifiers, out-of-order arrivals) take the scan.
+	hi uint64
 }
 
 // NewSet returns a set remembering the most recent capacity rounds.
@@ -169,33 +164,44 @@ func NewSet(capacity int) *Set {
 }
 
 // Init (re)initializes the set with the given capacity.
-func (s *Set) Init(capacity int) { s.t.init(capacity) }
+func (s *Set) Init(capacity int) { *s = Set{ring: make([]uint64, ceilPow2(capacity))} }
 
 // Contains reports whether round is in the set.
-func (s *Set) Contains(round uint64) bool { return s.t.find(round) >= 0 }
-
-// Add inserts round, evicting the round added capacity insertions ago if it
-// is still present. It reports whether round was newly inserted (false:
-// already present).
-func (s *Set) Add(round uint64) bool {
-	if s.t.find(round) >= 0 {
+func (s *Set) Contains(round uint64) bool {
+	if round > s.hi {
 		return false
 	}
-	if evict, ok := s.t.noteInsert(round); ok {
-		s.t.remove(evict, nil)
+	// Newest to oldest (a late duplicate is most often of a recent round) in
+	// two straight runs; the second is empty until the ring wraps (pos == n).
+	for i := s.pos - 1; i >= 0; i-- {
+		if s.ring[i] == round {
+			return true
+		}
 	}
-	s.t.insert(round)
+	for i := s.n - 1; i >= s.pos; i-- {
+		if s.ring[i] == round {
+			return true
+		}
+	}
+	return false
+}
+
+// Add inserts round, evicting the round added capacity insertions ago. It
+// reports whether round was newly inserted (false: already present).
+func (s *Set) Add(round uint64) bool {
+	if s.n == 0 || round > s.hi {
+		s.hi = round
+	} else if s.Contains(round) {
+		return false
+	}
+	s.ring[s.pos] = round
+	s.pos = (s.pos + 1) & (len(s.ring) - 1)
+	s.n = min(s.n+1, len(s.ring))
 	return true
 }
 
-// Remove deletes round and reports whether it was present.
-func (s *Set) Remove(round uint64) bool { return s.t.remove(round, nil) }
-
-// Len returns the number of rounds currently held.
-func (s *Set) Len() int { return s.t.n }
-
-// Reset clears the set in place; no memory is released or allocated.
-func (s *Set) Reset() { s.t.reset() }
+// Reset clears the set in place: n bounds every read of the ring.
+func (s *Set) Reset() { s.pos, s.n, s.hi = 0, 0, 0 }
 
 // Cache is a fixed-capacity map from round identifiers to values of type V
 // with allocation-free steady-state access and FIFO eviction. Entries are
@@ -205,7 +211,9 @@ func (s *Set) Reset() { s.t.reset() }
 // that: whatever a V references stays reachable until its slot is reused,
 // long after its round is gone, so a V must not hold memory whose release
 // matters — plumtree keeps delivered payloads in a ring of its own for that
-// reason. The zero value is invalid; use New, or embed by value and Init.
+// reason. The table stores round+1 with 0 for an empty slot, so the
+// identifier math.MaxUint64 is reserved: an empty cache reports it present.
+// The zero value is invalid; use New, or embed by value and Init.
 type Cache[V any] struct {
 	t    table
 	vals []V
@@ -289,15 +297,6 @@ func (c *Cache[V]) ForEach(fn func(round uint64, v *V)) {
 
 // ceilPow2 rounds capacity up to a power of two, clamping to [2, 1<<20].
 func ceilPow2(capacity int) int {
-	if capacity < 2 {
-		capacity = 2
-	}
-	if capacity > 1<<20 {
-		capacity = 1 << 20
-	}
-	p := 2
-	for p < capacity {
-		p <<= 1
-	}
-	return p
+	capacity = min(max(capacity, 2), 1<<20)
+	return 1 << bits.Len(uint(capacity-1))
 }
