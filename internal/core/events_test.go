@@ -39,7 +39,7 @@ func TestListenerUpOnJoinAccept(t *testing.T) {
 	n, _ := newTestNode(1)
 	log := newEventLog()
 	n.SetListener(log.listener())
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	if len(log.ups) != 1 || log.ups[0] != 10 {
 		t.Errorf("ups = %v, want [n10]", log.ups)
 	}
@@ -52,9 +52,9 @@ func TestListenerDownReasons(t *testing.T) {
 
 	// Fill the view, then evict via a high-priority request.
 	for i := id.ID(10); i < id.ID(10+uint64(n.Config().ActiveSize)); i++ {
-		n.Deliver(i, msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
 	}
-	n.Deliver(99, msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
+	n.Deliver(99, &msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
 	if len(log.downs) != 1 || log.reasons[0] != DownEvicted {
 		t.Fatalf("downs=%v reasons=%v, want one eviction", log.downs, log.reasons)
 	}
@@ -67,7 +67,7 @@ func TestListenerDownReasons(t *testing.T) {
 
 	// DISCONNECT.
 	survivor := n.Active()[0]
-	n.Deliver(survivor, msg.Message{Type: msg.Disconnect, Sender: survivor})
+	n.Deliver(survivor, &msg.Message{Type: msg.Disconnect, Sender: survivor})
 	if log.reasons[len(log.reasons)-1] != DownDisconnected {
 		t.Errorf("last reason = %v, want disconnected", log.reasons[len(log.reasons)-1])
 	}
@@ -98,7 +98,7 @@ func TestListenerMirrorsActiveView(t *testing.T) {
 		if r.Intn(20) == 0 {
 			n.OnPeerDown(id.ID(r.Intn(30) + 2))
 		}
-		n.Deliver(from, m)
+		n.Deliver(from, &m)
 		env.take()
 
 		active := n.Active()

@@ -213,7 +213,7 @@ func (n *Node) OnCycle() {
 }
 
 // Deliver implements peer.Membership: dispatches one protocol message.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.Join:
 		n.handleJoin(m.Sender)
@@ -266,7 +266,7 @@ func (n *Node) handleJoin(newNode id.ID) {
 	}
 }
 
-func (n *Node) handleForwardJoin(m msg.Message) {
+func (n *Node) handleForwardJoin(m *msg.Message) {
 	newNode, sender := m.Subject, m.Sender
 	if newNode == n.self || newNode.IsNil() {
 		return
@@ -288,7 +288,7 @@ func (n *Node) handleForwardJoin(m msg.Message) {
 		n.connectTo(newNode)
 		return
 	}
-	fwd := m
+	fwd := *m
 	fwd.Sender = n.self
 	fwd.TTL = m.TTL - 1
 	if err := n.env.Send(next, fwd); err != nil {
@@ -551,7 +551,7 @@ func (n *Node) initiateShuffle() {
 	}
 }
 
-func (n *Node) handleShuffle(m msg.Message) {
+func (n *Node) handleShuffle(m *msg.Message) {
 	origin, sender := m.Subject, m.Sender
 	if origin == n.self {
 		// Our own walk looped back to us; drop it.
@@ -565,7 +565,7 @@ func (n *Node) handleShuffle(m msg.Message) {
 	// sender to forward to (paper §4.4).
 	if ttl > 0 && n.active.Len() > 1 {
 		if next, ok := n.active.RandomExcept(n.env.Rand(), sender); ok && next != origin {
-			fwd := m
+			fwd := *m
 			fwd.Sender = n.self
 			fwd.TTL = ttl
 			if err := n.env.Send(next, fwd); err == nil {
@@ -594,7 +594,7 @@ func (n *Node) handleShuffle(m msg.Message) {
 	n.integrateShuffle(received, reply)
 }
 
-func (n *Node) handleShuffleReply(m msg.Message) {
+func (n *Node) handleShuffleReply(m *msg.Message) {
 	if n.lastShuffleSent == nil {
 		// No shuffle outstanding: an unsolicited, duplicated or reflected
 		// reply (an attacker can forge a SHUFFLE whose walk origin is any

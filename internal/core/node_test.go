@@ -158,11 +158,11 @@ func TestHandleJoinFansOutForwardJoins(t *testing.T) {
 	n, env := newTestNode(1)
 	// Pre-populate the active view with 3 members.
 	for _, m := range []id.ID{10, 11, 12} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
 
-	n.Deliver(99, msg.Message{Type: msg.Join, Sender: 99})
+	n.Deliver(99, &msg.Message{Type: msg.Join, Sender: 99})
 	if !n.ActiveContains(99) {
 		t.Error("joiner not added to active view")
 	}
@@ -183,11 +183,11 @@ func TestHandleJoinFansOutForwardJoins(t *testing.T) {
 func TestForwardJoinTTLZeroAccepts(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
 
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 0})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 0})
 	if !n.ActiveContains(99) {
 		t.Error("joiner not accepted at TTL 0")
 	}
@@ -199,10 +199,10 @@ func TestForwardJoinTTLZeroAccepts(t *testing.T) {
 
 func TestForwardJoinNearIsolationAccepts(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.take()
 	// |active| == 1: must accept regardless of TTL (Algorithm 1).
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 6})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 6})
 	if !n.ActiveContains(99) {
 		t.Error("joiner not accepted despite near-isolation")
 	}
@@ -211,12 +211,12 @@ func TestForwardJoinNearIsolationAccepts(t *testing.T) {
 func TestForwardJoinAtPRWLAddsPassive(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11, 12} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
 
 	prwl := n.Config().PRWL
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: prwl})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: prwl})
 	if !n.PassiveContains(99) {
 		t.Error("joiner not added to passive view at TTL == PRWL")
 	}
@@ -233,11 +233,11 @@ func TestForwardJoinAtPRWLAddsPassive(t *testing.T) {
 func TestForwardJoinRelayAvoidsSender(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
 	for i := 0; i < 50; i++ {
-		n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 5})
+		n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 5})
 		if s, ok := env.lastOfType(msg.ForwardJoin); ok && s.to == 10 {
 			t.Fatal("FORWARDJOIN relayed back to its sender")
 		}
@@ -249,10 +249,10 @@ func TestForwardJoinRelayAvoidsSender(t *testing.T) {
 func TestDisconnectDemotesToPassive(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
-	n.Deliver(10, msg.Message{Type: msg.Disconnect, Sender: 10})
+	n.Deliver(10, &msg.Message{Type: msg.Disconnect, Sender: 10})
 	if n.ActiveContains(10) {
 		t.Error("disconnected peer still in active view")
 	}
@@ -268,14 +268,14 @@ func TestNeighborHighPriorityAlwaysAccepted(t *testing.T) {
 	n, env := newTestNode(1)
 	// Fill the active view completely.
 	for i := id.ID(10); i < id.ID(10+uint64(n.Config().ActiveSize)); i++ {
-		n.Deliver(i, msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
 	}
 	if len(n.Active()) != n.Config().ActiveSize {
 		t.Fatalf("setup: active=%d", len(n.Active()))
 	}
 	env.take()
 
-	n.Deliver(99, msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
+	n.Deliver(99, &msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
 	if !n.ActiveContains(99) {
 		t.Error("high-priority NEIGHBOR rejected")
 	}
@@ -295,10 +295,10 @@ func TestNeighborHighPriorityAlwaysAccepted(t *testing.T) {
 func TestNeighborLowPriorityRejectedWhenFull(t *testing.T) {
 	n, env := newTestNode(1)
 	for i := id.ID(10); i < id.ID(10+uint64(n.Config().ActiveSize)); i++ {
-		n.Deliver(i, msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
 	}
 	env.take()
-	n.Deliver(99, msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.LowPriority})
+	n.Deliver(99, &msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.LowPriority})
 	if n.ActiveContains(99) {
 		t.Error("low-priority NEIGHBOR accepted into a full view")
 	}
@@ -309,7 +309,7 @@ func TestNeighborLowPriorityRejectedWhenFull(t *testing.T) {
 
 func TestNeighborLowPriorityAcceptedWithFreeSlot(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(99, msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.LowPriority})
+	n.Deliver(99, &msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.LowPriority})
 	if !n.ActiveContains(99) {
 		t.Error("low-priority NEIGHBOR rejected despite free slot")
 	}
@@ -322,7 +322,7 @@ func TestRepairAfterPeerDown(t *testing.T) {
 	n, env := newTestNode(1)
 	// Active: 10. Passive: 20 (dead). The failed probe must purge 20 and
 	// leave no promotion pending.
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	n.addPassive(20)
 	env.down[20] = true
 	env.take()
@@ -348,7 +348,7 @@ func TestRepairAfterPeerDown(t *testing.T) {
 		t.Fatalf("expected high-priority NEIGHBOR to n21, sent=%+v", env.sent)
 	}
 	// Acceptance completes the promotion.
-	n.Deliver(21, msg.Message{Type: msg.NeighborReply, Sender: 21, Accept: true})
+	n.Deliver(21, &msg.Message{Type: msg.NeighborReply, Sender: 21, Accept: true})
 	if !n.ActiveContains(21) || n.PassiveContains(21) {
 		t.Error("promotion did not move candidate from passive to active")
 	}
@@ -359,8 +359,8 @@ func TestRepairAfterPeerDown(t *testing.T) {
 
 func TestRepairRetriesAfterRejection(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
-	n.Deliver(11, msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
 	n.addPassive(20)
 	n.addPassive(21)
 	env.take()
@@ -374,7 +374,7 @@ func TestRepairRetriesAfterRejection(t *testing.T) {
 
 	// Rejection: the peer stays in the passive view and another candidate
 	// is tried.
-	n.Deliver(first.to, msg.Message{Type: msg.NeighborReply, Sender: first.to, Accept: false})
+	n.Deliver(first.to, &msg.Message{Type: msg.NeighborReply, Sender: first.to, Accept: false})
 	if !n.PassiveContains(first.to) {
 		t.Error("rejected candidate evicted from passive view")
 	}
@@ -389,7 +389,7 @@ func TestRepairRetriesAfterRejection(t *testing.T) {
 
 func TestStaleNeighborReplyIgnored(t *testing.T) {
 	n, _ := newTestNode(1)
-	n.Deliver(50, msg.Message{Type: msg.NeighborReply, Sender: 50, Accept: true})
+	n.Deliver(50, &msg.Message{Type: msg.NeighborReply, Sender: 50, Accept: true})
 	if n.ActiveContains(50) {
 		t.Error("unsolicited NEIGHBORREPLY mutated the active view")
 	}
@@ -398,7 +398,7 @@ func TestStaleNeighborReplyIgnored(t *testing.T) {
 func TestShuffleInitiation(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11, 12} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	for i := id.ID(30); i < 40; i++ {
 		n.addPassive(i)
@@ -426,10 +426,10 @@ func TestShuffleInitiation(t *testing.T) {
 func TestShuffleRelayedWhileTTLLives(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	env.take()
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type: msg.Shuffle, Sender: 10, Subject: 7, TTL: 5, Nodes: []id.ID{7, 8},
 	})
 	s, ok := env.lastOfType(msg.Shuffle)
@@ -447,14 +447,14 @@ func TestShuffleRelayedWhileTTLLives(t *testing.T) {
 func TestShuffleAcceptedAtTTLExhaustion(t *testing.T) {
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	for i := id.ID(30); i < 36; i++ {
 		n.addPassive(i)
 	}
 	env.take()
 
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type: msg.Shuffle, Sender: 10, Subject: 7, TTL: 1, Nodes: []id.ID{7, 8, 9},
 	})
 	s, ok := env.lastOfType(msg.ShuffleReply)
@@ -475,9 +475,9 @@ func TestShuffleAcceptedAtTTLExhaustion(t *testing.T) {
 
 func TestShuffleOwnWalkDropped(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.take()
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type: msg.Shuffle, Sender: 10, Subject: 1, TTL: 3, Nodes: []id.ID{1},
 	})
 	if len(env.take()) != 0 {
@@ -487,7 +487,7 @@ func TestShuffleOwnWalkDropped(t *testing.T) {
 
 func TestShuffleIntegrationSkipsKnownIDs(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.take()
 	n.addPassive(30)
 	n.integrateShuffle([]id.ID{1, 10, 30, 40}, nil)
@@ -532,8 +532,8 @@ func TestShuffleIntegrationPrefersEvictingSent(t *testing.T) {
 
 func TestOnCycleClearsDeadPendingNeighbor(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
-	n.Deliver(11, msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
 	n.addPassive(20)
 	env.take()
 	n.OnPeerDown(10) // sends NEIGHBOR to 20, pending
@@ -553,7 +553,7 @@ func TestOnCycleClearsDeadPendingNeighbor(t *testing.T) {
 func TestGossipTargetsExcludesSender(t *testing.T) {
 	n, _ := newTestNode(1)
 	for _, m := range []id.ID{10, 11, 12} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	targets := n.GossipTargets(0, 11)
 	if len(targets) != 2 {
@@ -600,7 +600,7 @@ func TestViewsStayDisjointAndBounded(t *testing.T) {
 		case 1:
 			n.OnCycle()
 		}
-		n.Deliver(from, m)
+		n.Deliver(from, &m)
 		env.take()
 
 		if got := len(n.Active()); got > cfg.ActiveSize {
@@ -624,10 +624,10 @@ func TestDisablePriorityRejectsEvenHigh(t *testing.T) {
 	env := newFakeEnv(1)
 	n := New(env, Config{DisablePriority: true})
 	for i := id.ID(10); i < id.ID(10+uint64(n.Config().ActiveSize)); i++ {
-		n.Deliver(i, msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
 	}
 	env.take()
-	n.Deliver(99, msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
+	n.Deliver(99, &msg.Message{Type: msg.Neighbor, Sender: 99, Priority: msg.HighPriority})
 	if n.ActiveContains(99) {
 		t.Error("priority mechanism disabled but high-priority request evicted a member")
 	}
@@ -635,9 +635,9 @@ func TestDisablePriorityRejectsEvenHigh(t *testing.T) {
 
 func TestStatsProgression(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Join, Sender: 10})
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 20, TTL: 0})
-	n.Deliver(10, msg.Message{Type: msg.Disconnect, Sender: 10})
+	n.Deliver(10, &msg.Message{Type: msg.Join, Sender: 10})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 20, TTL: 0})
+	n.Deliver(10, &msg.Message{Type: msg.Disconnect, Sender: 10})
 	env.take()
 	st := n.Stats()
 	if st.JoinsHandled != 1 || st.ForwardJoins != 1 || st.Disconnects != 1 {
@@ -650,7 +650,7 @@ func TestAccessors(t *testing.T) {
 	if n.Self() != 7 {
 		t.Error("Self wrong")
 	}
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	nb := n.Neighbors()
 	if len(nb) != 1 || nb[0] != 10 {
 		t.Errorf("Neighbors = %v", nb)
@@ -670,11 +670,11 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 func TestForwardJoinDeadRelayFallsBackToAccept(t *testing.T) {
 	n, env := newTestNode(1)
 	// Two active members; the only relay option (not the sender) is dead.
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
-	n.Deliver(11, msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
 	env.down[11] = true
 	env.take()
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 5})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 5})
 	if !n.ActiveContains(99) {
 		t.Error("joiner dropped when the relay was dead; must be accepted locally")
 	}
@@ -685,13 +685,13 @@ func TestForwardJoinDeadRelayFallsBackToAccept(t *testing.T) {
 
 func TestJoinRelayFailureTriggersPeerDown(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
-	n.Deliver(11, msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
 	env.down[11] = true
 	env.take()
 	// JOIN fans FORWARDJOIN to 10 and 11; the send to 11 fails and must
 	// purge it reactively (sendOrFail path).
-	n.Deliver(99, msg.Message{Type: msg.Join, Sender: 99})
+	n.Deliver(99, &msg.Message{Type: msg.Join, Sender: 99})
 	if n.ActiveContains(11) {
 		t.Error("dead fan-out target kept in active view")
 	}
@@ -702,10 +702,10 @@ func TestJoinRelayFailureTriggersPeerDown(t *testing.T) {
 
 func TestConnectToDeadJoinerHasNoEffect(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.down[99] = true
 	env.take()
-	n.Deliver(10, msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 0})
+	n.Deliver(10, &msg.Message{Type: msg.ForwardJoin, Sender: 10, Subject: 99, TTL: 0})
 	if n.ActiveContains(99) {
 		t.Error("dead joiner entered active view")
 	}
@@ -713,10 +713,10 @@ func TestConnectToDeadJoinerHasNoEffect(t *testing.T) {
 
 func TestShuffleReplyToDeadOriginIgnored(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.down[7] = true // the walk origin is dead
 	env.take()
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type: msg.Shuffle, Sender: 10, Subject: 7, TTL: 0, Nodes: []id.ID{7, 8},
 	})
 	// Exchange contents are still integrated locally even if the reply to
@@ -728,7 +728,7 @@ func TestShuffleReplyToDeadOriginIgnored(t *testing.T) {
 
 func TestDisconnectFromUnknownPeerIgnored(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(50, msg.Message{Type: msg.Disconnect, Sender: 50})
+	n.Deliver(50, &msg.Message{Type: msg.Disconnect, Sender: 50})
 	if len(env.take()) != 0 || n.Stats().Disconnects != 0 {
 		t.Error("DISCONNECT from a non-neighbor had effects")
 	}
@@ -736,8 +736,8 @@ func TestDisconnectFromUnknownPeerIgnored(t *testing.T) {
 
 func TestUnknownMessageTypeIgnored(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(50, msg.Message{Type: msg.Gossip, Sender: 50}) // gossip layer's job
-	n.Deliver(50, msg.Message{Type: msg.Type(200), Sender: 50})
+	n.Deliver(50, &msg.Message{Type: msg.Gossip, Sender: 50}) // gossip layer's job
+	n.Deliver(50, &msg.Message{Type: msg.Type(200), Sender: 50})
 	if len(env.take()) != 0 {
 		t.Error("unknown message produced traffic")
 	}
@@ -746,7 +746,7 @@ func TestUnknownMessageTypeIgnored(t *testing.T) {
 func TestRepairDoesNotRunWhenActiveFull(t *testing.T) {
 	n, env := newTestNode(1)
 	for i := id.ID(10); i < id.ID(10+uint64(n.Config().ActiveSize)); i++ {
-		n.Deliver(i, msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
 	}
 	n.addPassive(50)
 	env.take()
@@ -761,8 +761,8 @@ func TestRepairEpisodeResetsEachCycle(t *testing.T) {
 	// not give up forever — the next cycle retries (the candidate's view
 	// may have freed up meanwhile).
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
-	n.Deliver(11, msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
 	n.addPassive(20) // the only candidate
 	env.take()
 
@@ -773,7 +773,7 @@ func TestRepairEpisodeResetsEachCycle(t *testing.T) {
 	}
 	env.take()
 	// 20 rejects; the episode exhausts (no other candidates).
-	n.Deliver(20, msg.Message{Type: msg.NeighborReply, Sender: 20, Accept: false})
+	n.Deliver(20, &msg.Message{Type: msg.NeighborReply, Sender: 20, Accept: false})
 	if _, retried := env.lastOfType(msg.Neighbor); retried {
 		t.Fatal("exhausted episode still retried within the same event")
 	}

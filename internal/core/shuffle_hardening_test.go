@@ -50,7 +50,7 @@ func TestShuffleLiarListDoesNotPoisonViews(t *testing.T) {
 	// attacker).
 	n, env := newTestNode(1)
 	for _, m := range []id.ID{10, 11} {
-		n.Deliver(m, msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
+		n.Deliver(m, &msg.Message{Type: msg.Neighbor, Sender: m, Priority: msg.HighPriority})
 	}
 	for i := id.ID(30); i < 36; i++ {
 		n.addPassive(i)
@@ -61,7 +61,7 @@ func TestShuffleLiarListDoesNotPoisonViews(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		lies = append(lies, id.ID(1000+i))
 	}
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type: msg.Shuffle, Sender: 10, Subject: 66, TTL: 1, Nodes: lies,
 	})
 	if n.PassiveContains(1) || n.ActiveContains(1) {
@@ -85,12 +85,12 @@ func TestShuffleLiarListDoesNotPoisonViews(t *testing.T) {
 
 func TestUnsolicitedShuffleReplyDropped(t *testing.T) {
 	n, env := newTestNode(1)
-	n.Deliver(10, msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
 	env.take()
 
 	// No shuffle outstanding: a forged or reflected reply must be dropped at
 	// the boundary, not integrated.
-	n.Deliver(66, msg.Message{
+	n.Deliver(66, &msg.Message{
 		Type: msg.ShuffleReply, Sender: 66, Nodes: []id.ID{70, 71, 72},
 	})
 	for _, poisoned := range []id.ID{70, 71, 72} {
@@ -107,8 +107,8 @@ func TestUnsolicitedShuffleReplyDropped(t *testing.T) {
 	n.OnCycle()
 	env.take()
 	reply := msg.Message{Type: msg.ShuffleReply, Sender: 10, Nodes: []id.ID{80}}
-	n.Deliver(10, reply)
-	n.Deliver(10, reply)
+	n.Deliver(10, &reply)
+	n.Deliver(10, &reply)
 	if got := n.Stats().UnsolicitedShuffleReplies; got != 2 {
 		t.Errorf("UnsolicitedShuffleReplies = %d after duplicated reply, want 2", got)
 	}

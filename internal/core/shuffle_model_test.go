@@ -145,7 +145,7 @@ func TestShuffleHandlersAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		env.sent = env.sent[:0]
 		fresh(request.Nodes)
-		n.handleShuffle(request)
+		n.handleShuffle(&request)
 	}); allocs != 1 {
 		t.Errorf("an accepted SHUFFLE allocates %.0f, want 1 (the reply list)", allocs)
 	}
@@ -158,7 +158,7 @@ func TestShuffleHandlersAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.lastShuffleSent = sent
 		fresh(reply.Nodes)
-		n.handleShuffleReply(reply)
+		n.handleShuffleReply(&reply)
 	}); allocs != 0 {
 		t.Errorf("a SHUFFLEREPLY allocates %.0f, want 0", allocs)
 	}

@@ -241,7 +241,7 @@ func (n *Node) OnCycle() {
 }
 
 // Deliver implements peer.Membership.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.Join:
 		n.handleJoin(m.Subject)
@@ -281,7 +281,7 @@ func (n *Node) handleJoin(joiner id.ID) {
 	}
 }
 
-func (n *Node) handleJoinWalk(from id.ID, m msg.Message) {
+func (n *Node) handleJoinWalk(from id.ID, m *msg.Message) {
 	joiner := m.Subject
 	if joiner.IsNil() {
 		return
@@ -289,7 +289,7 @@ func (n *Node) handleJoinWalk(from id.ID, m msg.Message) {
 	if m.TTL > 0 && len(n.entries) > 0 {
 		// Keep walking.
 		target := n.entries[n.env.Rand().Intn(len(n.entries))].Node
-		fwd := m
+		fwd := *m
 		fwd.Sender = n.self
 		fwd.TTL = m.TTL - 1
 		if n.env.Send(target, fwd) == nil {
@@ -325,7 +325,7 @@ func (n *Node) handleJoinWalk(from id.ID, m msg.Message) {
 
 // --- Shuffle protocol ---------------------------------------------------------
 
-func (n *Node) handleShuffle(m msg.Message) {
+func (n *Node) handleShuffle(m *msg.Message) {
 	n.stats.ShufflesAnswered++
 	reply := n.sampleEntries(n.cfg.ShuffleLen)
 	// Reply over a temporary channel; if the initiator died meanwhile the
@@ -338,7 +338,7 @@ func (n *Node) handleShuffle(m msg.Message) {
 	n.integrate(m.Entries, reply)
 }
 
-func (n *Node) handleShuffleReply(m msg.Message) {
+func (n *Node) handleShuffleReply(m *msg.Message) {
 	sent := n.lastSent
 	n.lastSent = nil
 	n.integrate(m.Entries, sent)

@@ -115,7 +115,7 @@ func TestJoinSendsRequestAndLinksContact(t *testing.T) {
 func TestHandleJoinLaunchesWalks(t *testing.T) {
 	n, env := newTestNode(1, Config{ViewSize: 8, ShuffleLen: 4, JoinTTL: 5})
 	seedView(n, 10, 11, 12)
-	n.Deliver(99, msg.Message{Type: msg.Join, Sender: 99, Subject: 99})
+	n.Deliver(99, &msg.Message{Type: msg.Join, Sender: 99, Subject: 99})
 	walks := 0
 	for _, s := range env.take() {
 		if s.m.Type == msg.CyclonJoinWalk {
@@ -133,7 +133,7 @@ func TestHandleJoinLaunchesWalks(t *testing.T) {
 func TestJoinWalkForwardsWhileTTLLives(t *testing.T) {
 	n, env := newTestNode(1, Config{})
 	seedView(n, 10, 11)
-	n.Deliver(10, msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 3})
+	n.Deliver(10, &msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 3})
 	sent := env.take()
 	if len(sent) != 1 || sent[0].m.Type != msg.CyclonJoinWalk || sent[0].m.TTL != 2 {
 		t.Errorf("walk not forwarded: %+v", sent)
@@ -147,7 +147,7 @@ func TestJoinWalkEndSwapsEntry(t *testing.T) {
 	cfg := Config{ViewSize: 3, ShuffleLen: 2, JoinTTL: 5}
 	n, env := newTestNode(1, cfg)
 	seedView(n, 10, 11, 12) // full view
-	n.Deliver(10, msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 0})
+	n.Deliver(10, &msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 0})
 	if !n.has(99) {
 		t.Fatal("walk end did not adopt joiner")
 	}
@@ -171,7 +171,7 @@ func TestJoinWalkPreservesInDegree(t *testing.T) {
 	cfg := Config{ViewSize: 2, ShuffleLen: 2, JoinTTL: 5}
 	n, env := newTestNode(1, cfg)
 	seedView(n, 10, 11)
-	n.Deliver(10, msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 0})
+	n.Deliver(10, &msg.Message{Type: msg.CyclonJoinWalk, Sender: 10, Subject: 99, TTL: 0})
 	sent := env.take()
 	if len(sent) != 1 {
 		t.Fatalf("want 1 gift message, got %d", len(sent))
@@ -238,7 +238,7 @@ func TestOnCycleWithDeadOldestLosesShuffle(t *testing.T) {
 func TestHandleShuffleRepliesAndIntegrates(t *testing.T) {
 	n, env := newTestNode(1, Config{ViewSize: 10, ShuffleLen: 3, JoinTTL: 5})
 	seedView(n, 10, 11, 12)
-	n.Deliver(20, msg.Message{
+	n.Deliver(20, &msg.Message{
 		Type:    msg.CyclonShuffle,
 		Sender:  20,
 		Entries: []msg.Entry{{Node: 20, Age: 0}, {Node: 21, Age: 4}},
@@ -312,7 +312,7 @@ func TestViewNeverExceedsCapacity(t *testing.T) {
 		case 0:
 			n.integrate(es, nil)
 		case 1:
-			n.Deliver(id.ID(r.Intn(50)+2), msg.Message{Type: msg.CyclonShuffle, Sender: id.ID(r.Intn(50) + 2), Entries: es})
+			n.Deliver(id.ID(r.Intn(50)+2), &msg.Message{Type: msg.CyclonShuffle, Sender: id.ID(r.Intn(50) + 2), Entries: es})
 		case 2:
 			n.OnCycle()
 		}
@@ -389,7 +389,7 @@ func TestShuffleReplyIntegratesAgainstLastSent(t *testing.T) {
 	}
 	// The reply brings fresh entries; the view must absorb them without
 	// exceeding capacity, preferring to replace what was sent.
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type:    msg.CyclonShuffleReply,
 		Sender:  10,
 		Entries: []msg.Entry{{Node: 20}, {Node: 21}, {Node: 22}},
@@ -403,7 +403,7 @@ func TestShuffleReplyIntegratesAgainstLastSent(t *testing.T) {
 	// A second, duplicate reply must not be re-integrated against stale
 	// lastSent bookkeeping (it was cleared).
 	viewBefore := len(n.View())
-	n.Deliver(10, msg.Message{
+	n.Deliver(10, &msg.Message{
 		Type:    msg.CyclonShuffleReply,
 		Sender:  10,
 		Entries: []msg.Entry{{Node: 20}},

@@ -36,11 +36,11 @@ type flatMembership struct {
 
 var _ peer.Membership = (*flatMembership)(nil)
 
-func (f *flatMembership) Deliver(id.ID, msg.Message) {}
-func (f *flatMembership) OnCycle()                   {}
-func (f *flatMembership) Neighbors() []id.ID         { return append([]id.ID(nil), f.neighbors...) }
-func (f *flatMembership) OnPeerDown(id.ID)           {}
-func (f *flatMembership) NeighborVersion() uint64    { return 1 }
+func (f *flatMembership) Deliver(id.ID, *msg.Message) {}
+func (f *flatMembership) OnCycle()                    {}
+func (f *flatMembership) Neighbors() []id.ID          { return append([]id.ID(nil), f.neighbors...) }
+func (f *flatMembership) OnPeerDown(id.ID)            {}
+func (f *flatMembership) NeighborVersion() uint64     { return 1 }
 
 func (f *flatMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	f.scratch = f.scratch[:0]
@@ -67,14 +67,21 @@ func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 	n := New(env, mem, Config{Mode: Flood}, nil)
 
 	round := uint64(0)
+	// in stands for the environment's stored copy: Deliver may not keep the
+	// pointer, so the copy lives outside the measured loop, as it does in the
+	// simulator's arenas.
+	var in msg.Message
 	iteration := func() {
 		round++
 		// One fresh copy (delivered + forwarded) and two duplicates — the
 		// flood steady state, including dedup-window evictions once round
 		// exceeds the seen capacity.
-		n.Deliver(2, msg.Message{Type: msg.Gossip, Sender: 2, Round: round, Hops: 1, Payload: payload})
-		n.Deliver(3, msg.Message{Type: msg.Gossip, Sender: 3, Round: round, Hops: 2, Payload: payload})
-		n.Deliver(4, msg.Message{Type: msg.Gossip, Sender: 4, Round: round, Hops: 2, Payload: payload})
+		in = msg.Message{Type: msg.Gossip, Sender: 2, Round: round, Hops: 1, Payload: payload}
+		n.Deliver(2, &in)
+		in = msg.Message{Type: msg.Gossip, Sender: 3, Round: round, Hops: 2, Payload: payload}
+		n.Deliver(3, &in)
+		in = msg.Message{Type: msg.Gossip, Sender: 4, Round: round, Hops: 2, Payload: payload}
+		n.Deliver(4, &in)
 	}
 	// Warm past the seen window so the eviction path is exercised inside
 	// the measured runs too.

@@ -197,12 +197,12 @@ func New(env peer.Env, membership peer.Membership, cfg Config, onDeliver Deliver
 func (n *Node) Membership() peer.Membership { return n.membership }
 
 // Deliver implements peer.Process.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	if m.Type != msg.Gossip {
 		n.membership.Deliver(from, m)
 		return
 	}
-	n.receiveGossip(from, &m)
+	n.receiveGossip(from, m)
 }
 
 // OnCycle implements peer.Process by delegating to the membership protocol.
@@ -241,9 +241,10 @@ func (n *Node) BroadcastTopic(round uint64, topic uint32, payload []byte) {
 	n.forward(id.Nil, &n.fwdScratch)
 }
 
-// receiveGossip handles one incoming broadcast copy. m points at Deliver's
-// argument copy — by-reference purely to avoid another struct copy; it is
-// read-only here per the ownership rules.
+// receiveGossip handles one incoming broadcast copy. m is Deliver's pointer to
+// the environment's copy — in the simulator the stored body other receivers
+// of the same send may share — so it is read-only and not kept past the call;
+// the relay copies it into fwdScratch.
 func (n *Node) receiveGossip(from id.ID, m *msg.Message) {
 	if n.hasLast && m.Round == n.lastRound {
 		n.duplicates++

@@ -21,10 +21,10 @@ type fakeMembership struct {
 
 var _ peer.Membership = (*fakeMembership)(nil)
 
-func (f *fakeMembership) Deliver(_ id.ID, m msg.Message) { f.delivered = append(f.delivered, m) }
-func (f *fakeMembership) OnCycle()                       { f.cycles++ }
-func (f *fakeMembership) Neighbors() []id.ID             { return append([]id.ID(nil), f.neighbors...) }
-func (f *fakeMembership) OnPeerDown(p id.ID)             { f.downs = append(f.downs, p) }
+func (f *fakeMembership) Deliver(_ id.ID, m *msg.Message) { f.delivered = append(f.delivered, *m) }
+func (f *fakeMembership) OnCycle()                        { f.cycles++ }
+func (f *fakeMembership) Neighbors() []id.ID              { return append([]id.ID(nil), f.neighbors...) }
+func (f *fakeMembership) OnPeerDown(p id.ID)              { f.downs = append(f.downs, p) }
 
 func (f *fakeMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	var out []id.ID
@@ -101,7 +101,7 @@ func TestReceiveForwardsOnceExcludingSender(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3, 4}}
 	n := New(env, mem, Config{Mode: Flood}, nil)
 	g := msg.Message{Type: msg.Gossip, Sender: 2, Round: 9, Hops: 3}
-	n.Deliver(2, g)
+	n.Deliver(2, &g)
 	if len(env.sent) != 2 {
 		t.Fatalf("forwarded to %d peers, want 2 (sender excluded)", len(env.sent))
 	}
@@ -118,7 +118,7 @@ func TestReceiveForwardsOnceExcludingSender(t *testing.T) {
 	}
 	env.sent = nil
 	// Second copy: duplicate, must not forward.
-	n.Deliver(3, g)
+	n.Deliver(3, &g)
 	if len(env.sent) != 0 {
 		t.Error("duplicate was forwarded")
 	}
@@ -168,7 +168,7 @@ func TestNonGossipDelegatedToMembership(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.Shuffle, Sender: 2})
+	n.Deliver(2, &msg.Message{Type: msg.Shuffle, Sender: 2})
 	if len(mem.delivered) != 1 || mem.delivered[0].Type != msg.Shuffle {
 		t.Error("membership message not delegated")
 	}
@@ -198,7 +198,7 @@ func TestResetSeenAllowsRedelivery(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2}}
 	n := New(env, mem, Config{Mode: Flood}, nil)
-	n.Deliver(2, msg.Message{Type: msg.Gossip, Sender: 2, Round: 3})
+	n.Deliver(2, &msg.Message{Type: msg.Gossip, Sender: 2, Round: 3})
 	if !n.Seen(3) {
 		t.Fatal("round not marked seen")
 	}
@@ -228,8 +228,8 @@ func TestResetSeenRedeliveryCountsAgain(t *testing.T) {
 	var deliveries int
 	n := New(env, mem, Config{Mode: Flood}, func(uint64, uint32, []byte, int) { deliveries++ })
 	g := msg.Message{Type: msg.Gossip, Sender: 2, Round: 3}
-	n.Deliver(2, g)
-	n.Deliver(2, g)
+	n.Deliver(2, &g)
+	n.Deliver(2, &g)
 	d, dup, _, _ := n.Counters()
 	if d != 1 || dup != 1 || deliveries != 1 {
 		t.Fatalf("before reset: delivered=%d dup=%d callbacks=%d", d, dup, deliveries)
@@ -238,7 +238,7 @@ func TestResetSeenRedeliveryCountsAgain(t *testing.T) {
 	// redelivered afterwards counts (and is forwarded) as new. Experiments
 	// must only reset between bursts, which this behavior makes observable.
 	n.ResetSeen()
-	n.Deliver(2, g)
+	n.Deliver(2, &g)
 	d, dup, _, _ = n.Counters()
 	if d != 2 || dup != 1 || deliveries != 2 {
 		t.Errorf("after reset: delivered=%d dup=%d callbacks=%d, want 2 1 2", d, dup, deliveries)
@@ -249,7 +249,7 @@ func TestResetSeenRedeliveryCountsAgain(t *testing.T) {
 // node took it as a first delivery.
 func offer(n *Node, round uint64) bool {
 	before, _, _, _ := n.Counters()
-	n.Deliver(2, msg.Message{Type: msg.Gossip, Sender: 2, Round: round})
+	n.Deliver(2, &msg.Message{Type: msg.Gossip, Sender: 2, Round: round})
 	after, _, _, _ := n.Counters()
 	return after != before
 }

@@ -20,9 +20,9 @@ type meshMember struct {
 
 var _ peer.Membership = (*meshMember)(nil)
 
-func (m *meshMember) Deliver(id.ID, msg.Message) {}
-func (m *meshMember) OnCycle()                   {}
-func (m *meshMember) OnPeerDown(id.ID)           {}
+func (m *meshMember) Deliver(id.ID, *msg.Message) {}
+func (m *meshMember) OnCycle()                    {}
+func (m *meshMember) OnPeerDown(id.ID)            {}
 
 func (m *meshMember) Neighbors() []id.ID {
 	out := make([]id.ID, 0, m.n-1)

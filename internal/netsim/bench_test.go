@@ -24,12 +24,13 @@ type ringProc struct {
 	next id.ID
 }
 
-func (p *ringProc) Deliver(_ id.ID, m msg.Message) {
+func (p *ringProc) Deliver(_ id.ID, m *msg.Message) {
 	if m.TTL == 0 {
 		return
 	}
-	m.TTL--
-	_ = p.env.Send(p.next, m)
+	fwd := *m
+	fwd.TTL--
+	_ = p.env.Send(p.next, fwd)
 }
 
 func (p *ringProc) OnCycle() {}
@@ -87,4 +88,26 @@ func BenchmarkEngine1M(b *testing.B) {
 			benchEngineSharded(b, 1_000_000, shards)
 		})
 	}
+}
+
+// BenchmarkWaveHandoff measures what the shard workers cost per wave: a ring
+// of parallelMinWave nodes on two shards, each relaying one message per wave,
+// so every wave has exactly the smallest size that is run in parallel and the
+// hand-off between the coordinator and the worker is a large share of it.
+// One iteration is one Drain of 64 waves (workers started once, stopped
+// once); ns/wave is the figure to compare. At GOMAXPROCS 1 the waves run
+// serially and it measures the serial path instead.
+func BenchmarkWaveHandoff(b *testing.B) {
+	const waves = 64
+	s := buildRingSharded(parallelMinWave, 2)
+	injectWave(s, parallelMinWave, waves-1)
+	s.Drain() // grow the arenas, vectors and hold slab outside the timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		injectWave(s, parallelMinWave, waves-1)
+		s.Drain()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*waves), "ns/wave")
 }

@@ -86,9 +86,9 @@ type stager struct {
 
 func (p *stager) OnCycle() {}
 
-func (p *stager) Deliver(_ id.ID, m msg.Message) {
+func (p *stager) Deliver(_ id.ID, m *msg.Message) {
 	if m.Type != msg.Join { // not the trigger: something a stager sent
-		p.got = append(p.got, m)
+		p.got = append(p.got, *m)
 		return
 	}
 	send := p.env.(peer.RefSender).SendRef
@@ -194,7 +194,7 @@ type burster struct {
 
 func (p *burster) OnCycle() {}
 
-func (p *burster) Deliver(_ id.ID, m msg.Message) {
+func (p *burster) Deliver(_ id.ID, m *msg.Message) {
 	if m.Type != msg.Join {
 		return
 	}
@@ -317,11 +317,12 @@ type cycler struct {
 
 func (p *cycler) OnCycle() { _ = p.env.Send(p.next, msg.Message{Type: msg.Shuffle, TTL: 1}) }
 
-func (p *cycler) Deliver(_ id.ID, m msg.Message) {
+func (p *cycler) Deliver(_ id.ID, m *msg.Message) {
 	*p.peak = max(*p.peak, runtime.NumGoroutine())
 	if m.TTL > 0 {
-		m.TTL--
-		_ = p.env.Send(p.next, m)
+		fwd := *m
+		fwd.TTL--
+		_ = p.env.Send(p.next, fwd)
 	}
 }
 

@@ -134,8 +134,8 @@ type echoProc struct {
 	times []uint64
 }
 
-func (p *echoProc) Deliver(from id.ID, m msg.Message) { p.times = append(p.times, p.sim.Now()) }
-func (p *echoProc) OnCycle()                          {}
+func (p *echoProc) Deliver(from id.ID, m *msg.Message) { p.times = append(p.times, p.sim.Now()) }
+func (p *echoProc) OnCycle()                           {}
 
 // TestSimWithLatencyModelOrdersByDistance wires a Euclidean model into a Sim
 // and checks that deliveries happen in cost order and advance the clock.

@@ -157,14 +157,16 @@ type Sim struct {
 	instantActive bool
 	instant       uint64
 	// waveParallel gates parallel waves: more than one shard on a multi-P
-	// runtime (captured at construction). waveWG is the per-wave barrier the
-	// shard workers report to; workersUp says they are running (only ever
-	// inside a Drain or RunFor call) and workersWG joins them when the call
-	// returns.
+	// runtime (captured at construction). bar is the spinning barrier the
+	// coordinator and the shard workers meet at once per parallel wave;
+	// workersUp says the workers are running (only ever inside a Drain or
+	// RunFor call) and workersWG joins them when the call returns. spawn is
+	// startShardWorker as a func value (see there).
 	waveParallel bool
-	waveWG       sync.WaitGroup
 	workersUp    bool
+	bar          barrier
 	workersWG    sync.WaitGroup
+	spawn        func()
 
 	// pendingDowns queues failed or cut-off nodes whose live watchers (see
 	// shard.watching) implementing peer.FailureObserver are owed an

@@ -22,11 +22,11 @@ type recorder struct {
 	bounceTo id.ID // if set, every delivery is forwarded there
 }
 
-func (r *recorder) Deliver(from id.ID, m msg.Message) {
-	r.got = append(r.got, m)
+func (r *recorder) Deliver(from id.ID, m *msg.Message) {
+	r.got = append(r.got, *m)
 	r.from = append(r.from, from)
 	if !r.bounceTo.IsNil() {
-		_ = r.env.Send(r.bounceTo, m)
+		_ = r.env.Send(r.bounceTo, *m)
 	}
 }
 

@@ -122,7 +122,7 @@ func (o *oracle) run(until uint64, periodic bool) int {
 		if ev.kind == kindMessage && o.Tap != nil {
 			o.Tap(ev.from, n.self, ev.m)
 		}
-		n.proc.Deliver(ev.from, ev.m)
+		n.proc.Deliver(ev.from, &ev.m)
 		delivered++
 	}
 	if periodic {

@@ -38,11 +38,11 @@ type schedRecorder struct {
 	got  []msg.Message
 }
 
-func (r *schedRecorder) Deliver(from id.ID, m msg.Message) {
+func (r *schedRecorder) Deliver(from id.ID, m *msg.Message) {
 	if from != r.self {
 		r.t.Errorf("scheduler delivery from %v, want self %v", from, r.self)
 	}
-	r.got = append(r.got, m)
+	r.got = append(r.got, *m)
 }
 
 func (r *schedRecorder) OnCycle() {}

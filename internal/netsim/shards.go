@@ -57,9 +57,14 @@
 // Workers. With more than one shard on a multi-P runtime, waves of at least
 // parallelMinWave events are delivered in parallel: the coordinator runs
 // shard 0's slice itself and shards 1..S-1 each have a worker goroutine,
-// started at the first such wave of a Drain or RunFor call, fed one token per
-// wave through the shard's buffered channel, and stopped and joined before
-// the call returns. Sim needs no Close and leaks nothing between calls.
+// started at the first such wave of a Drain or RunFor call and stopped and
+// joined before the call returns. Sim needs no Close and leaks nothing
+// between calls. Coordinator and workers meet at a spinning barrier (see
+// barrier): a wave is published by bumping a generation counter and joined by
+// polling a done count, so no goroutine is parked and woken per wave. Both
+// sides yield their P with runtime.Gosched every spinYield polls, so a worker
+// polling through the coordinator's serial merge never starves another
+// goroutine of a P — not even with more shards than Ps.
 //
 // Shared mutable state during a parallel wave is confined to: the shard's
 // own buckets/outputs/arenas/stats, the destination node's process state
@@ -71,7 +76,9 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sync/atomic"
 	"unsafe"
 
 	"hyparview/internal/id"
@@ -91,6 +98,13 @@ const parallelMinWave = 64
 // misses in the out-of-order window, near enough that the lines are still
 // cached when the cursor arrives.
 const waveLookahead = 12
+
+// spinYield is how many barrier polls a spinning coordinator or worker makes
+// between runtime.Gosched calls: rare enough that a wave hand-off costs a
+// cache-line transfer, not a scheduler round trip, frequent enough that
+// goroutines sharing the spinner's P (other shard workers at shards >
+// GOMAXPROCS, the GC, the host's own goroutines) still run.
+const spinYield = 256
 
 // arenaChunk is the number of messages per arena or hold-slab chunk (40 KiB):
 // big enough that chunk bookkeeping is noise, small enough that a 300-node
@@ -229,12 +243,6 @@ type shard struct {
 	arenas [2]arena       // handler output bodies, indexed by wave parity
 	hold   []*msg.Message // free slots of this shard's hold slab
 
-	// work feeds the shard's worker one token per parallel wave: true runs
-	// the wave, false ends the worker. loop is the worker method value, built
-	// once so that starting a worker allocates no closure.
-	work chan bool
-	loop func()
-
 	// watching[d] is the set of nodes on this shard holding an open
 	// connection to d. Writes come only from this shard's nodes (their
 	// Watch/Unwatch), so no lock is needed; the coordinator unions the
@@ -284,21 +292,67 @@ func NewSharded(seed uint64, shards int) *Sim {
 			id:       i,
 			future:   make(map[uint64][]sevent),
 			watching: make(map[id.ID]map[id.ID]struct{}),
-			work:     make(chan bool, 1),
 		}
-		sh.loop = sh.worker
 	}
+	s.spawn = s.startShardWorker
 	return s
 }
 
-// worker is the body of the shard's worker goroutine: one wave per true
-// token, exit on false.
+// barrier is where the coordinator and the shard workers meet once per
+// parallel wave. The coordinator publishes a wave by bumping gen, and the stop
+// by storing genStop there; each worker polls gen, runs its shard's slice and
+// increments done; the coordinator runs shard 0's slice and then polls done
+// until every worker has reported. The atomics order everything else: what
+// the coordinator wrote before the bump is visible to a worker that saw it,
+// what a worker wrote before its increment is visible to the coordinator that
+// counted it. gen and done sit on cache lines of their own, so the polling
+// never touches a line the coordinator writes while it merges.
+type barrier struct {
+	_       [64]byte
+	gen     atomic.Uint64 // waves published in this Drain/RunFor call, or genStop
+	_       [56]byte
+	done    atomic.Int32 // workers finished with the current wave
+	claimed atomic.Int32 // shards claimed by starting workers
+	_       [56]byte
+}
+
+// genStop is the generation that tells the workers to exit.
+const genStop = math.MaxUint64
+
+// startShardWorker is the entry point of a worker goroutine: it claims the
+// next shard without a worker and runs its loop. Sim.spawn holds it as a
+// func value built once, because `go sh.worker()` would allocate a closure
+// binding sh on every start.
+func (s *Sim) startShardWorker() {
+	s.shards[s.bar.claimed.Add(1)].worker()
+}
+
+// worker is the body of the shard's worker goroutine: one wave per bump of
+// the barrier generation until the stop. It starts from generation 0, which
+// startWorkers stored before spawning it: this is the generation captured
+// before the first wave is published. A worker that loaded the counter itself
+// could load it after the coordinator had already published that wave, and
+// would then wait forever for the wave after it while the coordinator waits
+// for this one. It waits for the counter to reach the next generation, not to
+// equal it: a handler panicking on the coordinator's slice unwinds through
+// the deferred stop, which can land before a worker saw the wave's bump.
 func (sh *shard) worker() {
-	for <-sh.work {
+	s := sh.sim
+	for want := uint64(1); ; want++ {
+		gen := s.bar.gen.Load()
+		for polls := 1; gen < want; polls++ {
+			if polls%spinYield == 0 {
+				runtime.Gosched()
+			}
+			gen = s.bar.gen.Load()
+		}
+		if gen == genStop {
+			break
+		}
 		sh.runWave()
-		sh.sim.waveWG.Done()
+		s.bar.done.Add(1)
 	}
-	sh.sim.workersWG.Done()
+	s.workersWG.Done()
 }
 
 // shardOf returns the shard owning the node at table index idx.
@@ -586,12 +640,14 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 		s.inWave = true
 		if s.waveParallel && total >= parallelMinWave {
 			s.startWorkers()
-			s.waveWG.Add(len(s.shards) - 1)
-			for i := 1; i < len(s.shards); i++ {
-				s.shards[i].work <- true
-			}
+			s.bar.done.Store(0) // every worker reported the last wave: nobody adds concurrently
+			s.bar.gen.Add(1)
 			s.shards[0].runWave()
-			s.waveWG.Wait()
+			for polls, want := 1, int32(len(s.shards)-1); s.bar.done.Load() != want; polls++ {
+				if polls%spinYield == 0 {
+					runtime.Gosched()
+				}
+			}
 		} else {
 			for i := range s.shards {
 				s.shards[i].runWave()
@@ -625,15 +681,18 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 }
 
 // startWorkers launches the workers of shards 1..S-1 unless this Drain or
-// RunFor call already did.
+// RunFor call already did. The barrier is reset before any worker exists, so
+// every worker starts from generation 0 without reading it.
 func (s *Sim) startWorkers() {
 	if s.workersUp {
 		return
 	}
 	s.workersUp = true
+	s.bar.gen.Store(0)
+	s.bar.claimed.Store(0)
 	s.workersWG.Add(len(s.shards) - 1)
 	for i := 1; i < len(s.shards); i++ {
-		go s.shards[i].loop()
+		go s.spawn()
 	}
 }
 
@@ -642,9 +701,7 @@ func (s *Sim) stopWorkers() {
 	if !s.workersUp {
 		return
 	}
-	for i := 1; i < len(s.shards); i++ {
-		s.shards[i].work <- false
-	}
+	s.bar.gen.Store(genStop)
 	s.workersWG.Wait()
 	s.workersUp = false
 }
@@ -750,7 +807,10 @@ func (s *Sim) prePass() {
 // runWave delivers the shard's slice of the current wave. It runs on the
 // shard's worker for large waves and on the coordinator for small ones (and
 // always for shard 0); either way it touches only this shard's nodes, buckets,
-// output log, arenas, hold slab and counters.
+// output log, arenas, hold slab and counters. Deliver is handed the stored
+// body itself — an entry of the previous wave's arena or a hold slot — which
+// nothing writes until the handler has returned: this wave writes the other
+// arena, and a hold slot is released only after its delivery.
 func (sh *shard) runWave() {
 	s := sh.sim
 	// This wave's arena last held the output of two waves ago, which the wave
@@ -808,7 +868,7 @@ func (sh *shard) runWave() {
 				continue
 			}
 		}
-		dst.proc.Deliver(se.from, *se.m)
+		dst.proc.Deliver(se.from, se.m)
 		count++
 		if se.kind == kindMessage {
 			sh.stats.Delivered++

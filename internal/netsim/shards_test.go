@@ -60,7 +60,7 @@ type chatty struct {
 
 func (p *chatty) OnCycle() {}
 
-func (p *chatty) Deliver(from id.ID, m msg.Message) {
+func (p *chatty) Deliver(from id.ID, m *msg.Message) {
 	switch {
 	case m.Type == msg.Tick:
 		_ = p.env.Send(p.next, msg.Message{Type: msg.Gossip, Round: m.Round, TTL: 2})
@@ -68,8 +68,9 @@ func (p *chatty) Deliver(from id.ID, m msg.Message) {
 		if m.Round%3 == 0 {
 			p.env.After(m.Round%5, msg.Message{Type: msg.Tick, Round: 1000 + m.Round})
 		}
-		m.TTL--
-		_ = p.env.Send(p.next, m)
+		fwd := *m
+		fwd.TTL--
+		_ = p.env.Send(p.next, fwd)
 	}
 }
 

@@ -52,6 +52,14 @@ var ErrOverflow = errors.New("peer: send queue overflow")
 //   - Delivery callbacks (gossip.Delivery) receive the shared payload and
 //     must treat it as read-only; applications that need a private copy make
 //     one.
+//   - Deliver receives the message by pointer, and the pointee is the
+//     environment's: the simulator passes the body it stores (which other
+//     receivers of the same fan-out may share), the TCP agent a frame it owns.
+//     It is read-only and valid until Deliver returns. Every layer passes the
+//     same pointer down (pubsub → gossip|Plumtree → X-BOT → core, Cyclon or
+//     Scamp) and none writes through it or keeps it: a relay copies the
+//     struct (`fwd := *m`), and what must outlive the call is copied out —
+//     scalars by value, slices under the freeze rule above.
 //
 // msg.Message.Clone remains available for the rare caller that needs a
 // deeply owned copy (tests, persistence), but no protocol hot path uses it.
@@ -147,7 +155,9 @@ type RefSender interface {
 // gossip broadcast layer and to the experiment harness.
 type Membership interface {
 	// Deliver processes one membership protocol message from the network.
-	Deliver(from id.ID, m msg.Message)
+	// *m is read-only and valid until Deliver returns ("Message ownership"
+	// above): copy what must outlive the call, never the pointer.
+	Deliver(from id.ID, m *msg.Message)
 
 	// OnCycle executes one periodic membership step (the cyclic part of the
 	// protocol: HyParView and Cyclon shuffles, Scamp lease/heartbeats).
@@ -174,9 +184,12 @@ type Membership interface {
 }
 
 // Process is the unit the simulator schedules: message delivery plus the
-// periodic cycle hook.
+// periodic cycle hook. Deliver's *m is the environment's copy, read-only and
+// valid until Deliver returns ("Message ownership" above); the simulator
+// hands over the body it stores, so a handler that wrote through m would
+// change what later receivers of the same send see.
 type Process interface {
-	Deliver(from id.ID, m msg.Message)
+	Deliver(from id.ID, m *msg.Message)
 	OnCycle()
 }
 

@@ -66,10 +66,10 @@ type memMembership struct {
 
 var _ peer.Membership = (*memMembership)(nil)
 
-func (m *memMembership) Deliver(id.ID, msg.Message) {}
-func (m *memMembership) OnCycle()                   { m.cycles++ }
-func (m *memMembership) Neighbors() []id.ID         { return append([]id.ID(nil), m.view...) }
-func (m *memMembership) OnPeerDown(p id.ID)         { m.downs = append(m.downs, p) }
+func (m *memMembership) Deliver(id.ID, *msg.Message) {}
+func (m *memMembership) OnCycle()                    { m.cycles++ }
+func (m *memMembership) Neighbors() []id.ID          { return append([]id.ID(nil), m.view...) }
+func (m *memMembership) OnPeerDown(p id.ID)          { m.downs = append(m.downs, p) }
 
 func (m *memMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	var out []id.ID

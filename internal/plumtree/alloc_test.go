@@ -40,11 +40,11 @@ type versionedMembership struct {
 var _ peer.Membership = (*versionedMembership)(nil)
 var _ peer.NeighborVersioned = (*versionedMembership)(nil)
 
-func (f *versionedMembership) Deliver(id.ID, msg.Message) {}
-func (f *versionedMembership) OnCycle()                   {}
-func (f *versionedMembership) Neighbors() []id.ID         { return append([]id.ID(nil), f.neighbors...) }
-func (f *versionedMembership) OnPeerDown(id.ID)           {}
-func (f *versionedMembership) NeighborVersion() uint64    { return 1 }
+func (f *versionedMembership) Deliver(id.ID, *msg.Message) {}
+func (f *versionedMembership) OnCycle()                    {}
+func (f *versionedMembership) Neighbors() []id.ID          { return append([]id.ID(nil), f.neighbors...) }
+func (f *versionedMembership) OnPeerDown(id.ID)            {}
+func (f *versionedMembership) NeighborVersion() uint64     { return 1 }
 
 func (f *versionedMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	f.scratch = f.scratch[:0]
@@ -67,14 +67,21 @@ func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 	n := New(env, mem, Config{}, nil)
 
 	round := uint64(0)
+	// in stands for the environment's stored copy: Deliver may not keep the
+	// pointer, so the copy lives outside the measured loop, as it does in the
+	// simulator's arenas.
+	var in msg.Message
 	iteration := func() {
 		round++
 		// Fresh eager push from 2 (delivered, forwarded to eager peers,
 		// announced to lazy peers), a redundant copy from 3 (PRUNE + demote
 		// path), and a late IHAVE from 4 (already-seen optimization check).
-		n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: round, Hops: 1, Payload: payload})
-		n.Deliver(3, msg.Message{Type: msg.PlumtreeGossip, Sender: 3, Round: round, Hops: 2, Payload: payload})
-		n.Deliver(4, msg.Message{Type: msg.PlumtreeIHave, Sender: 4, Round: round, Hops: 2})
+		in = msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: round, Hops: 1, Payload: payload}
+		n.Deliver(2, &in)
+		in = msg.Message{Type: msg.PlumtreeGossip, Sender: 3, Round: round, Hops: 2, Payload: payload}
+		n.Deliver(3, &in)
+		in = msg.Message{Type: msg.PlumtreeIHave, Sender: 4, Round: round, Hops: 2}
+		n.Deliver(4, &in)
 	}
 	// Warm until the eager/lazy partition and the seen cache reach steady
 	// state, past the cache window so eviction recycling is measured too.
@@ -107,15 +114,15 @@ func TestVersionGateDropsStaleNonNeighbor(t *testing.T) {
 	n := New(env, mem, Config{}, nil)
 
 	// Sync the partition against the neighborhood {2, 3}.
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Hops: 1})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Hops: 1})
 
 	// Peer 9 is NOT a neighbor; its in-flight payload arrives anyway and
 	// promote() pulls it into the eager set.
-	n.Deliver(9, msg.Message{Type: msg.PlumtreeGossip, Sender: 9, Round: 2, Hops: 1})
+	n.Deliver(9, &msg.Message{Type: msg.PlumtreeGossip, Sender: 9, Round: 2, Hops: 1})
 
 	// The next delivery runs reconcile; the forced resync must prune 9 even
 	// though the membership version never moved.
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 3, Hops: 1})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 3, Hops: 1})
 	for _, p := range n.EagerPeers() {
 		if p == 9 {
 			t.Fatal("stale non-neighbor survived in the eager set behind the version gate")
@@ -138,10 +145,13 @@ func TestMissingRoundPathZeroAlloc(t *testing.T) {
 	n := New(env, mem, Config{}, nil)
 
 	round := uint64(0)
+	var in msg.Message // the environment's stored copy, as above
 	iteration := func() {
 		round++
-		n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: round, Hops: 1})
-		n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: round, Hops: 1})
+		in = msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: round, Hops: 1}
+		n.Deliver(2, &in)
+		in = msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: round, Hops: 1}
+		n.Deliver(3, &in)
 	}
 	for i := 0; i < DefaultCacheWindow+8; i++ {
 		iteration()

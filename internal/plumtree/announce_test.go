@@ -75,15 +75,15 @@ func TestAnnouncementOpensGraftRecovery(t *testing.T) {
 		got = append(got, r)
 	})
 	// The announcement a repaired peer would send on link formation:
-	n.Deliver(9, msg.Message{Type: msg.PlumtreeIHave, Sender: 9, Round: 12, Hops: 2})
+	n.Deliver(9, &msg.Message{Type: msg.PlumtreeIHave, Sender: 9, Round: 12, Hops: 2})
 	for _, tm := range env.Advance(3) { // missing-round timer fires
-		n.Deliver(5, tm)
+		n.Deliver(5, &tm)
 	}
 	grafts := env.sentOfType(msg.PlumtreeGraft)
 	if len(grafts) != 1 || grafts[0].to != 9 {
 		t.Fatalf("grafts = %v, want one to n9", grafts)
 	}
-	n.Deliver(9, msg.Message{Type: msg.PlumtreeGossip, Sender: 9, Round: 12, Payload: []byte("p")})
+	n.Deliver(9, &msg.Message{Type: msg.PlumtreeGossip, Sender: 9, Round: 12, Payload: []byte("p")})
 	if len(got) != 1 || got[0] != 12 {
 		t.Errorf("delivered = %v, want [12]", got)
 	}

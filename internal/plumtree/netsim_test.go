@@ -20,9 +20,9 @@ type staticMember struct {
 
 var _ peer.Membership = (*staticMember)(nil)
 
-func (s *staticMember) Deliver(id.ID, msg.Message) {}
-func (s *staticMember) OnCycle()                   {}
-func (s *staticMember) Neighbors() []id.ID         { return append([]id.ID(nil), s.neighbors...) }
+func (s *staticMember) Deliver(id.ID, *msg.Message) {}
+func (s *staticMember) OnCycle()                    {}
+func (s *staticMember) Neighbors() []id.ID          { return append([]id.ID(nil), s.neighbors...) }
 
 func (s *staticMember) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	var out []id.ID

@@ -297,7 +297,7 @@ func (n *Node) Config() Config { return n.cfg }
 // a scheduler Tick from the node itself carries a lower layer's periodic
 // round through this one, so the cyclic housekeeping rides along before the
 // tick descends.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.PlumtreeGossip:
 		n.onGossip(from, m)
@@ -381,7 +381,7 @@ func (n *Node) BroadcastTopic(round uint64, topic uint32, payload []byte) {
 }
 
 // onGossip handles an eager payload push.
-func (n *Node) onGossip(from id.ID, m msg.Message) {
+func (n *Node) onGossip(from id.ID, m *msg.Message) {
 	n.reconcile()
 	if (n.hasLast && m.Round == n.lastRound) || n.seen.Get(m.Round) != nil {
 		// Redundant copy: this link is not part of the tree. Demote it and
@@ -407,7 +407,7 @@ func (n *Node) onGossip(from id.ID, m msg.Message) {
 }
 
 // onIHave handles a lazy announcement from a peer.
-func (n *Node) onIHave(from id.ID, m msg.Message) {
+func (n *Node) onIHave(from id.ID, m *msg.Message) {
 	n.reconcile()
 	if c := n.seen.Get(m.Round); c != nil {
 		n.maybeOptimize(from, m.Hops, c)
@@ -462,7 +462,7 @@ func (n *Node) maybeOptimize(from id.ID, announcedHops uint16, c *cached) {
 // retained, the payload is resent. A payload that has aged out is never
 // answered with an empty frame — the requester would deliver that as the
 // message; it gets nothing and its timer falls through to the next announcer.
-func (n *Node) onGraft(from id.ID, m msg.Message) {
+func (n *Node) onGraft(from id.ID, m *msg.Message) {
 	n.reconcile()
 	n.promote(from)
 	n.control.GraftsRecvd++
@@ -507,7 +507,7 @@ func (n *Node) onPrune(from id.ID) {
 
 // onTimer handles a missing-message timer firing (a scheduler-delivered
 // self-addressed IHAVE).
-func (n *Node) onTimer(m msg.Message) {
+func (n *Node) onTimer(m *msg.Message) {
 	ms := n.miss.Get(m.Round)
 	if ms == nil {
 		return // delivered (or forgotten) while the timer was in flight

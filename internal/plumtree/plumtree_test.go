@@ -22,10 +22,10 @@ type fakeMembership struct {
 
 var _ peer.Membership = (*fakeMembership)(nil)
 
-func (f *fakeMembership) Deliver(_ id.ID, m msg.Message) { f.delivered = append(f.delivered, m) }
-func (f *fakeMembership) OnCycle()                       { f.cycles++ }
-func (f *fakeMembership) Neighbors() []id.ID             { return append([]id.ID(nil), f.neighbors...) }
-func (f *fakeMembership) OnPeerDown(p id.ID)             { f.downs = append(f.downs, p) }
+func (f *fakeMembership) Deliver(_ id.ID, m *msg.Message) { f.delivered = append(f.delivered, *m) }
+func (f *fakeMembership) OnCycle()                        { f.cycles++ }
+func (f *fakeMembership) Neighbors() []id.ID              { return append([]id.ID(nil), f.neighbors...) }
+func (f *fakeMembership) OnPeerDown(p id.ID)              { f.downs = append(f.downs, p) }
 
 func (f *fakeMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	var out []id.ID
@@ -122,7 +122,7 @@ func TestFirstCopyForwardedDuplicatePruned(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3, 4}}
 	n := New(env, mem, Config{}, nil)
 	g := msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 9, Hops: 3, Payload: []byte("p")}
-	n.Deliver(2, g)
+	n.Deliver(2, &g)
 	gossips := env.sentOfType(msg.PlumtreeGossip)
 	if len(gossips) != 2 {
 		t.Fatalf("forwarded to %d peers, want 2 (sender excluded)", len(gossips))
@@ -139,7 +139,7 @@ func TestFirstCopyForwardedDuplicatePruned(t *testing.T) {
 
 	// A second copy from another neighbor is redundant: that link leaves the
 	// tree (PRUNE) and is demoted to lazy.
-	n.Deliver(3, g)
+	n.Deliver(3, &g)
 	prunes := env.sentOfType(msg.PlumtreePrune)
 	if len(prunes) != 1 || prunes[0].to != 3 {
 		t.Fatalf("prunes = %v, want one to n3", prunes)
@@ -160,7 +160,7 @@ func TestLazyPeersGetIHaveNotPayload(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(3, msg.Message{Type: msg.PlumtreePrune, Sender: 3})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3})
 	env.sent = nil
 
 	n.Broadcast(5, []byte("y"))
@@ -181,7 +181,7 @@ func TestPruneReceptionDemotesLink(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreePrune, Sender: 2})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreePrune, Sender: 2})
 	if !reflect.DeepEqual(n.LazyPeers(), []id.ID{2}) {
 		t.Errorf("lazy = %v, want [n2]", n.LazyPeers())
 	}
@@ -192,7 +192,7 @@ func TestIHaveForUnseenStartsTimerThenGrafts(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{TimerDelay: 5}, nil)
 
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
 	if env.Pending() != 1 {
 		t.Fatalf("scheduled timers = %d, want one missing-message timer", env.Pending())
 	}
@@ -207,7 +207,7 @@ func TestIHaveForUnseenStartsTimerThenGrafts(t *testing.T) {
 		t.Fatalf("fired = %v, want one self-addressed IHAVE for round 4", timers)
 	}
 	env.sent = nil
-	n.Deliver(1, timers[0])
+	n.Deliver(1, &timers[0])
 	grafts := env.sentOfType(msg.PlumtreeGraft)
 	if len(grafts) != 1 || grafts[0].to != 2 || grafts[0].m.Round != 4 || !grafts[0].m.Accept {
 		t.Fatalf("grafts = %v, want retransmission request to n2 for round 4", grafts)
@@ -221,13 +221,13 @@ func TestTimerCancelledByDelivery(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{TimerDelay: 5}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
 
 	// The eager copy arrives before the timer fires.
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGossip, Sender: 3, Round: 4})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGossip, Sender: 3, Round: 4})
 	env.sent = nil
 	for _, tm := range env.Advance(5) {
-		n.Deliver(1, tm)
+		n.Deliver(1, &tm)
 	}
 	if len(env.sent) != 0 {
 		t.Errorf("expired timer for a delivered round acted: %v", env.sent)
@@ -238,11 +238,11 @@ func TestGraftTriggersRetransmission(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 6, Hops: 1, Payload: []byte("z")})
-	n.Deliver(3, msg.Message{Type: msg.PlumtreePrune, Sender: 3}) // n3 now lazy
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 6, Hops: 1, Payload: []byte("z")})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3}) // n3 now lazy
 	env.sent = nil
 
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 6, Accept: true})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 6, Accept: true})
 	gossips := env.sentOfType(msg.PlumtreeGossip)
 	if len(gossips) != 1 || gossips[0].to != 3 {
 		t.Fatalf("retransmissions = %v, want one to n3", gossips)
@@ -259,12 +259,12 @@ func TestGraftWithoutRetransmissionRequest(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2}}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 6})
-	n.Deliver(2, msg.Message{Type: msg.PlumtreePrune, Sender: 2})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 6})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreePrune, Sender: 2})
 	env.sent = nil
 
 	// Accept=false is the optimization graft: re-eager the link, no payload.
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGraft, Sender: 2, Round: 6, Accept: false})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGraft, Sender: 2, Round: 6, Accept: false})
 	if len(env.sentOfType(msg.PlumtreeGossip)) != 0 {
 		t.Error("optimization graft triggered a retransmission")
 	}
@@ -278,13 +278,13 @@ func TestOptimizationSwapsEagerAndLazy(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{OptimizeThreshold: 2}, nil)
 	// Deliver through n2 at hop count 9.
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 8, Hops: 8})
-	n.Deliver(3, msg.Message{Type: msg.PlumtreePrune, Sender: 3}) // n3 lazy
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 8, Hops: 8})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3}) // n3 lazy
 	env.sent = nil
 
 	// n3 announces the same round at hop 2: the path via n3 (3 hops) beats
 	// ours (9) by more than the threshold, so the links swap.
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 8, Hops: 2})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 8, Hops: 2})
 	grafts := env.sentOfType(msg.PlumtreeGraft)
 	if len(grafts) != 1 || grafts[0].to != 3 || grafts[0].m.Accept {
 		t.Fatalf("grafts = %v, want optimization graft to n3", grafts)
@@ -305,12 +305,12 @@ func TestOptimizationRespectsThreshold(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{OptimizeThreshold: 4}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 8, Hops: 4}) // delivered at 5
-	n.Deliver(3, msg.Message{Type: msg.PlumtreePrune, Sender: 3})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 8, Hops: 4}) // delivered at 5
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3})
 	env.sent = nil
 
 	// Announced path delivers at 3: an improvement of 2 < threshold 4.
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 8, Hops: 2})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 8, Hops: 2})
 	if len(env.sent) != 0 {
 		t.Errorf("sub-threshold improvement acted: %v", env.sent)
 	}
@@ -350,7 +350,7 @@ func TestReconcileTracksMembershipChanges(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
 	n.Broadcast(1, nil)
-	n.Deliver(3, msg.Message{Type: msg.PlumtreePrune, Sender: 3})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3})
 
 	// n3 leaves the overlay, n4 joins.
 	mem.neighbors = []id.ID{2, 4}
@@ -384,7 +384,7 @@ func TestMembershipMessagesDelegated(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.Shuffle, Sender: 2})
+	n.Deliver(2, &msg.Message{Type: msg.Shuffle, Sender: 2})
 	if len(mem.delivered) != 1 || mem.delivered[0].Type != msg.Shuffle {
 		t.Error("membership message not delegated")
 	}
@@ -409,8 +409,8 @@ func TestResetSeenClearsDeliveryAndMissingState(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{TimerDelay: 5}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 3})
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 99})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 3})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 99})
 	if !n.Seen(3) {
 		t.Fatal("round not marked seen")
 	}
@@ -420,7 +420,7 @@ func TestResetSeenClearsDeliveryAndMissingState(t *testing.T) {
 	}
 	env.sent = nil
 	for _, tm := range env.Advance(5) {
-		n.Deliver(1, tm) // stale timer for a forgotten round
+		n.Deliver(1, &tm) // stale timer for a forgotten round
 	}
 	if len(env.sent) != 0 {
 		t.Errorf("stale timer acted after ResetSeen: %v", env.sent)
@@ -435,11 +435,11 @@ func TestOnCycleRearmsStalledRepair(t *testing.T) {
 
 	// Two announcers; the first graft target is dead, so the expiry falls
 	// through to the second announcer immediately.
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 4, Hops: 1})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeIHave, Sender: 2, Round: 4, Hops: 1})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 4, Hops: 1})
 	env.sent = nil
 	// Fire the missing-message timer by hand.
-	n.Deliver(1, msg.Message{Type: msg.PlumtreeIHave, Sender: 1, Round: 4})
+	n.Deliver(1, &msg.Message{Type: msg.PlumtreeIHave, Sender: 1, Round: 4})
 	grafts := env.sentOfType(msg.PlumtreeGraft)
 	if len(grafts) != 1 || grafts[0].to != 3 {
 		t.Fatalf("grafts = %v, want fall-through to n3", grafts)

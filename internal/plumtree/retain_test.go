@@ -257,21 +257,21 @@ func TestOversizePayloadKeptUntilNext(t *testing.T) {
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
 	big := make([]byte, retainBudget+1)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Payload: big})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Payload: big})
 	env.sent = nil
 
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
 	gossips := env.sentOfType(msg.PlumtreeGossip)
 	if len(gossips) != 1 || len(gossips[0].m.Payload) != len(big) {
 		t.Fatalf("graft for the oversize round answered with %d frames, want one carrying its payload", len(gossips))
 	}
 
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 2, Payload: []byte("x")})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 2, Payload: []byte("x")})
 	if b := reachablePayloadBytes(n); b != 1 {
 		t.Errorf("%d payload bytes reachable after the next round, want 1", b)
 	}
 	env.sent = nil
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
 	if got := env.sentOfType(msg.PlumtreeGossip); len(got) != 0 {
 		t.Errorf("graft for a dropped payload answered with %d frames", len(got))
 	}
@@ -294,16 +294,16 @@ func TestEmptyPayloadsBypassRing(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{}, nil)
-	n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Payload: []byte("kept")})
+	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 1, Payload: []byte("kept")})
 	for r := uint64(2); r < DefaultCacheWindow; r++ {
-		n.Deliver(2, msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: r, Hops: 4})
+		n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: r, Hops: 4})
 	}
 	if n.ring.n != 1 || n.ring.bytes != 4 {
 		t.Fatalf("ring holds %d entries / %d bytes, want the one non-empty payload", n.ring.n, n.ring.bytes)
 	}
 	env.sent = nil
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 7, Accept: true})
-	n.Deliver(3, msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 7, Accept: true})
+	n.Deliver(3, &msg.Message{Type: msg.PlumtreeGraft, Sender: 3, Round: 1, Accept: true})
 	gossips := env.sentOfType(msg.PlumtreeGossip)
 	if len(gossips) != 2 {
 		t.Fatalf("retransmissions = %v, want both grafts served", gossips)

@@ -379,7 +379,7 @@ func (r *Router) PendingMessages() int {
 // Deliver implements peer.Process. The router's own flush tick triggers a
 // flush; every message — including the tick, which descends the stack per
 // the msg.Tick convention — is handed to the inner broadcaster.
-func (r *Router) Deliver(from id.ID, m msg.Message) {
+func (r *Router) Deliver(from id.ID, m *msg.Message) {
 	if m.Type == msg.Tick && from == r.self && m.Round == msg.TickPubSubFlush {
 		r.Flush()
 	}

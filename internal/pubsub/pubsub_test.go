@@ -25,10 +25,10 @@ type fakeMembership struct {
 
 var _ peer.Membership = (*fakeMembership)(nil)
 
-func (f *fakeMembership) Deliver(_ id.ID, m msg.Message) { f.delivered = append(f.delivered, m) }
-func (f *fakeMembership) OnCycle()                       { f.cycles++ }
-func (f *fakeMembership) Neighbors() []id.ID             { return append([]id.ID(nil), f.neighbors...) }
-func (f *fakeMembership) OnPeerDown(p id.ID)             { f.downs = append(f.downs, p) }
+func (f *fakeMembership) Deliver(_ id.ID, m *msg.Message) { f.delivered = append(f.delivered, *m) }
+func (f *fakeMembership) OnCycle()                        { f.cycles++ }
+func (f *fakeMembership) Neighbors() []id.ID              { return append([]id.ID(nil), f.neighbors...) }
+func (f *fakeMembership) OnPeerDown(p id.ID)              { f.downs = append(f.downs, p) }
 
 func (f *fakeMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	out := f.scratch[:0]
@@ -143,7 +143,7 @@ func TestRemoteDeliveryUnpacksIntoSubscribers(t *testing.T) {
 	var rx []got
 	collect(r, 9, &rx)
 	// A remote tagged round arrives through the normal broadcast path.
-	r.Deliver(5, msg.Message{Type: msg.Gossip, Sender: 5, Round: 99, Hops: 2, Topic: 9, Payload: []byte("remote")})
+	r.Deliver(5, &msg.Message{Type: msg.Gossip, Sender: 5, Round: 99, Hops: 2, Topic: 9, Payload: []byte("remote")})
 	if len(rx) != 1 || rx[0] != (got{9, "remote", 3}) {
 		t.Fatalf("remote delivery = %+v", rx)
 	}
@@ -228,7 +228,7 @@ func TestFlushTickDrainsPendingBatches(t *testing.T) {
 		t.Fatal("flushed before the tick")
 	}
 	for _, m := range env.ManualScheduler.Advance(10) {
-		r.Deliver(env.self, m)
+		r.Deliver(env.self, &m)
 	}
 	if len(env.sent) != 1 || len(rx) != 1 {
 		t.Fatalf("after tick: sent=%d delivered=%d", len(env.sent), len(rx))

@@ -274,7 +274,7 @@ func (n *Node) resubscribe() {
 }
 
 // Deliver implements peer.Membership.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.ScampSubscribe:
 		n.handleSubscribe(m.Subject)
@@ -318,7 +318,7 @@ func (n *Node) handleSubscribe(subscriber id.ID) {
 	}
 }
 
-func (n *Node) handleForwardSub(m msg.Message) {
+func (n *Node) handleForwardSub(m *msg.Message) {
 	subscriber := m.Subject
 	if subscriber.IsNil() || subscriber == n.self {
 		return
@@ -342,7 +342,7 @@ func (n *Node) handleForwardSub(m msg.Message) {
 	if !ok {
 		return
 	}
-	fwd := m
+	fwd := *m
 	fwd.Sender = n.self
 	fwd.TTL = m.TTL - 1
 	_ = n.env.Send(target, fwd)
@@ -358,7 +358,7 @@ func (n *Node) keep(subscriber id.ID) {
 	_ = n.env.Send(subscriber, msg.Message{Type: msg.ScampKept, Sender: n.self})
 }
 
-func (n *Node) handleUnsubscribe(m msg.Message) {
+func (n *Node) handleUnsubscribe(m *msg.Message) {
 	leaver := m.Subject
 	if !n.partial.Remove(leaver) {
 		return

@@ -101,7 +101,7 @@ func TestSubscribeFanoutIsViewPlusC(t *testing.T) {
 	for _, m := range []id.ID{10, 11, 12} {
 		n.partial.Add(m)
 	}
-	n.Deliver(99, msg.Message{Type: msg.ScampSubscribe, Sender: 99, Subject: 99})
+	n.Deliver(99, &msg.Message{Type: msg.ScampSubscribe, Sender: 99, Subject: 99})
 	fwd := 0
 	for _, s := range env.take() {
 		if s.m.Type == msg.ScampForwardSub {
@@ -119,7 +119,7 @@ func TestSubscribeFanoutIsViewPlusC(t *testing.T) {
 func TestSubscribeToLonelyContactKeepsDirectly(t *testing.T) {
 	env := newFakeEnv(1)
 	n := New(env, Config{})
-	n.Deliver(99, msg.Message{Type: msg.ScampSubscribe, Sender: 99, Subject: 99})
+	n.Deliver(99, &msg.Message{Type: msg.ScampSubscribe, Sender: 99, Subject: 99})
 	if pv := n.PartialView(); len(pv) != 1 || pv[0] != 99 {
 		t.Errorf("PartialView = %v, want [n99]", pv)
 	}
@@ -134,7 +134,7 @@ func TestForwardSubTTLGuardKeeps(t *testing.T) {
 	env := newFakeEnv(1)
 	n := New(env, Config{})
 	n.partial.Add(10)
-	n.Deliver(10, msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 99, TTL: 1})
+	n.Deliver(10, &msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 99, TTL: 1})
 	if !n.partial.Contains(99) {
 		t.Error("TTL-exhausted subscription dropped instead of kept")
 	}
@@ -145,8 +145,8 @@ func TestForwardSubNeverKeepsSelfOrDup(t *testing.T) {
 	n := New(env, Config{})
 	n.partial.Add(99)
 	for i := 0; i < 50; i++ {
-		n.Deliver(10, msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 99, TTL: 1})
-		n.Deliver(10, msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 1, TTL: 1})
+		n.Deliver(10, &msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 99, TTL: 1})
+		n.Deliver(10, &msg.Message{Type: msg.ScampForwardSub, Sender: 10, Subject: 1, TTL: 1})
 	}
 	env.take()
 	count := 0
@@ -166,7 +166,7 @@ func TestForwardSubNeverKeepsSelfOrDup(t *testing.T) {
 func TestKeptUpdatesInView(t *testing.T) {
 	env := newFakeEnv(1)
 	n := New(env, Config{})
-	n.Deliver(42, msg.Message{Type: msg.ScampKept, Sender: 42})
+	n.Deliver(42, &msg.Message{Type: msg.ScampKept, Sender: 42})
 	if iv := n.InView(); len(iv) != 1 || iv[0] != 42 {
 		t.Errorf("InView = %v, want [n42]", iv)
 	}
@@ -186,7 +186,7 @@ func TestHeartbeatsSentAndConsumed(t *testing.T) {
 		t.Errorf("sent = %+v, want heartbeat to n10", sent)
 	}
 	// Receiving a heartbeat refreshes lastHeard.
-	n.Deliver(10, msg.Message{Type: msg.ScampHeartbeat, Sender: 10})
+	n.Deliver(10, &msg.Message{Type: msg.ScampHeartbeat, Sender: 10})
 	if n.lastHeard != n.cycle {
 		t.Error("heartbeat did not refresh lastHeard")
 	}
@@ -219,7 +219,7 @@ func TestLeaseResubscription(t *testing.T) {
 	n.partial.Add(10)
 	for i := 0; i < 9; i++ {
 		n.OnCycle()
-		n.Deliver(10, msg.Message{Type: msg.ScampHeartbeat, Sender: 10})
+		n.Deliver(10, &msg.Message{Type: msg.ScampHeartbeat, Sender: 10})
 	}
 	resubs := 0
 	for _, s := range env.take() {
@@ -260,7 +260,7 @@ func TestHandleUnsubscribeAdoptsReplacement(t *testing.T) {
 	env := newFakeEnv(1)
 	n := New(env, Config{})
 	n.partial.Add(50)
-	n.Deliver(50, msg.Message{
+	n.Deliver(50, &msg.Message{
 		Type: msg.ScampUnsubscribe, Sender: 50, Subject: 50, Nodes: []id.ID{60},
 	})
 	if n.partial.Contains(50) {

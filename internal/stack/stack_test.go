@@ -240,7 +240,7 @@ func TestAssembly(t *testing.T) {
 					var gotTicks []uint64
 					for _, m := range due {
 						gotTicks = append(gotTicks, m.Round)
-						s.Top.Deliver(self, m)
+						s.Top.Deliver(self, &m)
 					}
 					if fmt.Sprint(gotTicks) != fmt.Sprint(wantTicks) {
 						t.Errorf("ticks due after one round = %v, want %v", gotTicks, wantTicks)

@@ -343,13 +343,17 @@ func (a *Agent) loop() {
 	if a.probeTicker != nil {
 		probe = a.probeTicker.C
 	}
+	// op is the frame being dispatched. The stack is handed a pointer to its
+	// message, so op lives on the heap: declared once here, it is one
+	// allocation per agent rather than one per frame.
+	var op inboxOp
 	for {
 		select {
-		case op := <-a.inbox:
+		case op = <-a.inbox:
 			if op.fn != nil {
 				op.fn()
 			} else {
-				a.dispatch(op.from, op.m)
+				a.dispatch(op.from, &op.m)
 			}
 		case <-probe:
 			a.onProbeTick()
@@ -361,8 +365,9 @@ func (a *Agent) loop() {
 
 // dispatch routes one network delivery on the actor goroutine: the RTT
 // measurement traffic is answered here, everything else descends the
-// broadcast/optimizer/membership stack.
-func (a *Agent) dispatch(from id.ID, m msg.Message) {
+// broadcast/optimizer/membership stack. *m belongs to the actor loop and is
+// read-only until dispatch returns.
+func (a *Agent) dispatch(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.Ping:
 		// Echo the nonce back. A pinger we hold a cached connection to gets

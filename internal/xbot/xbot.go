@@ -320,7 +320,7 @@ func (n *Node) OnPeerDown(peerID id.ID) {
 // everything else reaches the wrapped protocol. Scheduler ticks addressed to
 // this layer (optimization rounds, handshake expiry sweeps) are recognized
 // by their kind; every other tick descends to the wrapped protocol.
-func (n *Node) Deliver(from id.ID, m msg.Message) {
+func (n *Node) Deliver(from id.ID, m *msg.Message) {
 	switch m.Type {
 	case msg.Tick:
 		if from == n.self {
@@ -519,7 +519,7 @@ func (n *Node) protected(peer id.ID) bool {
 // onOptimizationReply closes the initiator's handshake: on acceptance the
 // candidate link is committed and the old link — if the 4-node path has not
 // already dissolved it via DISCONNECTWAIT — is torn down directly.
-func (n *Node) onOptimizationReply(from id.ID, m msg.Message) {
+func (n *Node) onOptimizationReply(from id.ID, m *msg.Message) {
 	st := n.pending
 	if st == nil || st.candidate != from {
 		return // stale or duplicated reply
@@ -545,7 +545,7 @@ func (n *Node) onOptimizationReply(from id.ID, m msg.Message) {
 // onOptimization evaluates a proposal from initiator i. A free active slot
 // accepts immediately; a full view delegates to the neighbor d this node
 // would evict, provided trading d for i is itself an improvement.
-func (n *Node) onOptimization(from id.ID, m msg.Message) {
+func (n *Node) onOptimization(from id.ID, m *msg.Message) {
 	if from == n.self || from.IsNil() || n.inner.ActiveContains(from) {
 		// Already linked (or malformed): nothing to optimize.
 		n.send(from, msg.Message{
@@ -589,7 +589,7 @@ func (n *Node) onOptimization(from id.ID, m msg.Message) {
 // onReplaceReply completes the candidate's side of the 4-node path: on
 // acceptance the evictee link is gone (d tore it down) and the initiator
 // link is committed.
-func (n *Node) onReplaceReply(from id.ID, m msg.Message) {
+func (n *Node) onReplaceReply(from id.ID, m *msg.Message) {
 	initiator := m.Subject
 	st := n.asCandidate[initiator]
 	if st == nil || st.evictee != from {
@@ -619,7 +619,7 @@ func (n *Node) onReplaceReply(from id.ID, m msg.Message) {
 // onReplace evaluates the swap from d's perspective: accept only when the
 // total cost of the two new links beats the two old ones, the candidate link
 // is not protected, and the initiator's old neighbor is reachable.
-func (n *Node) onReplace(from id.ID, m msg.Message) {
+func (n *Node) onReplace(from id.ID, m *msg.Message) {
 	n.stats.ReplacesHandled++
 	if len(m.Nodes) != 1 {
 		return // malformed
@@ -670,7 +670,7 @@ func (n *Node) onReplace(from id.ID, m msg.Message) {
 // onSwitchReply completes d's side: on acceptance the candidate link is
 // dissolved (DISCONNECTWAIT) and the link to the initiator's old neighbor is
 // committed; either way the outcome is relayed to the candidate.
-func (n *Node) onSwitchReply(from id.ID, m msg.Message) {
+func (n *Node) onSwitchReply(from id.ID, m *msg.Message) {
 	initiator := m.Subject
 	st := n.asDisc[initiator]
 	if st == nil || st.old != from {
@@ -694,7 +694,7 @@ func (n *Node) onSwitchReply(from id.ID, m msg.Message) {
 
 // onSwitch is the last negotiation step: o trades its link to the initiator
 // for a link to d, unless the initiator link is protected or already gone.
-func (n *Node) onSwitch(from id.ID, m msg.Message) {
+func (n *Node) onSwitch(from id.ID, m *msg.Message) {
 	n.stats.SwitchesHandled++
 	initiator := m.Subject
 	accept := n.inner.ActiveContains(initiator) &&

@@ -88,7 +88,7 @@ type stubMembership struct {
 	demoted  []id.ID
 }
 
-func (s *stubMembership) Deliver(id.ID, msg.Message)       {}
+func (s *stubMembership) Deliver(id.ID, *msg.Message)      {}
 func (s *stubMembership) OnCycle()                         {}
 func (s *stubMembership) OnPeerDown(id.ID)                 {}
 func (s *stubMembership) GossipTargets(int, id.ID) []id.ID { return nil }
@@ -185,7 +185,7 @@ func TestDisconnectedRejectsUnmeasuredSwap(t *testing.T) {
 	n, m, env := newTestNode(8, 2, Config{ProtectTopK: 0}, oracle)
 	n.cfg.ProtectTopK = 0
 	m.active = []id.ID{5, 6}
-	n.Deliver(5, msg.Message{
+	n.Deliver(5, &msg.Message{
 		Type: msg.XBotReplace, Sender: 5, Subject: 7, Nodes: []id.ID{9},
 		CostOld: 100, CostNew: 10,
 	})
@@ -266,7 +266,7 @@ func TestCandidateDirectAcceptWithFreeSlot(t *testing.T) {
 	oracle := mapOracle{}
 	n, m, env := newTestNode(5, 3, Config{}, oracle)
 	m.active = []id.ID{6}
-	n.Deliver(9, msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 100, CostNew: 20})
+	n.Deliver(9, &msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 100, CostNew: 20})
 	reply, ok := env.lastOfType(msg.XBotOptimizationReply)
 	if !ok || reply.to != 9 {
 		t.Fatal("no reply to the initiator")
@@ -289,7 +289,7 @@ func TestCandidateDelegatesToEvictee(t *testing.T) {
 	oracle.set(5, 9, 10) // the initiator i: cheaper than d, worth trading
 	n, m, env := newTestNode(5, 2, Config{}, oracle)
 	m.active = []id.ID{6, 8}
-	n.Deliver(9, msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 100, CostNew: 10})
+	n.Deliver(9, &msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 100, CostNew: 10})
 	rep, ok := env.lastOfType(msg.XBotReplace)
 	if !ok {
 		t.Fatal("full candidate did not delegate via REPLACE")
@@ -316,7 +316,7 @@ func TestCandidateRejectsWorseInitiator(t *testing.T) {
 	oracle.set(5, 9, 300) // initiator costlier than the evictee: no gain for c
 	n, m, env := newTestNode(5, 2, Config{}, oracle)
 	m.active = []id.ID{6, 8}
-	n.Deliver(9, msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 400, CostNew: 300})
+	n.Deliver(9, &msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 7, CostOld: 400, CostNew: 300})
 	reply, ok := env.lastOfType(msg.XBotOptimizationReply)
 	if !ok || reply.m.Accept {
 		t.Fatal("candidate should reject an initiator costlier than its own worst link")
@@ -332,7 +332,7 @@ func TestDisconnectedAcceptsStrictImprovement(t *testing.T) {
 	n, m, env := newTestNode(8, 2, Config{ProtectTopK: 0}, oracle)
 	n.cfg.ProtectTopK = 0 // every link negotiable for this scenario
 	m.active = []id.ID{5, 6}
-	n.Deliver(5, msg.Message{
+	n.Deliver(5, &msg.Message{
 		Type: msg.XBotReplace, Sender: 5, Subject: 7, Nodes: []id.ID{9},
 		CostOld: 100, CostNew: 10,
 	})
@@ -346,7 +346,7 @@ func TestDisconnectedAcceptsStrictImprovement(t *testing.T) {
 
 	// The old neighbor accepts: d commits the o link and drops c.
 	env.take()
-	n.Deliver(7, msg.Message{Type: msg.XBotSwitchReply, Sender: 7, Subject: 9, Accept: true})
+	n.Deliver(7, &msg.Message{Type: msg.XBotSwitchReply, Sender: 7, Subject: 9, Accept: true})
 	if !m.ActiveContains(7) {
 		t.Error("d did not commit the link to o")
 	}
@@ -370,7 +370,7 @@ func TestDisconnectedRejectsNonImprovement(t *testing.T) {
 	n, m, env := newTestNode(8, 2, Config{ProtectTopK: 0}, oracle)
 	n.cfg.ProtectTopK = 0
 	m.active = []id.ID{5, 6}
-	n.Deliver(5, msg.Message{
+	n.Deliver(5, &msg.Message{
 		Type: msg.XBotReplace, Sender: 5, Subject: 7, Nodes: []id.ID{9},
 		CostOld: 100, CostNew: 90,
 	})
@@ -389,7 +389,7 @@ func TestOldNeighborSwitchesLinks(t *testing.T) {
 	oracle.set(7, 2, 1)   // a protected cheap link
 	n, m, env := newTestNode(7, 2, Config{}, oracle)
 	m.active = []id.ID{2, 9}
-	n.Deliver(8, msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
+	n.Deliver(8, &msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
 	if dw, ok := env.lastOfType(msg.XBotDisconnectWait); !ok || dw.to != 9 {
 		t.Error("initiator not sent DISCONNECTWAIT")
 	}
@@ -412,7 +412,7 @@ func TestOldNeighborProtectsUnbiasedFloor(t *testing.T) {
 	// The initiator link is this node's only unbiased link: at the
 	// ProtectTopK=1 floor it must not be dissolved.
 	m.active = []id.ID{9}
-	n.Deliver(8, msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
+	n.Deliver(8, &msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
 	sr, ok := env.lastOfType(msg.XBotSwitchReply)
 	if !ok || sr.m.Accept {
 		t.Fatal("last unbiased link switched away")
@@ -429,14 +429,14 @@ func TestBiasedLinksStayNegotiable(t *testing.T) {
 	n, m, env := newTestNode(7, 2, Config{}, oracle)
 	m.active = []id.ID{2}
 	// A completed direct-accept swap creates a biased link to 9.
-	n.Deliver(9, msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 4, CostOld: 300, CostNew: 100})
+	n.Deliver(9, &msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 4, CostOld: 300, CostNew: 100})
 	if !m.ActiveContains(9) {
 		t.Fatal("direct accept did not admit the initiator")
 	}
 	env.take()
 	// Even at the unbiased floor (only link 2 is unbiased), the biased link
 	// to 9 may still be switched away.
-	n.Deliver(8, msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
+	n.Deliver(8, &msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
 	sr, ok := env.lastOfType(msg.XBotSwitchReply)
 	if !ok || !sr.m.Accept {
 		t.Fatal("biased link treated as protected")
@@ -456,9 +456,9 @@ func TestBiasMarkClearedOnTeardown(t *testing.T) {
 	n, m, env := newTestNode(7, 2, Config{}, oracle)
 	m.active = []id.ID{2}
 	// A direct-accept swap creates a biased link to 9...
-	n.Deliver(9, msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 4, CostOld: 300, CostNew: 100})
+	n.Deliver(9, &msg.Message{Type: msg.XBotOptimization, Sender: 9, Subject: 4, CostOld: 300, CostNew: 100})
 	// ...which 9's own later swap tears down again.
-	n.Deliver(9, msg.Message{Type: msg.XBotDisconnectWait, Sender: 9})
+	n.Deliver(9, &msg.Message{Type: msg.XBotDisconnectWait, Sender: 9})
 	if m.ActiveContains(9) {
 		t.Fatal("DISCONNECTWAIT did not dissolve the link")
 	}
@@ -467,7 +467,7 @@ func TestBiasMarkClearedOnTeardown(t *testing.T) {
 	// the protection floor.
 	m.active = []id.ID{9}
 	env.take()
-	n.Deliver(8, msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
+	n.Deliver(8, &msg.Message{Type: msg.XBotSwitch, Sender: 8, Subject: 9, Nodes: []id.ID{5}})
 	sr, ok := env.lastOfType(msg.XBotSwitchReply)
 	if !ok || sr.m.Accept {
 		t.Fatal("stale bias mark let the last unbiased link be switched away")
@@ -487,7 +487,7 @@ func TestInitiatorCommitsOnAccept(t *testing.T) {
 
 	// Direct-accept path: no DISCONNECTWAIT arrived first, so the initiator
 	// tears the old link down itself.
-	n.Deliver(4, msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3, Accept: true})
+	n.Deliver(4, &msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3, Accept: true})
 	if !m.ActiveContains(4) || m.ActiveContains(3) {
 		t.Errorf("swap not committed: active=%v", m.active)
 	}
@@ -511,11 +511,11 @@ func TestInitiatorFourNodePathNoDoubleTeardown(t *testing.T) {
 	env.take()
 
 	// 4-node path: o's DISCONNECTWAIT arrives before the candidate's reply.
-	n.Deliver(3, msg.Message{Type: msg.XBotDisconnectWait, Sender: 3})
+	n.Deliver(3, &msg.Message{Type: msg.XBotDisconnectWait, Sender: 3})
 	if m.ActiveContains(3) {
 		t.Fatal("DISCONNECTWAIT did not dissolve the link")
 	}
-	n.Deliver(4, msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3, Accept: true})
+	n.Deliver(4, &msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3, Accept: true})
 	if !m.ActiveContains(4) {
 		t.Error("candidate link not committed")
 	}
@@ -534,7 +534,7 @@ func TestRejectionLeavesViewsUntouched(t *testing.T) {
 	m.passive = []id.ID{4}
 	n.OnCycle()
 	env.take()
-	n.Deliver(4, msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3})
+	n.Deliver(4, &msg.Message{Type: msg.XBotOptimizationReply, Sender: 4, Subject: 3})
 	if !m.ActiveContains(3) || m.ActiveContains(4) {
 		t.Errorf("rejected swap changed the view: %v", m.active)
 	}
@@ -564,7 +564,7 @@ func TestPendingHandshakeExpires(t *testing.T) {
 	// The candidate never answers: the scheduler fires the expiry sweep at
 	// the handshake's deadline and the state is reclaimed.
 	for _, tick := range env.Advance(7) {
-		n.Deliver(1, tick)
+		n.Deliver(1, &tick)
 	}
 	if n.Stats().Expired == 0 {
 		t.Error("stuck handshake never expired")
@@ -588,13 +588,13 @@ func TestExpirySweepSparesYoungerHandshake(t *testing.T) {
 	// A sweep firing before the deadline (e.g. armed by an older handshake)
 	// must leave the outstanding state alone.
 	for _, tick := range env.Advance(49) {
-		n.Deliver(1, tick)
+		n.Deliver(1, &tick)
 	}
 	if n.pending == nil {
 		t.Fatal("sweep before the deadline reaped a live handshake")
 	}
 	for _, tick := range env.Advance(1) {
-		n.Deliver(1, tick)
+		n.Deliver(1, &tick)
 	}
 	if n.pending != nil {
 		t.Error("handshake survived its deadline")
@@ -623,8 +623,8 @@ func TestDeliverDelegatesNonXBotTraffic(t *testing.T) {
 	oracle := mapOracle{}
 	n, _, _ := newTestNode(1, 2, Config{}, oracle)
 	// Must not panic and must reach the inner stub (which ignores it).
-	n.Deliver(2, msg.Message{Type: msg.Shuffle, Sender: 2, Subject: 2, TTL: 3})
-	n.Deliver(2, msg.Message{Type: msg.Gossip, Sender: 2, Round: 1})
+	n.Deliver(2, &msg.Message{Type: msg.Shuffle, Sender: 2, Subject: 2, TTL: 3})
+	n.Deliver(2, &msg.Message{Type: msg.Gossip, Sender: 2, Round: 1})
 }
 
 func TestConfigDefaults(t *testing.T) {
