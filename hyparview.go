@@ -142,11 +142,11 @@ const (
 type AgentBroadcastStats = transport.BroadcastStats
 
 // TransportConfig tunes the TCP transport's connection lifecycle — redial
-// backoff (RedialBase/RedialCap), the suspicion window bounding how long a
-// watched outage may last before the failure detector fires, the
-// graceful-drain deadline for deliberate teardowns — and carries the
-// fault-injection seams (Dial/WrapConn, see internal/faults.Sockets;
-// Intercept). Timeouts, queue depth and batch sizing are constants.
+// backoff (RedialBase/RedialCap) and the suspicion window bounding how long
+// a watched outage may last before the failure detector fires — and carries
+// the fault-injection seams (Dial/WrapConn, see internal/faults.Sockets;
+// Intercept). Timeouts, the graceful-drain deadline, queue depth and batch
+// sizing are constants.
 type TransportConfig = transport.Config
 
 // TransportStats is a snapshot of a TCP agent's data-plane and lifecycle

@@ -52,7 +52,7 @@ type AgentConfig struct {
 	// cycles; Cycle can then be driven manually (useful in tests).
 	CyclePeriod time.Duration
 	// Transport tunes the connection lifecycle (redial backoff, suspicion
-	// window, drain deadline) and carries the fault-injection seams.
+	// window) and carries the fault-injection seams.
 	Transport Config
 	// Seed drives the node's deterministic randomness; zero derives a seed
 	// from the bound address.
@@ -60,30 +60,24 @@ type AgentConfig struct {
 
 	// Broadcast selects the broadcast layer (default BroadcastFlood).
 	Broadcast BroadcastMode
-	// Plumtree overrides Plumtree parameters when Broadcast is
-	// BroadcastPlumtree; zero fields take the protocol's defaults.
-	Plumtree plumtree.Config
 	// PlumtreeTimer is the missing-message timeout under the agent's real
 	// clock: how long a node that heard an IHAVE announcement waits for the
 	// eager copy before GRAFTing the announcer. It is mapped onto
 	// plumtree.Config.TimerDelay through the agent's peer.Scheduler (one
 	// tick = 1ms); the protocol schedules the timer itself, identically in
-	// the simulator and here. Default 200ms.
+	// the simulator and here. Every other Plumtree parameter takes the
+	// protocol's default. Default 200ms.
 	PlumtreeTimer time.Duration
 
 	// Optimize layers the X-BOT optimizer (SRDS 2009) over HyParView: a
 	// periodic ticker measures live RTTs with PING/PONG exchanges and the
 	// 4-node coordinated swap handshake continuously rewires the active view
-	// toward low-latency links. Each optimization attempt probes
-	// XBot.Candidates passive-view members; probing a dead candidate costs
-	// one failed dial (at most the transport's 3s dial timeout, usually an
-	// immediate refusal) on the agent goroutine — the same price HyParView's
-	// own view repair pays per dead passive entry.
+	// toward low-latency links, with the protocol's default parameters. Each
+	// optimization attempt probes a few passive-view members; probing a dead
+	// candidate costs one failed dial (at most the transport's 3s dial
+	// timeout, usually an immediate refusal) on the agent goroutine — the
+	// same price HyParView's own view repair pays per dead passive entry.
 	Optimize bool
-	// XBot overrides optimizer parameters when Optimize is set; zero fields
-	// take the protocol's defaults. XBot.Period counts membership cycles
-	// between optimization attempts.
-	XBot xbot.Config
 	// ProbePeriod is how often active-view links are re-measured with a
 	// PING/PONG round trip when Optimize or SuspectAfter enables the prober.
 	// Default: CyclePeriod when positive, else 1s.
@@ -191,7 +185,7 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 	// The agent's options in the stack's terms: wall-clock periods become
 	// scheduler ticks. The oracle and the round allocator are filled in below,
 	// once the transport they depend on exists.
-	scfg := stack.Config{Core: cfg.Core, XBot: cfg.XBot, PubSub: cfg.PubSub}
+	scfg := stack.Config{Core: cfg.Core, PubSub: cfg.PubSub}
 	if cfg.CyclePeriod > 0 {
 		// ΔT: the core schedules its own periodic rounds on the agent's
 		// clock; the tick cascades down the whole stack.
@@ -200,15 +194,11 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 	switch cfg.Broadcast {
 	case BroadcastFlood:
 	case BroadcastPlumtree:
-		pcfg := cfg.Plumtree
-		if pcfg.TimerDelay == 0 {
-			ptimer := cfg.PlumtreeTimer
-			if ptimer <= 0 {
-				ptimer = 200 * time.Millisecond
-			}
-			pcfg.TimerDelay = ticks(ptimer)
+		ptimer := cfg.PlumtreeTimer
+		if ptimer <= 0 {
+			ptimer = 200 * time.Millisecond
 		}
-		scfg.Plumtree = &pcfg
+		scfg.Plumtree = &plumtree.Config{TimerDelay: ticks(ptimer)}
 	default:
 		return nil, fmt.Errorf("transport: unknown broadcast mode %v", cfg.Broadcast)
 	}
@@ -539,9 +529,6 @@ func (a *Agent) Join(contactAddr string) error {
 	}
 	return nil
 }
-
-// Register makes addr dialable and returns its derived identifier.
-func (a *Agent) Register(addr string) id.ID { return a.tr.Register(addr) }
 
 // Broadcast disseminates payload over the overlay through the configured
 // broadcast layer. The round identifier is drawn from the node's random

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,7 +32,6 @@ func fastLifecycle() Config {
 		RedialBase:      5 * time.Millisecond,
 		RedialCap:       40 * time.Millisecond,
 		SuspicionWindow: time.Second,
-		DrainTimeout:    200 * time.Millisecond,
 	}
 }
 
@@ -310,7 +311,6 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 	cfg.RedialBase = time.Millisecond
 	cfg.RedialCap = 5 * time.Millisecond
 	cfg.SuspicionWindow = 200 * time.Millisecond
-	cfg.DrainTimeout = 50 * time.Millisecond
 	cfg.Dial = s.Dialer(nil)
 	a := listenWith(t, cfg, &ca)
 	b := listen(t, &cb)
@@ -581,4 +581,173 @@ func TestLifecycleSoak(t *testing.T) {
 	if reliability < 0.99 {
 		t.Errorf("reliability %.4f < 0.99 among live agents", reliability)
 	}
+}
+
+// TestWatchThenSendDialsOnce: a Send right behind a Watch rides the link the
+// Watch opened. With every dial held open 50ms — long enough for a second
+// dial to overlap the first — the peer is dialed exactly once, no dial race
+// is lost, the frames arrive once and in order, and the link's first dial
+// is not counted as a redial.
+func TestWatchThenSendDialsOnce(t *testing.T) {
+	s := faults.NewSockets(8)
+	s.SetPlan(faults.ConnPlan{DialDelay: 50 * time.Millisecond})
+	var dials atomic.Int64
+	var ca, cb collector
+	cfg := fastLifecycle()
+	cfg.Dial = s.Dialer(func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		return net.DialTimeout("tcp", addr, timeout)
+	})
+	a := listenWith(t, cfg, &ca)
+	b := listen(t, &cb)
+	dst := a.Register(b.Addr())
+
+	a.Watch(dst)
+	for round := uint64(1); round <= 2; round++ {
+		if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: round}); err != nil {
+			t.Fatalf("send %d behind a watch: %v", round, err)
+		}
+	}
+	// One connection delivers in order, so a duplicate of frame 1 would
+	// arrive before frame 2 does.
+	got := cb.waitMsgs(t, 2)
+	if len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
+		t.Errorf("delivered rounds %v, want exactly [1 2]", rounds(got))
+	}
+	st := a.Stats()
+	if st.DialRacesLost != 0 {
+		t.Errorf("DialRacesLost = %d, want 0: Watch and Send dialed the peer separately", st.DialRacesLost)
+	}
+	if st.Redials != 0 {
+		t.Errorf("Redials = %d, want 0: a link's first dial is not a redial", st.Redials)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("peer dialed %d times, want 1", n)
+	}
+}
+
+// TestWatchQueuesSendDuringOutage: a Send to a watched peer whose first
+// dials fail transiently is queued on the watched link, not refused, and
+// the frame is delivered once the redial lands — with no watch
+// notification for an outage inside the budget.
+func TestWatchQueuesSendDuringOutage(t *testing.T) {
+	s := faults.NewSockets(9)
+	var ca, cb collector
+	cfg := fastLifecycle()
+	cfg.Dial = s.Dialer(nil)
+	a := listenWith(t, cfg, &ca)
+	b := listen(t, &cb)
+	dst := a.Register(b.Addr())
+
+	s.FailNextDials(2)
+	a.Watch(dst)
+	if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: 7}); err != nil {
+		t.Fatalf("send during a watched link's outage: %v, want it queued", err)
+	}
+	got := cb.waitMsgs(t, 1)
+	if got[0].Round != 7 {
+		t.Errorf("delivered round %d, want 7", got[0].Round)
+	}
+	if n := s.Stats().DialsFailed; n != 2 {
+		t.Errorf("injected dial failures = %d, want 2", n)
+	}
+	// Attempt 1 is first contact; attempts 2 (failed) and 3 (landed) redial.
+	if r := a.Stats().Redials; r != 2 {
+		t.Errorf("Redials = %d, want 2", r)
+	}
+	ca.mu.Lock()
+	downs := len(ca.downs)
+	ca.mu.Unlock()
+	if downs != 0 {
+		t.Errorf("watch fired %d times for an outage inside the budget, want 0", downs)
+	}
+}
+
+// TestDialRaceFreeOverlay: in an agent overlay where the actor is the only
+// caller of Send and Probe (no optimizer, no suspicion prober), nothing
+// dials a peer concurrently with anything else, so no dial race is lost —
+// in particular not between a Watch and the NEIGHBOR reply that follows it.
+func TestDialRaceFreeOverlay(t *testing.T) {
+	const n, msgs = 8, 5
+	var delivered atomic.Int64
+	agents := make([]*Agent, n)
+	for i := range agents {
+		a, err := NewAgent("127.0.0.1:0", AgentConfig{
+			Seed:      uint64(i + 1),
+			OnDeliver: func([]byte) { delivered.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = a
+		defer a.Close()
+	}
+	for _, a := range agents[1:] {
+		if err := a.Join(agents[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Manual cycles until the active views are symmetric and connected, so a
+	// flood from anywhere reaches everyone.
+	deadline := time.Now().Add(10 * time.Second)
+	for !settled(agents) {
+		if time.Now().After(deadline) {
+			t.Fatal("overlay never settled into symmetric, connected active views")
+		}
+		for _, a := range agents {
+			if err := a.Cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < msgs; i++ {
+		if err := agents[i%n].Broadcast([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStat(t, func() uint64 { return uint64(delivered.Load()) }, n*msgs, "deliveries")
+	var lost uint64
+	for _, a := range agents {
+		lost += a.TransportStats().DialRacesLost
+	}
+	if lost != 0 {
+		t.Errorf("summed DialRacesLost = %d, want 0", lost)
+	}
+}
+
+// settled reports whether the agents' active views are symmetric and
+// connect every agent.
+func settled(agents []*Agent) bool {
+	views := make(map[id.ID][]id.ID, len(agents))
+	for _, a := range agents {
+		views[a.Self()] = a.ActiveView()
+	}
+	for p, view := range views {
+		for _, q := range view {
+			if !slices.Contains(views[q], p) {
+				return false
+			}
+		}
+	}
+	reached := map[id.ID]bool{agents[0].Self(): true}
+	frontier := []id.ID{agents[0].Self()}
+	for len(frontier) > 0 {
+		p := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for _, q := range views[p] {
+			if !reached[q] {
+				reached[q] = true
+				frontier = append(frontier, q)
+			}
+		}
+	}
+	return len(reached) == len(agents)
+}
+
+func rounds(ms []msg.Message) []uint64 {
+	out := make([]uint64, len(ms))
+	for i, m := range ms {
+		out[i] = m.Round
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -24,14 +23,14 @@ import (
 // The lifecycle is: active (c non-nil) → broken (c nil, writer redialing
 // with backoff) → active again on a successful redial, or condemned
 // (removed from the table, queue reclaimed, watch fired if the failure
-// budget was spent). Deliberate teardown (Drain) short-circuits to
-// condemned after flushing the queue.
+// budget was spent). A link opened by Watch starts out broken at epoch 0,
+// so its first dial is the redial loop's first attempt. Deliberate teardown
+// (Drain) short-circuits to condemned after flushing the queue.
 type link struct {
 	dst id.ID
 	ch  chan *sendScratch // owned frames; the writer returns them to the pool
 
-	closed chan struct{} // closed exactly once when the link is condemned
-	once   sync.Once
+	closed chan struct{} // closed by the one condemn that wins
 	// drainReq asks the writer for a graceful flush-then-close teardown.
 	drainReq  chan struct{}
 	drainOnce sync.Once
@@ -49,9 +48,6 @@ type link struct {
 	epoch uint64        // bumped for every installed connection
 	dead  chan struct{} // per-epoch: closed when that epoch's conn broke
 }
-
-// shut marks the link condemned for queued and future senders.
-func (l *link) shut() { l.once.Do(func() { close(l.closed) }) }
 
 // requestDrain asks the writer for a graceful teardown (idempotent).
 func (l *link) requestDrain() { l.drainOnce.Do(func() { close(l.drainReq) }) }
@@ -94,27 +90,62 @@ func (l *link) install(c net.Conn) (uint64, bool) {
 	return l.epoch, true
 }
 
-// broke retires the connection serving epoch: the first reporter gets the
-// connection back (to close) and the epoch's dead channel closes so the
-// writer re-evaluates. Stale reporters — a reader outliving a replaced
-// connection — get nil and cannot disturb the successor epoch.
-func (l *link) broke(epoch uint64) net.Conn {
+// broke retires and closes the connection serving epoch: the first reporter
+// wins and the epoch's dead channel closes so the writer re-evaluates. Stale
+// reporters — a reader outliving a replaced connection — find another epoch
+// and cannot disturb the successor.
+func (l *link) broke(epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.epoch != epoch || l.c == nil {
-		return nil
+		return
 	}
-	c := l.c
+	_ = l.c.Close()
 	l.c = nil
 	close(l.dead)
-	return c
+}
+
+// detach closes whatever connection the link holds; teardown paths call it
+// once the link is condemned.
+func (l *link) detach() {
+	l.mu.Lock()
+	c := l.c
+	l.c = nil
+	l.mu.Unlock()
+	if c != nil {
+		_ = c.Close()
+	}
+}
+
+// openLink registers a new link to dst and starts its writer. A non-nil c
+// becomes its first connection (epoch 1, reader started); with c nil the
+// writer begins in redial, which makes the first dial. Called under t.mu on
+// an open transport: Close marks closed before waiting on the goroutine
+// groups, so these Adds can never race a Wait that already saw zero.
+func (t *Transport) openLink(dst id.ID, c net.Conn) *link {
+	l := &link{
+		dst:      dst,
+		ch:       make(chan *sendScratch, sendQueue),
+		closed:   make(chan struct{}),
+		drainReq: make(chan struct{}),
+	}
+	t.conns[dst] = l
+	t.writers.Add(1)
+	t.wg.Add(1)
+	if c != nil {
+		epoch, _ := l.install(c) // nobody else has seen l: it cannot be condemned
+		t.wg.Add(1)
+		t.startReader(l, c, epoch)
+	}
+	go t.runLink(l)
+	return l
 }
 
 // runLink is the link's writer goroutine, alive for the link's whole
 // lifetime — across reconnects, which is what lets the send queue survive
-// an outage. It pumps the queue into the current connection; on breakage
-// the redial state machine decides between a backoff retry (watched links)
-// and teardown.
+// an outage. It pumps the queue into the current connection; with no
+// connection the redial state machine decides between a backoff dial
+// (watched links) and teardown.
 func (t *Transport) runLink(l *link) {
 	defer t.wg.Done()
 	defer t.writers.Done()
@@ -123,40 +154,32 @@ func (t *Transport) runLink(l *link) {
 	for {
 		c, dead, epoch := l.current()
 		if c == nil {
-			if !t.redial(l) {
+			if !t.redial(l, epoch) {
 				return
 			}
-			continue
-		}
-		switch t.serve(l, c, dead, epoch, wb) {
-		case serveBroken:
-			// Loop: redial (via the nil-conn branch) decides what happens.
-		case serveDrain:
-			t.drainLink(l, c, wb)
-			return
-		case serveStop:
+		} else if !t.serve(l, c, dead, epoch, wb) {
 			return
 		}
 	}
 }
 
-// redial decides a broken link's fate. An unwatched link is torn down on
-// the spot: nobody asked for failure notifications and the next Send dials
+// redial is the only code that dials a watched peer. It decides the fate of
+// a link with no connection: one that broke, whose last epoch was epoch, or
+// one Watch opened (epoch 0). A broken unwatched link is torn down on the
+// spot: nobody asked for failure notifications and the next Send dials
 // fresh. A watched link is an active-view edge — the paper's failure
 // detector signal (§4.1) — so a transient outage should heal invisibly: the
 // writer retries with capped decorrelated-jitter backoff until either a
 // dial lands (the link resumes under a new epoch, queue intact) or the
-// failure budget / suspicion window is spent and the watch fires. Returns
-// false when the writer should exit.
-func (t *Transport) redial(l *link) bool {
+// failure budget / suspicion window is spent and the watch fires. A Watch
+// link's first attempt is its first contact, so it is not counted as a
+// redial and, like the first contact of a Send, it is made even if the peer
+// was unwatched since. Returns false when the writer should exit.
+func (t *Transport) redial(l *link, epoch uint64) bool {
 	if l.condemned.Load() {
 		return false
 	}
-	t.mu.Lock()
-	watched := t.watched[l.dst] && !t.closed
-	addr, known := t.book.Addr(l.dst)
-	t.mu.Unlock()
-	if !watched || !known {
+	if epoch > 0 && !t.watching(l.dst) {
 		t.failLink(l, false)
 		return false
 	}
@@ -164,14 +187,16 @@ func (t *Transport) redial(l *link) bool {
 	start := time.Now()
 	sleep := t.cfg.RedialBase
 	for attempt := 1; ; attempt++ {
-		t.redials.Add(1)
-		c, err := t.dialAddr(addr)
+		if epoch > 0 || attempt > 1 {
+			t.redials.Add(1)
+		}
+		c, err := t.dial(l.dst)
 		if err == nil {
-			if epoch, ok := l.install(c); ok {
+			if installed, ok := l.install(c); ok {
 				// Adding from the writer goroutine is safe: the writer itself
 				// keeps t.wg above zero until after this add.
 				t.wg.Add(1)
-				t.startReader(l, c, epoch)
+				t.startReader(l, c, installed)
 				return true
 			}
 			_ = c.Close() // condemned while dialing; stay down
@@ -194,15 +219,19 @@ func (t *Transport) redial(l *link) bool {
 			return false
 		}
 		sleep = nextBackoff(r, sleep, t.cfg.RedialBase, t.cfg.RedialCap)
-		t.mu.Lock()
-		watched = t.watched[l.dst] && !t.closed
-		t.mu.Unlock()
-		if !watched {
+		if !t.watching(l.dst) {
 			// Unwatched mid-outage (demotion raced the redial): stop quietly.
 			t.failLink(l, false)
 			return false
 		}
 	}
+}
+
+// watching reports whether dst is watched on an open transport.
+func (t *Transport) watching(dst id.ID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.watched[dst] && !t.closed
 }
 
 // nextBackoff draws the next decorrelated-jitter sleep: uniform in
@@ -231,7 +260,7 @@ func (t *Transport) condemn(l *link) bool {
 		delete(t.conns, l.dst)
 	}
 	t.mu.Unlock()
-	l.shut()
+	close(l.closed)
 	// Senders between enter() and their enqueue select hold no locks and
 	// block on nothing; a yield loop outwaits them in nanoseconds.
 	for l.inflight.Load() > 0 {
@@ -261,13 +290,7 @@ func (t *Transport) failLink(l *link, fire bool) {
 		return
 	}
 	reclaimQueue(l)
-	l.mu.Lock()
-	c := l.c
-	l.c = nil
-	l.mu.Unlock()
-	if c != nil {
-		_ = c.Close()
-	}
+	l.detach()
 	if fire {
 		t.fireWatch(l.dst)
 	}
@@ -275,25 +298,16 @@ func (t *Transport) failLink(l *link, fire bool) {
 
 // drainLink is the graceful teardown: condemn (fencing senders), then flush
 // whatever the queue still holds through the writev batch path under one
-// DrainTimeout write deadline, then close. No watch fires — a drain is
+// drainTimeout write deadline, then close. No watch fires — a drain is
 // deliberate (demotion, DISCONNECT, Close), not a failure, and the frames
 // flushed here are typically the courtesy DISCONNECT itself.
 func (t *Transport) drainLink(l *link, c net.Conn, wb *writeBatch) {
 	if !t.condemn(l) {
 		return
 	}
-	_ = c.SetWriteDeadline(time.Now().Add(t.cfg.DrainTimeout))
+	_ = c.SetWriteDeadline(time.Now().Add(drainTimeout))
 	for {
-	gather:
-		for len(wb.scs) < maxWriteBatch {
-			select {
-			case sc := <-l.ch:
-				wb.scs = append(wb.scs, sc)
-				wb.bufs = append(wb.bufs, sc.frame)
-			default:
-				break gather
-			}
-		}
+		wb.gather(l.ch)
 		if len(wb.scs) == 0 {
 			break
 		}
@@ -304,15 +318,7 @@ func (t *Transport) drainLink(l *link, c net.Conn, wb *writeBatch) {
 			break
 		}
 	}
-	l.mu.Lock()
-	cc := l.c
-	l.c = nil
-	l.mu.Unlock()
-	if cc != nil {
-		_ = cc.Close()
-	} else {
-		_ = c.Close()
-	}
+	l.detach()
 	t.drained.Add(1)
 }
 
@@ -352,21 +358,13 @@ func (t *Transport) Probe(dst id.ID) error {
 	if c != nil && connAlive(c) {
 		return nil
 	}
-	if c != nil {
-		if cc := l.broke(epoch); cc != nil {
-			_ = cc.Close()
-		}
-	}
+	l.broke(epoch)
 	// Between connections (mid-redial) or just-retired cache: report
 	// current reachability from a throwaway dial without disturbing the
 	// link's own recovery.
-	addr, known := t.book.Addr(dst)
-	if !known {
-		return fmt.Errorf("probe %v: unknown address: %w", dst, peer.ErrPeerDown)
-	}
-	cc, err := t.dialAddr(addr)
+	cc, err := t.dial(dst)
 	if err != nil {
-		return fmt.Errorf("probe %v (%s): %w", dst, addr, peer.ErrPeerDown)
+		return err
 	}
 	_ = cc.Close()
 	return nil
@@ -387,63 +385,20 @@ func (t *Transport) Connected(dst id.ID) bool {
 
 // Watch marks dst so that a broken connection to it triggers onPeerDown.
 // An active-view link is an open TCP connection in the paper's architecture
-// (§4.1), so Watch also ensures one exists: it dials asynchronously with
-// the same backoff and budget the redial machine applies to established
-// links — a transiently unreachable peer becomes retries, not an instant
-// verdict, and only a spent budget fires the watch.
+// (§4.1), so Watch also ensures one exists: a peer with no link gets one
+// now, with no connection yet, whose writer dials it through the redial
+// loop — a transiently unreachable peer becomes retries, not an instant
+// verdict, and only a spent budget fires the watch. Frames sent before the
+// dial lands wait in the link's queue.
 func (t *Transport) Watch(dst id.ID) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
 	t.watched[dst] = true
-	_, connected := t.conns[dst]
-	if !connected {
-		// Tracked under the same lock as the closed check, so the add cannot
-		// race Close's wait.
-		t.wg.Add(1)
-	}
-	t.mu.Unlock()
-	if connected {
-		return
-	}
-	go t.establishWatched(dst)
-}
-
-// establishWatched dials a watched peer that had no cached connection,
-// retrying with backoff inside the failure budget; exhaustion fires the
-// watch. Concurrent Sends may win the dial race, which is fine — the link
-// exists either way.
-func (t *Transport) establishWatched(dst id.ID) {
-	defer t.wg.Done()
-	r := rng.New(uint64(dst) ^ uint64(time.Now().UnixNano()))
-	start := time.Now()
-	sleep := t.cfg.RedialBase
-	for attempt := 1; ; attempt++ {
-		if attempt > 1 {
-			t.redials.Add(1)
-		}
-		_, err := t.conn(dst)
-		if err == nil || errors.Is(err, ErrClosed) {
-			return
-		}
-		if attempt >= redialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
-			t.fireWatch(dst)
-			return
-		}
-		select {
-		case <-time.After(sleep):
-		case <-t.quit:
-			return
-		}
-		sleep = nextBackoff(r, sleep, t.cfg.RedialBase, t.cfg.RedialCap)
-		t.mu.Lock()
-		still := t.watched[dst] && !t.closed
-		t.mu.Unlock()
-		if !still {
-			return
-		}
+	if _, ok := t.conns[dst]; !ok {
+		t.openLink(dst, nil)
 	}
 }
 
@@ -478,7 +433,7 @@ func (t *Transport) Suspect(dst id.ID) {
 }
 
 // Drain gracefully retires the connection to dst: senders are cut off, the
-// frames already queued are flushed within DrainTimeout, and the socket
+// frames already queued are flushed within drainTimeout, and the socket
 // closes without firing the watch. The agent invokes it on deliberate
 // demotions, so the courtesy DISCONNECT a demotion queues still reaches the
 // wire before the FIN. Asynchronous and idempotent; draining an unknown
@@ -494,19 +449,23 @@ func (t *Transport) Drain(dst id.ID) {
 	l.requestDrain()
 }
 
-// dialAddr runs one dial attempt through the configured dialer and conn
-// wrapper (the socket-level fault seam).
-func (t *Transport) dialAddr(addr string) (net.Conn, error) {
-	dial := t.cfg.Dial
+// dial runs one dial attempt to dst through the configured dialer and conn
+// wrapper (the socket-level fault seam). Every failure, an unknown address
+// included, is a peer.ErrPeerDown.
+func (t *Transport) dial(dst id.ID) (net.Conn, error) {
+	addr, ok := t.book.Addr(dst)
+	if !ok {
+		return nil, fmt.Errorf("dial %v: unknown address: %w", dst, peer.ErrPeerDown)
+	}
 	var c net.Conn
 	var err error
-	if dial != nil {
+	if dial := t.cfg.Dial; dial != nil {
 		c, err = dial(addr, dialTimeout)
 	} else {
 		c, err = net.DialTimeout("tcp", addr, dialTimeout)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dial %v (%s): %w", dst, addr, peer.ErrPeerDown)
 	}
 	if wrap := t.cfg.WrapConn; wrap != nil {
 		c = wrap(c, false)
@@ -518,7 +477,8 @@ func (t *Transport) dialAddr(addr string) (net.Conn, error) {
 // contact is deliberately synchronous and single-attempt: the protocol
 // probes before promoting (Probe → NEIGHBOR) and expects an unreachable
 // fresh peer to surface as ErrPeerDown immediately — the backoff machinery
-// guards established and watched links, not first contact.
+// guards established and watched links, not first contact. Only concurrent
+// first contacts can race here: a watched peer always has a link.
 func (t *Transport) conn(dst id.ID) (*link, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -529,75 +489,38 @@ func (t *Transport) conn(dst id.ID) (*link, error) {
 		t.mu.Unlock()
 		return l, nil
 	}
-	addr, ok := t.book.Addr(dst)
 	t.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dial %v: unknown address: %w", dst, peer.ErrPeerDown)
-	}
 
-	c, err := t.dialAddr(addr)
+	c, err := t.dial(dst)
 	if err != nil {
-		return nil, fmt.Errorf("dial %v (%s): %w", dst, addr, peer.ErrPeerDown)
+		return nil, err
 	}
-	return t.adopt(dst, c)
-}
-
-// adopt registers a freshly dialed connection as dst's link and spawns its
-// writer and reader goroutines. A lost dial race keeps the incumbent link
-// and counts the loss.
-func (t *Transport) adopt(dst id.ID, c net.Conn) (*link, error) {
-	l := &link{
-		dst:      dst,
-		ch:       make(chan *sendScratch, sendQueue),
-		closed:   make(chan struct{}),
-		drainReq: make(chan struct{}),
-	}
-	l.c = c
-	l.epoch = 1
-	l.dead = make(chan struct{})
-
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		_ = c.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := t.conns[dst]; ok {
-		t.mu.Unlock()
+	if l, ok := t.conns[dst]; ok {
 		_ = c.Close()
 		t.dialRacesLost.Add(1)
-		return existing, nil
+		return l, nil
 	}
-	t.conns[dst] = l
-	// Goroutine accounting happens under the same lock as the closed check:
-	// Close marks closed before waiting on these groups, so an Add can never
-	// race a Wait that already saw a zero counter.
-	t.writers.Add(1)
-	t.wg.Add(2) // the writer and the first connection's reader
-	t.mu.Unlock()
-
-	// The reader goroutine turns the remote's messages on this connection
-	// into deliveries and, crucially, detects connection breakage: that is
-	// the TCP failure detector. The writer goroutine owns the link's whole
-	// lifecycle (see runLink).
-	go t.runLink(l)
-	t.startReader(l, c, 1)
-	return l, nil
+	return t.openLink(dst, c), nil
 }
 
 // startReader spawns the reader goroutine for one physical connection. The
-// epoch pins its breakage report to this connection: a reader outliving a
-// replaced connection cannot tear down the successor. The caller must have
-// added the goroutine to t.wg already, from a context where the add cannot
-// race Close's wait — under t.mu (adopt) or from a wg-tracked goroutine
-// (redial's writer).
+// reader turns the remote's messages into deliveries and, crucially,
+// detects connection breakage: that is the TCP failure detector. The epoch
+// pins its breakage report to this connection: a reader outliving a
+// replaced connection cannot tear down the successor, and whoever retired
+// this connection first has closed it. The caller must have added the
+// goroutine to t.wg already, from a context where the add cannot race
+// Close's wait — under t.mu (openLink) or from the writer (redial).
 func (t *Transport) startReader(l *link, c net.Conn, epoch uint64) {
 	go func() {
 		defer t.wg.Done()
 		t.readLoop(c)
-		if cc := l.broke(epoch); cc != nil {
-			_ = cc.Close()
-		}
-		_ = c.Close()
+		l.broke(epoch)
 	}()
 }

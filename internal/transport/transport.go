@@ -64,13 +64,17 @@ const (
 	// failures become retries, and only a spent budget (or
 	// Config.SuspicionWindow) fires the watch.
 	redialBudget = 4
+	// drainTimeout bounds the graceful flush of a peer's queued frames on
+	// deliberate teardown — demotion, DISCONNECT, Close.
+	drainTimeout = 200 * time.Millisecond
 )
 
 // Config tunes the connection lifecycle's clocks and carries the
 // fault-injection seams.
 type Config struct {
 	// RedialBase and RedialCap bound the decorrelated-jitter backoff between
-	// redial attempts on a broken watched link (defaults 25ms and 500ms).
+	// dial attempts on a watched link with no connection (defaults 25ms and
+	// 500ms).
 	// Each sleep is drawn from [RedialBase, 3×previous], capped, so retries
 	// across peers desynchronize instead of thundering in lockstep.
 	RedialBase time.Duration
@@ -81,9 +85,6 @@ type Config struct {
 	// how stale an active view can get: a dead neighbor is reported within
 	// roughly SuspicionWindow plus one dial timeout.
 	SuspicionWindow time.Duration
-	// DrainTimeout bounds the graceful flush of a peer's queued frames on
-	// deliberate teardown — demotion, DISCONNECT, Close (default 200ms).
-	DrainTimeout time.Duration
 
 	// Dial, when non-nil, replaces net.DialTimeout for outbound connections:
 	// the dial half of the socket-level fault seam (see faults.Sockets).
@@ -116,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.SuspicionWindow <= 0 {
 		c.SuspicionWindow = 2 * time.Second
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 200 * time.Millisecond
-	}
 	return c
 }
 
@@ -143,13 +141,14 @@ type Stats struct {
 	// so FramesSent (at the peers) outpaces ReadSyscalls under load.
 	ReadSyscalls uint64
 	// Redials counts dial attempts made by the backoff machinery beyond a
-	// link's first contact: every retry after a broken connection or a
-	// failed watch-establishment dial. A rising Redials with stable views
-	// means transient faults are being absorbed, which is the point.
+	// link's first contact: every dial after a broken connection, and every
+	// retry after a failed first dial of a link Watch opened. A rising
+	// Redials with stable views means transient faults are being absorbed,
+	// which is the point.
 	Redials uint64
-	// DialRacesLost counts outbound dials discarded because a concurrent
-	// dial to the same peer won the cache slot (previously the loser was
-	// silently closed).
+	// DialRacesLost counts first-contact dials discarded because a
+	// concurrent first-contact Send or Probe to the same peer won the cache
+	// slot. A watched peer always has a link, so its dials never race.
 	DialRacesLost uint64
 	// Suspected counts links condemned by Suspect — the RTT prober's
 	// half-open verdict on a stalled-but-not-closed peer.
@@ -310,7 +309,7 @@ func (t *Transport) acceptLoop() {
 
 // Close shuts the transport down: the listener stops, every link gets the
 // same bounded graceful drain a demotion gets (queued frames flush within
-// DrainTimeout), stragglers are force-closed, and every goroutine is joined
+// drainTimeout), stragglers are force-closed, and every goroutine is joined
 // before returning.
 func (t *Transport) Close() error {
 	t.mu.Lock()
@@ -334,7 +333,7 @@ func (t *Transport) Close() error {
 	for _, l := range links {
 		l.requestDrain()
 	}
-	// Writers flush and exit on their own within DrainTimeout; give them
+	// Writers flush and exit on their own within drainTimeout; give them
 	// that long plus slack, then cut the power.
 	drained := make(chan struct{})
 	t.wg.Add(1)
@@ -345,7 +344,7 @@ func (t *Transport) Close() error {
 	}()
 	select {
 	case <-drained:
-	case <-time.After(t.cfg.DrainTimeout + 100*time.Millisecond):
+	case <-time.After(drainTimeout + 100*time.Millisecond):
 	}
 	close(t.quit)
 	for _, l := range links {

@@ -60,8 +60,9 @@ func putScratch(sc *sendScratch) {
 // itself is written asynchronously by the peer's writer goroutine: Send
 // returns once the frame is queued, a full queue sheds the frame with
 // peer.ErrOverflow (the peer is overloaded, not dead), and a write failure
-// on an established watched link triggers the redial machinery — queued
-// frames survive the outage — before any watch notification fires.
+// on a watched link triggers the redial machinery — queued frames survive
+// the outage — before any watch notification fires. A watched peer always
+// has a link, so frames sent before its dial lands queue there too.
 func (t *Transport) Send(dst id.ID, m msg.Message) error {
 	l, err := t.conn(dst)
 	if err != nil {
@@ -100,6 +101,24 @@ type writeBatch struct {
 
 var batchPool = sync.Pool{New: func() any { return &writeBatch{} }}
 
+func (wb *writeBatch) push(sc *sendScratch) {
+	wb.scs = append(wb.scs, sc)
+	wb.bufs = append(wb.bufs, sc.frame)
+}
+
+// gather tops the batch up from ch, up to maxWriteBatch frames, without
+// blocking.
+func (wb *writeBatch) gather(ch chan *sendScratch) {
+	for len(wb.scs) < maxWriteBatch {
+		select {
+		case sc := <-ch:
+			wb.push(sc)
+		default:
+			return
+		}
+	}
+}
+
 // release returns every gathered frame to the send pool in one pass and
 // empties the batch. It is the single ownership hand-back point for both the
 // success path and the mid-batch failure drop.
@@ -113,54 +132,36 @@ func (wb *writeBatch) release() {
 	wb.bufs = wb.bufs[:0]
 }
 
-// serveVerdict is why serve stopped pumping the current connection.
-type serveVerdict uint8
-
-const (
-	serveBroken serveVerdict = iota // connection failed; redial decides
-	serveDrain                      // graceful teardown requested
-	serveStop                       // link condemned or transport closing
-)
-
 // serve pumps queued frames into c — gathering up to maxWriteBatch frames per
 // wakeup into one vectored write, so frames-per-syscall rises with pressure
 // and latency stays flat — until the connection breaks, a drain is
-// requested, or the link stops. On a write failure the gathered batch is
-// forfeit (the kernel may have taken any prefix of it, the same uncertainty
-// a failed single write has) but still-queued frames stay for the successor
-// connection.
-func (t *Transport) serve(l *link, c net.Conn, dead chan struct{}, epoch uint64, wb *writeBatch) serveVerdict {
+// requested (serve runs the drain), or the link stops. On a write failure
+// the gathered batch is forfeit (the kernel may have taken any prefix of it,
+// the same uncertainty a failed single write has) but still-queued frames
+// stay for the successor connection. It reports whether the connection
+// broke — redial decides what happens next — rather than the writer being
+// done.
+func (t *Transport) serve(l *link, c net.Conn, dead chan struct{}, epoch uint64, wb *writeBatch) (broken bool) {
 	for {
 		select {
 		case sc := <-l.ch:
-			wb.scs = append(wb.scs, sc)
-			wb.bufs = append(wb.bufs, sc.frame)
-		gather:
-			for len(wb.scs) < maxWriteBatch {
-				select {
-				case more := <-l.ch:
-					wb.scs = append(wb.scs, more)
-					wb.bufs = append(wb.bufs, more.frame)
-				default:
-					break gather
-				}
-			}
+			wb.push(sc)
+			wb.gather(l.ch)
 			err := t.flushConn(l, c, wb)
 			wb.release()
 			if err != nil {
-				if cc := l.broke(epoch); cc != nil {
-					_ = cc.Close()
-				}
-				return serveBroken
+				l.broke(epoch)
+				return true
 			}
 		case <-dead:
-			return serveBroken
+			return true
 		case <-l.drainReq:
-			return serveDrain
+			t.drainLink(l, c, wb)
+			return false
 		case <-l.closed:
-			return serveStop
+			return false
 		case <-t.quit:
-			return serveStop
+			return false
 		}
 	}
 }
