@@ -111,10 +111,10 @@ type CyclonConfig = cyclon.Config
 // ScampConfig carries the SCAMP baseline's parameters.
 type ScampConfig = scamp.Config
 
-// Agent is a HyParView node running over real TCP: an actor-style wrapper
-// around the protocol core, the selected broadcast layer (flood or
-// Plumtree), the optional X-BOT optimizer with its live RTT oracle, and the
-// framed TCP transport.
+// Agent is a HyParView node running over real TCP: one agent lock around
+// the protocol core, the selected broadcast layer (flood or Plumtree), the
+// optional X-BOT optimizer with its live RTT oracle, and the framed TCP
+// transport.
 type Agent = transport.Agent
 
 // AgentConfig configures a TCP agent. Broadcast selects the broadcast layer,

@@ -35,7 +35,7 @@ type Stats struct {
 
 // Node is one HyParView protocol instance. It is not safe for concurrent
 // use: the simulator serializes deliveries, and the TCP agent runs each node
-// in a single goroutine actor loop.
+// under one agent lock.
 type Node struct {
 	env  peer.Env
 	self id.ID

@@ -101,6 +101,10 @@ const (
 	// threshold is broadcast now so batching trades bounded latency, never
 	// unbounded latency, for bytes.
 	TickPubSubFlush
+	// TickProbe starts one round of the TCP agent's PING/PONG prober
+	// (internal/transport): RTT measurement and half-open suspicion. The
+	// agent handles it before the stack sees it.
+	TickProbe
 )
 
 var typeNames = [...]string{

@@ -108,10 +108,10 @@ type AgentConfig struct {
 	// must not call back into the agent. May be nil.
 	OnDeliver func(payload []byte)
 	// OnNeighborUp is invoked under the agent lock when a peer enters the
-	// active view. May be nil.
+	// active view. It must not call back into the agent. May be nil.
 	OnNeighborUp func(peerID id.ID)
 	// OnNeighborDown is invoked under the agent lock when a peer leaves the
-	// active view. May be nil.
+	// active view. It must not call back into the agent. May be nil.
 	OnNeighborDown func(peerID id.ID, reason core.DownReason)
 }
 
@@ -149,13 +149,15 @@ type pingState struct {
 // single-threaded: every network delivery, timer tick, peer-down
 // notification and API call runs under one agent lock, so the core protocol
 // needs no locking of its own — the same discipline the simulator enforces.
-// A frame is dispatched by the transport reader that decoded it, a timer
-// firing by its timer goroutine (post); everything else is queued to the
-// actor goroutine (loop).
+// Each runs on the goroutine that raised it — a frame on its reader, a timer
+// firing on its timer goroutine (post), a peer-down on the goroutine that
+// condemned the link (peerDown), an API call on its caller — so the agent
+// starts no goroutine of its own. Lock order: a.mu before the transport's
+// locks; the transport calls back (post, peerDown) holding none of its own.
 type Agent struct {
 	tr *Transport
-	// mu serializes the protocol work: frame, the stack, and the prober's
-	// rtt, pings and ledger.
+	// mu serializes the protocol work: frame, the stack, the prober's rtt,
+	// pings and ledger, and the deferred list.
 	mu           sync.Mutex
 	frame        msg.Message // the delivery being dispatched; under mu
 	stack        stack.Stack // assembled once in NewAgent; the layers run under mu only
@@ -166,17 +168,21 @@ type Agent struct {
 	ledger       *probeLedger // non-nil when SuspectAfter > 0
 	suspectAfter int
 	probePeriod  time.Duration
-	inbox        chan func()
-	stop         chan struct{}
-	done         chan struct{}
-	probeTicker  *time.Ticker
+	deferred     []deferredCall // raised under mu, run by unlock; under mu
+	closed       bool           // set by Close; under mu
 	closeOnce    sync.Once
 }
 
-// NewAgent binds a listener on listenAddr and starts the actor loop. Close
-// must be called to release the listener and goroutines. An inconsistent
-// Core configuration or an unknown Broadcast mode is returned as an error
-// before anything is bound.
+// deferredCall is a transport call raised under the agent lock and run by
+// unlock: Transport.Suspect, the prober's verdict, or else Transport.Drain.
+type deferredCall struct {
+	peer    id.ID
+	suspect bool
+}
+
+// NewAgent binds a listener on listenAddr. Close must be called to release
+// the listener and goroutines. An inconsistent Core configuration or an
+// unknown Broadcast mode is returned as an error before anything is bound.
 func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 	// The agent's options in the stack's terms: wall-clock periods become
 	// scheduler ticks. The oracle and the round allocator are filled in below,
@@ -205,19 +211,12 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("transport: agent config: %w", err)
 	}
 
-	a := &Agent{
-		inbox: make(chan func(), 256),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-		pings: make(map[uint64]pingState),
-	}
+	a := &Agent{pings: make(map[uint64]pingState)}
 	// Readers dispatch under the agent lock from the moment the listener is
 	// bound; holding it until the stack is built parks an early frame.
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	tr, err := Listen(listenAddr, cfg.Transport, a.post, func(peerID id.ID) {
-		a.enqueue(func() { a.stack.Top.OnPeerDown(peerID) })
-	})
+	tr, err := Listen(listenAddr, cfg.Transport, a.post, a.peerDown)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +225,7 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 	// are dispatched as self-deliveries at the top of the protocol stack
 	// (post), exactly as the simulator delivers them — on the delivery path,
 	// with no closure per tick.
-	a.sched = newClockScheduler(func(m msg.Message) { a.post(tr.Self(), m) }, a.stop)
+	a.sched = newClockScheduler(func(m msg.Message) { a.post(tr.Self(), m) })
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = uint64(tr.Self()) ^ uint64(time.Now().UnixNano())
@@ -245,11 +244,11 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 			if reason != core.DownFailed {
 				// Deliberate departure (demotion to passive, or the peer's
 				// DISCONNECT): retire the connection gracefully. The drain is
-				// deferred through the inbox because the current dispatch may
-				// still queue a courtesy DISCONNECT for p — core fires this
+				// deferred to unlock because the current dispatch may still
+				// queue a courtesy DISCONNECT for p — core fires this
 				// callback before sending it — and the flush must see that
 				// frame. Failures need no drain: the link is already gone.
-				a.enqueue(func() { a.tr.Drain(p) })
+				a.deferred = append(a.deferred, deferredCall{p, false})
 			}
 			if userDown != nil {
 				userDown(p, reason)
@@ -272,10 +271,8 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 				a.probePeriod = time.Second
 			}
 		}
-		a.probeTicker = time.NewTicker(a.probePeriod)
+		a.sched.Every(ticks(a.probePeriod), msg.Message{Type: msg.Tick, Sender: tr.Self(), Round: msg.TickProbe})
 	}
-
-	go a.loop()
 	return a, nil
 }
 
@@ -303,54 +300,38 @@ func ticks(d time.Duration) uint64 {
 // message per agent, not one allocation per frame.
 func (a *Agent) post(from id.ID, m msg.Message) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	select {
-	case <-a.stop:
+	defer a.unlock()
+	if a.closed {
 		return
-	default:
 	}
 	a.frame = m
 	a.dispatch(from, &a.frame)
 }
 
-// enqueue hands fn to the actor loop without blocking. It may be called
-// under the agent lock (a listener or peer-down callback firing
-// mid-dispatch), where blocking on a full inbox could deadlock, so a full
-// inbox falls back to an asynchronous hand-off that exits with the agent.
-func (a *Agent) enqueue(fn func()) {
-	select {
-	case a.inbox <- fn:
-	default:
-		go func() {
-			select {
-			case a.inbox <- fn:
-			case <-a.stop:
-			}
-		}()
+// peerDown is the transport's watch callback. The transport fires it with
+// none of its locks held, from a link's writer or a deferred Suspect.
+func (a *Agent) peerDown(p id.ID) {
+	a.mu.Lock()
+	defer a.unlock()
+	if !a.closed {
+		a.stack.Top.OnPeerDown(p)
 	}
 }
 
-// loop is the actor goroutine: it runs API calls, peer-down notifications,
-// deferred drains and the RTT probe ticks under the agent lock. Network
-// frames and scheduler firings do not pass through it (see post).
-func (a *Agent) loop() {
-	defer close(a.done)
-	var probe <-chan time.Time
-	if a.probeTicker != nil {
-		probe = a.probeTicker.C
-	}
-	for {
-		select {
-		case fn := <-a.inbox:
-			a.mu.Lock()
-			fn()
-			a.mu.Unlock()
-		case <-probe:
-			a.mu.Lock()
-			a.onProbeTick()
-			a.mu.Unlock()
-		case <-a.stop:
-			return
+// unlock releases the agent lock, then runs the transport calls raised
+// under it, in order: the work runs after the event, as netsim runs
+// OnPeerDown. Suspect fires the watch synchronously, and peerDown takes the
+// lock; a drain must flush the DISCONNECT core queues after NeighborDown.
+// Every lock hold that runs protocol code ends here.
+func (a *Agent) unlock() {
+	work := a.deferred
+	a.deferred = nil
+	a.mu.Unlock()
+	for _, w := range work {
+		if w.suspect {
+			a.tr.Suspect(w.peer)
+		} else {
+			a.tr.Drain(w.peer)
 		}
 	}
 }
@@ -378,6 +359,10 @@ func (a *Agent) dispatch(from id.ID, m *msg.Message) {
 	case msg.Pong:
 		a.onPong(from, m.Round)
 	default:
+		if m.Type == msg.Tick && m.Round == msg.TickProbe && from == a.tr.Self() {
+			a.onProbeTick()
+			return
+		}
 		a.stack.Top.Deliver(from, m)
 	}
 }
@@ -442,12 +427,12 @@ func (a *Agent) onProbeTick() {
 		if a.ledger != nil {
 			if misses := a.ledger.tick(p); misses >= a.suspectAfter {
 				// Half-open verdict: the link swallowed SuspectAfter
-				// consecutive probe rounds. Condemn it now — Suspect fires
-				// the watch, which re-enters through the inbox as the usual
-				// peer-down repair path.
+				// consecutive probe rounds. Condemn it once the lock is
+				// released — Suspect fires the watch, which re-enters
+				// through peerDown as the usual repair path.
 				a.ledger.forget(p)
 				a.forgetPings(p)
-				a.tr.Suspect(p)
+				a.deferred = append(a.deferred, deferredCall{p, true})
 				continue
 			}
 		}
@@ -481,22 +466,6 @@ func (a *Agent) forgetPings(peer id.ID) {
 	}
 }
 
-// call runs op on the actor goroutine and waits for completion.
-func (a *Agent) call(op func()) error {
-	donech := make(chan struct{})
-	select {
-	case a.inbox <- func() { op(); close(donech) }:
-	case <-a.stop:
-		return ErrClosed
-	}
-	select {
-	case <-donech:
-		return nil
-	case <-a.stop:
-		return ErrClosed
-	}
-}
-
 // Self returns the agent's node identifier.
 func (a *Agent) Self() id.ID { return a.tr.Self() }
 
@@ -506,12 +475,13 @@ func (a *Agent) Addr() string { return a.tr.Addr() }
 // Join connects to the overlay through the node listening at contactAddr.
 func (a *Agent) Join(contactAddr string) error {
 	contact := a.tr.Register(contactAddr)
-	var joinErr error
-	if err := a.call(func() { joinErr = a.stack.Core.Join(contact) }); err != nil {
-		return err
+	a.mu.Lock()
+	defer a.unlock()
+	if a.closed {
+		return ErrClosed
 	}
-	if joinErr != nil {
-		return fmt.Errorf("join via %s: %w", contactAddr, joinErr)
+	if err := a.stack.Core.Join(contact); err != nil {
+		return fmt.Errorf("join via %s: %w", contactAddr, err)
 	}
 	return nil
 }
@@ -520,28 +490,36 @@ func (a *Agent) Join(contactAddr string) error {
 // broadcast layer. The round identifier is drawn from the node's random
 // stream; collisions across 64 bits are negligible.
 func (a *Agent) Broadcast(payload []byte) error {
-	return a.call(func() { a.stack.Top.Broadcast(a.rand.Uint64(), payload) })
+	a.mu.Lock()
+	defer a.unlock()
+	if a.closed {
+		return ErrClosed
+	}
+	a.stack.Top.Broadcast(a.rand.Uint64(), payload)
+	return nil
 }
 
 // ErrNoPubSub is returned by the pub/sub API on agents built without
 // AgentConfig.PubSub.
 var ErrNoPubSub = fmt.Errorf("transport: agent built without AgentConfig.PubSub")
 
-// onRouter runs op against the pub/sub router on the actor goroutine.
+// onRouter runs op against the pub/sub router under the agent lock.
 func (a *Agent) onRouter(op func(*pubsub.Router) error) error {
 	if a.stack.Router == nil {
 		return ErrNoPubSub
 	}
-	var err error
-	if cerr := a.call(func() { err = op(a.stack.Router) }); cerr != nil {
-		return cerr
+	a.mu.Lock()
+	defer a.unlock()
+	if a.closed {
+		return ErrClosed
 	}
-	return err
+	return op(a.stack.Router)
 }
 
 // Subscribe registers fn for topic on the agent's pub/sub router. Handlers
 // run under the agent lock with frozen, read-only payloads — copy before
-// retaining or crossing goroutines.
+// retaining or crossing goroutines. A handler must not call back into the
+// agent.
 func (a *Agent) Subscribe(topic uint32, fn pubsub.Handler) error {
 	return a.onRouter(func(r *pubsub.Router) error { return r.Subscribe(topic, fn) })
 }
@@ -563,7 +541,9 @@ func (a *Agent) FlushPubSub() error {
 // agent runs without AgentConfig.PubSub.
 func (a *Agent) PubSubStats() (stats pubsub.Stats, ok bool) {
 	if l := a.stack.Router; l != nil {
-		_ = a.call(func() { stats, ok = l.Stats(), true })
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		stats, ok = l.Stats(), true
 	}
 	return stats, ok
 }
@@ -573,28 +553,37 @@ func (a *Agent) PubSubStats() (stats pubsub.Stats, ok bool) {
 // the X-BOT optimization attempt cadence; agents with a CyclePeriod run
 // both through the scheduler instead.
 func (a *Agent) Cycle() error {
-	return a.call(func() { a.stack.Top.OnCycle() })
+	a.mu.Lock()
+	defer a.unlock()
+	if a.closed {
+		return ErrClosed
+	}
+	a.stack.Top.OnCycle()
+	return nil
 }
+
+// The read-only accessors below take the agent lock for a consistent
+// snapshot. After Close they return the state the agent stopped in.
 
 // ActiveView returns a snapshot of the active view.
 func (a *Agent) ActiveView() []id.ID {
-	var out []id.ID
-	_ = a.call(func() { out = a.stack.Core.Active() })
-	return out
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stack.Core.Active()
 }
 
 // PassiveView returns a snapshot of the passive view.
 func (a *Agent) PassiveView() []id.ID {
-	var out []id.ID
-	_ = a.call(func() { out = a.stack.Core.Passive() })
-	return out
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stack.Core.Passive()
 }
 
 // Stats returns a snapshot of the protocol counters.
 func (a *Agent) Stats() core.Stats {
-	var out core.Stats
-	_ = a.call(func() { out = a.stack.Core.Stats() })
-	return out
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stack.Core.Stats()
 }
 
 // BroadcastStats is a snapshot of the broadcast layer's payload accounting:
@@ -614,11 +603,10 @@ type BroadcastStats struct {
 }
 
 // BroadcastStats returns the broadcast layer's payload accounting.
-func (a *Agent) BroadcastStats() BroadcastStats {
-	var out BroadcastStats
-	_ = a.call(func() {
-		out.Delivered, out.Duplicates, out.Forwarded, out.SendFails = a.stack.Top.Counters()
-	})
+func (a *Agent) BroadcastStats() (out BroadcastStats) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out.Delivered, out.Duplicates, out.Forwarded, out.SendFails = a.stack.Top.Counters()
 	return out
 }
 
@@ -627,15 +615,17 @@ func (a *Agent) BroadcastStats() BroadcastStats {
 // (each a Send that returned peer.ErrOverflow), inbound deliveries
 // suppressed by a fault-injection hook, and the connection lifecycle
 // manager's accounting — backoff redials, dial races lost, links condemned
-// by half-open suspicion, and graceful drains. Safe without the actor
-// goroutine: counters are atomic.
+// by half-open suspicion, and graceful drains. Needs no agent lock:
+// counters are atomic.
 func (a *Agent) TransportStats() Stats { return a.tr.Stats() }
 
 // PlumtreeStats returns the Plumtree control-plane counters; ok is false
 // when the agent runs flood broadcast.
 func (a *Agent) PlumtreeStats() (stats plumtree.ControlStats, ok bool) {
 	if l := a.stack.Plumtree; l != nil {
-		_ = a.call(func() { stats, ok = l.Control(), true })
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		stats, ok = l.Control(), true
 	}
 	return stats, ok
 }
@@ -644,7 +634,9 @@ func (a *Agent) PlumtreeStats() (stats plumtree.ControlStats, ok bool) {
 // agent runs without the optimizer.
 func (a *Agent) OptimizerStats() (stats xbot.Stats, ok bool) {
 	if l := a.stack.XBot; l != nil {
-		_ = a.call(func() { stats, ok = l.Stats(), true })
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		stats, ok = l.Stats(), true
 	}
 	return stats, ok
 }
@@ -653,47 +645,44 @@ func (a *Agent) OptimizerStats() (stats xbot.Stats, ok bool) {
 // active-view links the RTT oracle has estimates for; ok is false when the
 // agent runs without the optimizer or nothing has been measured yet.
 func (a *Agent) MeanLinkCost() (mean float64, ok bool) {
-	_ = a.call(func() {
-		if a.rtt == nil {
-			return
+	if a.rtt == nil {
+		return 0, false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var sum float64
+	var n int
+	for _, p := range a.stack.Core.Active() {
+		if c, measured := a.rtt.estimate(p); measured {
+			sum += c
+			n++
 		}
-		var sum float64
-		var n int
-		for _, p := range a.stack.Core.Active() {
-			if c, measured := a.rtt.estimate(p); measured {
-				sum += c
-				n++
-			}
-		}
-		if n > 0 {
-			mean, ok = sum/float64(n), true
-		}
-	})
-	return mean, ok
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }
 
-// Close stops the actor loop and the transport, waiting for all goroutines.
-// It is idempotent and safe for concurrent use.
+// Close stops the agent and the transport, waiting for all goroutines. It
+// is idempotent and safe for concurrent use; every later call that changes
+// the agent returns ErrClosed.
 func (a *Agent) Close() error {
 	var err error
 	a.closeOnce.Do(func() {
-		if a.stack.Router != nil {
-			// Flush buffered publishes while the actor loop still runs, so a
-			// shutdown never strands a batch (the zero-loss half of the
-			// batching contract; OnPeerDown handles the overlay-change half).
-			_ = a.call(func() { a.stack.Router.Close() })
-		}
-		close(a.stop)
-		<-a.done
-		a.sched.wait()
-		// A delivery that took the lock before stop closed — a one-shot
-		// timer's goroutine is not tracked — finishes before Close returns;
-		// every later one sees stop and drops.
 		a.mu.Lock()
-		a.mu.Unlock()
-		if a.probeTicker != nil {
-			a.probeTicker.Stop()
+		if a.stack.Router != nil {
+			// Flush buffered publishes before stopping, so a shutdown never
+			// strands a batch (the zero-loss half of the batching contract;
+			// OnPeerDown handles the overlay-change half).
+			a.stack.Router.Close()
 		}
+		// Closing under the lock orders every delivery: one that holds the
+		// lock now — a one-shot timer's goroutine is not tracked — finishes
+		// before Close returns, and every later one sees closed and drops.
+		a.closed = true
+		a.unlock()
+		a.sched.halt()
 		err = a.tr.Close()
 	})
 	return err

@@ -219,7 +219,8 @@ func BenchmarkBroadcastThroughput(b *testing.B) {
 }
 
 // BenchmarkRTTProbe measures one full PING→PONG round trip through an
-// agent's actor loop: the unit cost of the X-BOT oracle's link measurements.
+// agent, dispatched under its lock: the unit cost of the X-BOT oracle's link
+// measurements.
 func BenchmarkRTTProbe(b *testing.B) {
 	agent, err := NewAgent("127.0.0.1:0", AgentConfig{})
 	if err != nil {

@@ -465,6 +465,15 @@ func TestSuspicionDetectsBlackholedPeer(t *testing.T) {
 	if got := a.TransportStats().Suspected; got < 1 {
 		t.Errorf("Suspected = %d, want >= 1", got)
 	}
+	// The verdict's Suspect fired the watch, whose callback takes the agent
+	// lock: run under that lock, it would have deadlocked the agent.
+	answered := make(chan struct{})
+	go func() { _ = a.ActiveView(); close(answered) }()
+	select {
+	case <-answered:
+	case <-time.After(time.Second):
+		t.Fatal("ActiveView did not return after the suspicion verdict")
+	}
 	// Release b's parked readers before its Close tears the agent down.
 	s.Blackhole(false)
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"hyparview/internal/core"
+	"hyparview/internal/id"
 	"hyparview/internal/pubsub"
 )
 
@@ -21,8 +23,10 @@ func TestAgentPubSubSoak(t *testing.T) {
 		coldMsgs = 8
 	)
 	var agents []*Agent
-	var fallback atomic.Int64
+	g := newGate()
+	var fallback, viewChanges atomic.Int64
 	var hotDelivered, coldDelivered atomic.Int64
+	var linksUp [n]atomic.Int64 // NeighborUp events per agent
 	t.Cleanup(func() {
 		for _, a := range agents {
 			_ = a.Close()
@@ -37,20 +41,26 @@ func TestAgentPubSubSoak(t *testing.T) {
 				MaxBatchBytes: 1 << 12,
 				FlushInterval: 10, // 10ms on the agent clock
 			},
-			OnDeliver: func([]byte) { fallback.Add(1) },
+			OnDeliver:      func([]byte) { g.hit(&fallback) },
+			OnNeighborUp:   func(id.ID) { linksUp[i].Add(1); g.hit(&viewChanges) },
+			OnNeighborDown: func(id.ID, core.DownReason) { g.hit(&viewChanges) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		agents = append(agents, a)
 	}
-	for _, a := range agents[1:] {
-		if err := a.Join(agents[0].Addr()); err != nil {
+	for i := 1; i < n; i++ {
+		if err := agents[i].Join(agents[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		// A join raises the link at both ends.
+		g.await(t, "joiner's link up", &linksUp[i], 1, 3*time.Second)
+		g.await(t, "contact's links up", &linksUp[0], int64(i), 3*time.Second)
 	}
-	time.Sleep(400 * time.Millisecond) // let shuffles symmetrize the overlay
+	if !g.wait(3*time.Second, func() bool { return settled(agents) }) {
+		t.Fatal("active views never became symmetric and connected")
+	}
 
 	// Subscription table: the hot topic everywhere, the cold topic on half
 	// the agents.
@@ -59,7 +69,7 @@ func TestAgentPubSubSoak(t *testing.T) {
 	for i, a := range agents {
 		if err := a.Subscribe(hotTopic, func(_ uint32, payload []byte, _ int) {
 			if len(payload) > 0 {
-				hotDelivered.Add(1)
+				g.hit(&hotDelivered)
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -67,7 +77,7 @@ func TestAgentPubSubSoak(t *testing.T) {
 		if i%2 == 0 {
 			coldSubs++
 			if err := a.Subscribe(coldTopic, func(uint32, []byte, int) {
-				coldDelivered.Add(1)
+				g.hit(&coldDelivered)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +95,9 @@ func TestAgentPubSubSoak(t *testing.T) {
 		if err := agents[1].Publish(coldTopic, []byte(fmt.Sprintf("cold-%d", i))); err != nil {
 			t.Fatalf("publish cold %d: %v", i, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		// A trickle: each cold message reaches every subscriber before the
+		// next is published, so it leaves in a batch of its own.
+		g.await(t, "cold deliveries", &coldDelivered, int64((i+1)*coldSubs), 10*time.Second)
 	}
 	if err := agents[2].Broadcast([]byte("plain")); err != nil {
 		t.Fatal(err)
@@ -93,11 +105,9 @@ func TestAgentPubSubSoak(t *testing.T) {
 
 	wantHot := int64(hotMsgs * n)
 	wantCold := int64(coldMsgs * coldSubs)
-	deadline := time.Now().Add(10 * time.Second)
-	for (hotDelivered.Load() < wantHot || coldDelivered.Load() < wantCold ||
-		fallback.Load() < int64(n)) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	g.wait(10*time.Second, func() bool {
+		return hotDelivered.Load() >= wantHot && coldDelivered.Load() >= wantCold && fallback.Load() >= int64(n)
+	})
 	if got := hotDelivered.Load(); got != wantHot {
 		t.Errorf("hot topic: %d deliveries, want %d (reliability 1.0)", got, wantHot)
 	}

@@ -30,26 +30,9 @@ func TestPlumtreeRetentionHeapBound(t *testing.T) {
 		rounds = 320 // 4 × 320 × 16 KiB = 20 MiB unbounded, still over the bound
 	}
 
+	g := newGate()
 	var delivered atomic.Int64
 	var linksUp [agents]atomic.Int64 // NeighborUp events per agent
-	event := make(chan struct{}, 1)
-	notify := func() {
-		select {
-		case event <- struct{}{}:
-		default:
-		}
-	}
-	await := func(what string, counter *atomic.Int64, want int64) {
-		t.Helper()
-		deadline := time.After(60 * time.Second)
-		for counter.Load() < want {
-			select {
-			case <-event:
-			case <-deadline:
-				t.Fatalf("%s: %d of %d after 60s", what, counter.Load(), want)
-			}
-		}
-	}
 
 	cluster := make([]*Agent, agents)
 	for i := range cluster {
@@ -61,10 +44,9 @@ func TestPlumtreeRetentionHeapBound(t *testing.T) {
 				if len(p) != payloadSize {
 					t.Errorf("delivered %d bytes, want %d", len(p), payloadSize)
 				}
-				delivered.Add(1)
-				notify()
+				g.hit(&delivered)
 			},
-			OnNeighborUp: func(id.ID) { linksUp[i].Add(1); notify() },
+			OnNeighborUp: func(id.ID) { g.hit(&linksUp[i]) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +60,8 @@ func TestPlumtreeRetentionHeapBound(t *testing.T) {
 		}
 		// A join raises the link at both ends; the contact's active view has
 		// room for all three joiners, so none of these links is evicted.
-		await("joiner's link up", &linksUp[i], 1)
-		await("contact's links up", &linksUp[0], int64(i))
+		g.await(t, "joiner's link up", &linksUp[i], 1, time.Minute)
+		g.await(t, "contact's links up", &linksUp[0], int64(i), time.Minute)
 	}
 
 	published := 0
@@ -90,7 +72,7 @@ func TestPlumtreeRetentionHeapBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			published++
-			await("delivery", &delivered, int64(agents*published))
+			g.await(t, "delivery", &delivered, int64(agents*published), time.Minute)
 		}
 	}
 	heap := func() int64 {

@@ -16,20 +16,20 @@ const tickDuration = time.Millisecond
 
 // clockScheduler implements peer.Scheduler on the wall clock. Due messages
 // are handed to deliver, which is responsible for dispatching them under the
-// agent lock (and for honoring shutdown); periodic tasks stop when stop
-// closes.
+// agent lock (and for honoring shutdown); once halt closes stop, periodic
+// tasks end and a one-shot timer that fires later delivers nothing.
 type clockScheduler struct {
 	start   time.Time
 	deliver func(msg.Message)
-	stop    <-chan struct{}
+	stop    chan struct{}
 	wg      sync.WaitGroup // periodic firing goroutines, for clean Close
 }
 
 var _ peer.Scheduler = (*clockScheduler)(nil)
 
 // newClockScheduler starts the scheduler's epoch at the current instant.
-func newClockScheduler(deliver func(msg.Message), stop <-chan struct{}) *clockScheduler {
-	return &clockScheduler{start: time.Now(), deliver: deliver, stop: stop}
+func newClockScheduler(deliver func(msg.Message)) *clockScheduler {
+	return &clockScheduler{start: time.Now(), deliver: deliver, stop: make(chan struct{})}
 }
 
 // Now implements peer.Scheduler: milliseconds since the scheduler's epoch,
@@ -51,7 +51,7 @@ func (c *clockScheduler) After(delay uint64, m msg.Message) {
 }
 
 // Every implements peer.Scheduler: m is delivered every interval ticks until
-// the agent closes. A zero interval is clamped to one tick.
+// halt. A zero interval is clamped to one tick.
 func (c *clockScheduler) Every(interval uint64, m msg.Message) {
 	if interval == 0 {
 		interval = 1
@@ -72,6 +72,9 @@ func (c *clockScheduler) Every(interval uint64, m msg.Message) {
 	}()
 }
 
-// wait blocks until all periodic firing goroutines have exited (stop must
-// already be closed).
-func (c *clockScheduler) wait() { c.wg.Wait() }
+// halt stops the scheduler and waits until all periodic firing goroutines
+// have exited. Call it once.
+func (c *clockScheduler) halt() {
+	close(c.stop)
+	c.wg.Wait()
+}

@@ -15,15 +15,14 @@ import (
 // in both environments.
 func TestSchedulerConformance(t *testing.T) {
 	peertest.Conformance(t, func(t *testing.T) *peertest.Instance {
-		stop := make(chan struct{})
-		t.Cleanup(func() { close(stop) })
 		var mu sync.Mutex
 		var got []msg.Message
 		cs := newClockScheduler(func(m msg.Message) {
 			mu.Lock()
 			got = append(got, m)
 			mu.Unlock()
-		}, stop)
+		})
+		t.Cleanup(cs.halt)
 		return &peertest.Instance{
 			Sched: cs,
 			Run: func(d uint64) {
@@ -41,21 +40,19 @@ func TestSchedulerConformance(t *testing.T) {
 	})
 }
 
-// TestClockSchedulerStopsPeriodic verifies Every goroutines exit on stop and
+// TestClockSchedulerStopsPeriodic verifies Every goroutines exit on halt and
 // deliver nothing afterwards.
 func TestClockSchedulerStopsPeriodic(t *testing.T) {
-	stop := make(chan struct{})
 	var mu sync.Mutex
 	count := 0
 	cs := newClockScheduler(func(msg.Message) {
 		mu.Lock()
 		count++
 		mu.Unlock()
-	}, stop)
+	})
 	cs.Every(10, msg.Message{Type: msg.Tick})
 	time.Sleep(60 * time.Millisecond)
-	close(stop)
-	cs.wait()
+	cs.halt()
 	mu.Lock()
 	atStop := count
 	mu.Unlock()

@@ -296,12 +296,13 @@ func TestCandidatePingAnsweredWithoutDial(t *testing.T) {
 	if err := a.tr.Probe(cID); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.call(func() { a.sendPing(cID) }); err != nil {
-		t.Fatal(err)
-	}
+	a.mu.Lock()
+	a.sendPing(cID)
+	a.mu.Unlock()
 	waitUntil(t, "the candidate's PONG", func() bool {
-		var measured bool
-		_ = a.call(func() { _, measured = a.rtt.estimate(cID) })
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		_, measured := a.rtt.estimate(cID)
 		return measured
 	})
 	if d := cDials.Load(); d != 0 {

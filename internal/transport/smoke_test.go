@@ -6,44 +6,50 @@ import (
 	"time"
 
 	"hyparview/internal/core"
+	"hyparview/internal/id"
 )
 
 func TestAgentSmoke(t *testing.T) {
-	var delivered atomic.Int64
-	mk := func() *Agent {
+	const n = 8
+	g := newGate()
+	var delivered, viewChanges atomic.Int64
+	var linksUp [n]atomic.Int64 // NeighborUp events per agent
+	agents := make([]*Agent, n)
+	for i := range agents {
 		a, err := NewAgent("127.0.0.1:0", AgentConfig{
-			OnDeliver: func([]byte) { delivered.Add(1) },
+			OnDeliver:      func([]byte) { g.hit(&delivered) },
+			OnNeighborUp:   func(id.ID) { linksUp[i].Add(1); g.hit(&viewChanges) },
+			OnNeighborDown: func(id.ID, core.DownReason) { g.hit(&viewChanges) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
-	}
-	agents := make([]*Agent, 8)
-	for i := range agents {
-		agents[i] = mk()
+		agents[i] = a
 	}
 	defer func() {
 		for _, a := range agents {
 			_ = a.Close()
 		}
 	}()
-	for i := 1; i < len(agents); i++ {
+	for i := 1; i < n; i++ {
 		if err := agents[i].Join(agents[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		// A join raises the link at both ends.
+		g.await(t, "joiner's link up", &linksUp[i], 1, 3*time.Second)
+		g.await(t, "contact's links up", &linksUp[0], int64(i), 3*time.Second)
 	}
-	time.Sleep(200 * time.Millisecond)
+	// The forward-join walks end in NEIGHBOR requests; once they land, the
+	// views are symmetric and a flood from anywhere reaches everyone.
+	if !g.wait(3*time.Second, func() bool { return settled(agents) }) {
+		t.Fatal("active views never became symmetric and connected")
+	}
 	if err := agents[3].Broadcast([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for delivered.Load() < 8 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := delivered.Load(); got != 8 {
-		t.Fatalf("delivered=%d want 8", got)
+	g.await(t, "deliveries", &delivered, n, 3*time.Second)
+	if got := delivered.Load(); got != n {
+		t.Fatalf("delivered=%d want %d", got, n)
 	}
 }
 
