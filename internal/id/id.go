@@ -64,10 +64,14 @@ func NewBook() *Book {
 }
 
 // Put registers the (id, addr) pair, replacing any previous mapping for
-// either key.
+// either key. Re-putting the registered pair, as every received frame does
+// for its sender, changes nothing.
 func (b *Book) Put(node ID, addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if cur, ok := b.byID[node]; ok && cur == addr {
+		return
+	}
 	if b.byID == nil {
 		b.byID = make(map[ID]string)
 		b.byAddr = make(map[string]ID)

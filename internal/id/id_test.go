@@ -94,6 +94,63 @@ func TestBookPutReplacesBothDirections(t *testing.T) {
 	}
 }
 
+// TestBookPut checks both directions of the book after a second Put, in
+// the three cases a sender's frames produce.
+func TestBookPut(t *testing.T) {
+	type pair struct {
+		node ID
+		addr string
+	}
+	for _, tc := range []struct {
+		name   string
+		second pair
+		want   []pair   // mappings that resolve both ways afterwards
+		gone   []ID     // ids that no longer resolve
+		stale  []string // addresses that no longer resolve
+	}{
+		{name: "same mapping", second: pair{1, "a:1"}, want: []pair{{1, "a:1"}, {2, "a:2"}}},
+		{name: "new address", second: pair{1, "a:9"}, want: []pair{{1, "a:9"}, {2, "a:2"}}, stale: []string{"a:1"}},
+		{name: "reused address", second: pair{3, "a:1"}, want: []pair{{3, "a:1"}, {2, "a:2"}}, gone: []ID{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBook()
+			b.Put(1, "a:1")
+			b.Put(2, "a:2")
+			b.Put(tc.second.node, tc.second.addr)
+			for _, p := range tc.want {
+				if addr, ok := b.Addr(p.node); !ok || addr != p.addr {
+					t.Errorf("Addr(%v) = %q, %v; want %q", p.node, addr, ok, p.addr)
+				}
+				if node, ok := b.Lookup(p.addr); !ok || node != p.node {
+					t.Errorf("Lookup(%q) = %v, %v; want %v", p.addr, node, ok, p.node)
+				}
+			}
+			for _, node := range tc.gone {
+				if _, ok := b.Addr(node); ok {
+					t.Errorf("Addr(%v) still resolves", node)
+				}
+			}
+			for _, addr := range tc.stale {
+				if _, ok := b.Lookup(addr); ok {
+					t.Errorf("Lookup(%q) still resolves", addr)
+				}
+			}
+			if b.Len() != len(tc.want) {
+				t.Errorf("Len() = %d, want %d", b.Len(), len(tc.want))
+			}
+		})
+	}
+}
+
+func BenchmarkBookPutUnchanged(b *testing.B) {
+	book := NewBook()
+	book.Put(1, "127.0.0.1:7001")
+	b.ReportAllocs()
+	for b.Loop() {
+		book.Put(1, "127.0.0.1:7001")
+	}
+}
+
 func TestBookDelete(t *testing.T) {
 	b := NewBook()
 	b.Put(ID(1), "a:1")

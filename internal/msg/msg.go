@@ -105,6 +105,11 @@ const (
 	// (internal/transport): RTT measurement and half-open suspicion. The
 	// agent handles it before the stack sees it.
 	TickProbe
+	// TickPlumtreeFlush flushes Plumtree's lazy queue (internal/plumtree):
+	// the announcements queued since the tick was armed go out as one IHAVE
+	// per peer. A node arms it when its queue stops being empty, so an idle
+	// node runs no timer.
+	TickPlumtreeFlush
 )
 
 var typeNames = [...]string{

@@ -56,10 +56,20 @@ func (f *versionedMembership) GossipTargets(fanout int, exclude id.ID) []id.ID {
 	return f.scratch
 }
 
+// flushTick fires n's lazy-queue flush by hand (nullEnv's After drops the
+// tick the node armed), staging the tick in *in as the environment would.
+func flushTick(n *Node, in *msg.Message) {
+	*in = msg.Message{Type: msg.Tick, Sender: n.env.Self(), Round: msg.TickPlumtreeFlush}
+	n.Deliver(in.Sender, in)
+}
+
 // TestSteadyStateDeliveryZeroAlloc pins the acceptance criterion for the
 // Plumtree layer: with the tree converged (stable eager/lazy partition) and
 // the membership versioned, delivering an eager payload, pushing it on, an
-// IHAVE announcement, and a redundant eager copy all allocate nothing.
+// IHAVE announcement, a redundant eager copy, and a lazy-queue flush that
+// owes each peer one announcement all allocate nothing. A flush that packs
+// several announcements for a peer allocates that frame's payload, and
+// nothing else.
 func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 	env := &nullEnv{self: 1, rand: rng.New(1)}
 	mem := &versionedMembership{neighbors: []id.ID{2, 3, 4, 5}}
@@ -82,6 +92,7 @@ func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 		n.Deliver(3, &in)
 		in = msg.Message{Type: msg.PlumtreeIHave, Sender: 4, Round: round, Hops: 2}
 		n.Deliver(4, &in)
+		flushTick(n, &in)
 	}
 	// Warm until the eager/lazy partition and the seen cache reach steady
 	// state, past the cache window so eviction recycling is measured too.
@@ -98,6 +109,41 @@ func TestSteadyStateDeliveryZeroAlloc(t *testing.T) {
 	}
 	if n.Control().PrunesSent == 0 {
 		t.Fatal("duplicate path never pruned; steady state not exercised")
+	}
+	if n.Control().IHavesSent == 0 {
+		t.Fatal("no announcement was flushed; the lazy queue was not exercised")
+	}
+
+	// Three lazy peers: one delivery per flush sends three plain IHAVEs,
+	// five deliveries per flush send three batch IHAVEs of five entries.
+	mem = &versionedMembership{neighbors: []id.ID{2, 3, 4, 5}}
+	n = New(env, mem, Config{}, nil)
+	for _, p := range []id.ID{3, 4, 5} {
+		in = msg.Message{Type: msg.PlumtreePrune, Sender: p}
+		n.Deliver(p, &in)
+	}
+	deliveries := 1
+	flushed := func() {
+		for i := 0; i < deliveries; i++ {
+			round++
+			in = msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: round, Hops: 1, Payload: payload}
+			n.Deliver(2, &in)
+		}
+		flushTick(n, &in)
+	}
+	for i := 0; i < DefaultCacheWindow+8; i++ {
+		flushed()
+	}
+	if allocs := testing.AllocsPerRun(200, flushed); allocs != 0 {
+		t.Fatalf("a flush of one announcement per peer allocates %.1f/op, want 0", allocs)
+	}
+	deliveries = 5
+	sent := n.Control().IHavesSent
+	if allocs := testing.AllocsPerRun(200, flushed); allocs > 3 {
+		t.Fatalf("a flush of three 5-entry frames allocates %.1f/op, want at most 3", allocs)
+	}
+	if got := n.Control().IHavesSent - sent; got != 201*15 {
+		t.Fatalf("IHavesSent grew by %d over 201 flushes, want %d", got, 201*15)
 	}
 }
 

@@ -28,9 +28,25 @@
 // the "wait long enough for the eager path to win" semantics the paper's
 // timer provides, and tree repair still runs to completion inside a single
 // Drain, deterministic under a fixed seed; under a latency model or the real
-// TCP clock the delay is a genuine timeout in ticks. Divergence from the
-// paper: IHAVE announcements are sent immediately rather than batched by a
-// lazy-queue policy.
+// TCP clock the delay is a genuine timeout in ticks.
+//
+// Lazy queue (the paper's lazy-push policy): announcements are not sent as
+// they are made. push queues (peer, round, hops) on the node, and the first
+// entry of an empty queue arms one msg.TickPlumtreeFlush tick,
+// max(TimerDelay/4, 1) ticks out; a queue that reaches maxQueued entries
+// flushes at once. A flush sends one IHAVE per peer still in the eager or
+// lazy set, peers in ID order and each peer's entries in queue order: a
+// single entry is a plain IHAVE (Round, Hops), several are packed into the
+// payload as ihaveEntry-byte (round, hops) pairs. A receiver whose eager copy
+// was lost therefore grafts at most TimerDelay/4 later than it would with
+// immediate announcements. announceLast, the one-off announcement to a new
+// link, is not queued.
+//
+// Queued announcements reach a receiver after the payload they announce, so
+// every shorter announced path would qualify for the §4.4 swap, and with
+// several sources the tree would flip back and forth. A swap therefore
+// needs the same announcer to qualify optimizeStreak times in a row; a
+// non-qualifying announcement from it starts the count again.
 //
 // The node implements gossip.Broadcaster over any peer.Membership, so the
 // experiment harness can swap flood gossip for Plumtree with a cluster
@@ -38,6 +54,8 @@
 package plumtree
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"slices"
 
@@ -61,15 +79,30 @@ const DefaultCacheWindow = 512
 // repair requests (see payloadRing). A round's retransmission horizon is
 // therefore min(DefaultCacheWindow rounds, retainBudget ÷ payload byte rate):
 // payloads of up to 4 KiB keep the whole dedup window, larger ones age out
-// sooner, and the horizon only has to outlast the missing-message timer
-// (Config.TimerDelay) by the announcers a graft may fall through.
+// sooner, and the horizon only has to outlast the lazy queue's flush delay
+// plus the missing-message timer (Config.TimerDelay) times the announcers a
+// graft may fall through.
 const retainBudget = 2 << 20
+
+// maxQueued bounds the lazy queue: the announcement that fills it flushes
+// the queue at once. It also bounds the entries of one batch IHAVE; a longer
+// batch is dropped whole by its receiver.
+const maxQueued = 64
+
+// ihaveEntry is the wire size of one announcement in a batch IHAVE's
+// payload: round (big-endian uint64), then hops (big-endian uint16).
+const ihaveEntry = 10
+
+// optimizeStreak is how many announcements in a row from one announcer must
+// promise a shorter path before the §4.4 swap grafts it.
+const optimizeStreak = 3
 
 // Config parameterizes a Plumtree node. Zero fields take defaults.
 type Config struct {
 	// TimerDelay is the missing-message timeout in scheduler ticks: how long
 	// a node that heard an IHAVE announcement waits for the eager copy
-	// before grafting the announcer (peer.Scheduler.After). A zero-delay
+	// before grafting the announcer (peer.Scheduler.After). A quarter of it
+	// (at least one tick) is the lazy queue's flush delay. A zero-delay
 	// timer still fires behind all traffic in flight at arming time, so in
 	// the simulator's FIFO mode any value repairs within one Drain; under a
 	// latency model the delay must exceed the eager-path/lazy-shortcut
@@ -194,9 +227,17 @@ type missing struct {
 // the active-view size (5 in the paper's configurations).
 const maxSources = 8
 
+// announcement is one lazy-queue entry: an IHAVE for round, at hops, owed
+// to peer.
+type announcement struct {
+	peer  id.ID
+	round uint64
+	hops  uint16
+}
+
 // ControlStats counts Plumtree's control-plane activity.
 type ControlStats struct {
-	IHavesSent  uint64 // announcements pushed to lazy peers
+	IHavesSent  uint64 // announcements sent (a batch IHAVE counts each entry)
 	GraftsSent  uint64 // repair grafts (retransmission requests)
 	PrunesSent  uint64 // duplicate-triggered demotions
 	TimerFires  uint64 // missing-message timers that expired into a graft
@@ -248,6 +289,14 @@ type Node struct {
 	miss  roundcache.Cache[missing]
 	ring  payloadRing // payloads of the rounds in seen, for GRAFT service
 
+	// queue holds the announcements not yet flushed (see enqueue).
+	queue []announcement
+
+	// streakPeer qualified for the §4.4 swap on its last streak
+	// announcements in a row.
+	streakPeer id.ID
+	streak     int
+
 	// Reused scratch buffers for the allocation-free hot paths; their
 	// contents are dead between calls (see the ownership rules on package
 	// peer: messages are sent with frozen slices, never aliasing these).
@@ -294,7 +343,8 @@ func (n *Node) Config() Config { return n.cfg }
 // Deliver implements peer.Process. Plumtree traffic is consumed here,
 // everything else is handed to the membership protocol. A PLUMTREEIHAVE
 // from the node itself is a missing-message timer firing (see package doc);
-// a scheduler Tick from the node itself carries a lower layer's periodic
+// the node's own TickPlumtreeFlush flushes the lazy queue; any other
+// scheduler Tick from the node itself carries a lower layer's periodic
 // round through this one, so the cyclic housekeeping rides along before the
 // tick descends.
 func (n *Node) Deliver(from id.ID, m *msg.Message) {
@@ -313,6 +363,10 @@ func (n *Node) Deliver(from id.ID, m *msg.Message) {
 		n.onPrune(from)
 	case msg.Tick:
 		if from == n.env.Self() {
+			if m.Round == msg.TickPlumtreeFlush {
+				n.flush()
+				return
+			}
 			n.periodic()
 		}
 		n.membership.Deliver(from, m)
@@ -406,38 +460,65 @@ func (n *Node) onGossip(from id.ID, m *msg.Message) {
 	n.push(m.Round, m.Topic, m.Payload, hops, from)
 }
 
-// onIHave handles a lazy announcement from a peer.
+// onIHave handles a lazy announcement frame from a peer: one announcement in
+// Round and Hops, or a batch of them in the payload. A malformed batch is
+// dropped before any of its entries is applied.
 func (n *Node) onIHave(from id.ID, m *msg.Message) {
-	n.reconcile()
-	if c := n.seen.Get(m.Round); c != nil {
-		n.maybeOptimize(from, m.Hops, c)
+	batch := m.Payload
+	if len(batch) == 0 {
+		n.reconcile()
+		n.announced(from, m.Round, m.Hops)
 		return
 	}
-	ms, existed := n.miss.Put(m.Round)
+	if len(batch)%ihaveEntry != 0 || len(batch) > maxQueued*ihaveEntry {
+		return
+	}
+	n.reconcile()
+	for ; len(batch) > 0; batch = batch[ihaveEntry:] {
+		n.announced(from, binary.BigEndian.Uint64(batch), binary.BigEndian.Uint16(batch[8:]))
+	}
+}
+
+// announced handles one announcement: a delivered round is checked for the
+// §4.4 swap, a missing one records the announcer and arms the timer.
+func (n *Node) announced(from id.ID, round uint64, hops uint16) {
+	if c := n.seen.Get(round); c != nil {
+		n.maybeOptimize(from, hops, c)
+		return
+	}
+	ms, existed := n.miss.Put(round)
 	if !existed {
 		// Fresh (or recycled) entry: reset the live fields.
 		ms.nsrc = 0
 		ms.timer = false
 	}
 	if int(ms.nsrc) < len(ms.sources) {
-		ms.sources[ms.nsrc] = source{peer: from, hops: m.Hops}
+		ms.sources[ms.nsrc] = source{peer: from, hops: hops}
 		ms.nsrc++
 	}
 	if !ms.timer {
-		n.startTimer(m.Round, n.cfg.TimerDelay)
+		n.startTimer(round, n.cfg.TimerDelay)
 	}
 }
 
 // maybeOptimize applies the paper's §4.4 tree optimization: if the announced
 // path would have delivered the message at least OptimizeThreshold hops
-// earlier than the eager path did, swap the links.
+// earlier than the eager path did, and from has qualified optimizeStreak
+// times in a row, swap the links.
 func (n *Node) maybeOptimize(from id.ID, announcedHops uint16, c *cached) {
-	if n.eager.Contains(from) {
+	if n.eager.Contains(from) || int(announcedHops)+1+n.cfg.OptimizeThreshold > int(c.hops) {
+		if from == n.streakPeer {
+			n.streak = 0
+		}
 		return
 	}
-	if int(announcedHops)+1+n.cfg.OptimizeThreshold > int(c.hops) {
+	if from != n.streakPeer {
+		n.streakPeer, n.streak = from, 0
+	}
+	if n.streak++; n.streak < optimizeStreak {
 		return
 	}
+	n.streak = 0
 	// c points into the seen cache; copy the parent out before sending (a
 	// send cannot evict cache entries today, but the pointer's validity
 	// window is documented as "until the next insert").
@@ -561,10 +642,10 @@ func (n *Node) startTimer(round uint64, delay uint64) {
 	})
 }
 
-// push sends the payload to every eager peer and the announcement to every
-// lazy peer, excluding the link the message arrived on. The peer sets are
-// iterated through a reused scratch snapshot (a failed send removes the peer
-// from the live set mid-loop), in ascending ID order so the simulator's
+// push sends the payload to every eager peer and queues the announcement for
+// every lazy peer, excluding the link the message arrived on. The peer sets
+// are iterated through a reused scratch snapshot (a failed send removes the
+// peer from the live set mid-loop), in ascending ID order so the simulator's
 // event trace stays deterministic; the payload slice is shared by every
 // outgoing copy (copy-on-write fan-out, see package peer).
 func (n *Node) push(round uint64, topic uint32, payload []byte, hops uint16, skip id.ID) {
@@ -583,17 +664,70 @@ func (n *Node) push(round uint64, topic uint32, payload []byte, hops uint16, ski
 			n.forwarded++
 		}
 	}
-	n.msgScratch = msg.Message{
-		Type:   msg.PlumtreeIHave,
-		Sender: self,
-		Round:  round,
-		Hops:   hops,
-	}
+	n.msgScratch.Payload = nil // as in onGraft: do not pin the payload
 	n.peerScratch = n.lazy.AppendTo(n.peerScratch[:0], skip)
 	for _, p := range n.peerScratch {
-		if n.sendRefTo(p, &n.msgScratch) {
-			n.control.IHavesSent++
+		n.enqueue(announcement{peer: p, round: round, hops: hops})
+	}
+}
+
+// enqueue adds a to the lazy queue. The first entry of an empty queue arms
+// a flush tick, and the entry that fills the queue flushes it; a tick still
+// in flight from before such a flush (or a ResetSeen) flushes its successor
+// early.
+func (n *Node) enqueue(a announcement) {
+	if len(n.queue) == 0 {
+		n.env.After(max(n.cfg.TimerDelay/4, 1), msg.Message{
+			Type:   msg.Tick,
+			Sender: n.env.Self(),
+			Round:  msg.TickPlumtreeFlush,
+		})
+	}
+	n.queue = append(n.queue, a)
+	if len(n.queue) >= maxQueued {
+		n.flush()
+	}
+}
+
+// flush empties the lazy queue: one IHAVE per peer that is still eager or
+// lazy, in ascending peer order, its entries in queue order. A peer that
+// left both sets gets nothing, so a flush never dials a non-neighbor.
+func (n *Node) flush() {
+	if len(n.queue) == 0 {
+		return
+	}
+	n.reconcile()
+	q := n.queue
+	slices.SortStableFunc(q, func(a, b announcement) int { return cmp.Compare(a.peer, b.peer) })
+	for len(q) > 0 {
+		k := 1
+		for k < len(q) && q[k].peer == q[0].peer {
+			k++
 		}
+		if p := q[0].peer; n.eager.Contains(p) || n.lazy.Contains(p) {
+			n.sendIHave(p, q[:k])
+		}
+		q = q[k:]
+	}
+	n.queue = n.queue[:0]
+}
+
+// sendIHave sends entries to p in one IHAVE: a single entry in Round and
+// Hops, several packed into a fresh (frozen once sent) payload.
+func (n *Node) sendIHave(p id.ID, entries []announcement) {
+	n.msgScratch = msg.Message{Type: msg.PlumtreeIHave, Sender: n.env.Self()}
+	if len(entries) == 1 {
+		n.msgScratch.Round, n.msgScratch.Hops = entries[0].round, entries[0].hops
+	} else {
+		batch := make([]byte, 0, len(entries)*ihaveEntry)
+		for _, e := range entries {
+			batch = binary.BigEndian.AppendUint64(batch, e.round)
+			batch = binary.BigEndian.AppendUint16(batch, e.hops)
+		}
+		n.msgScratch.Payload = batch
+	}
+	if n.sendRefTo(p, &n.msgScratch) {
+		n.control.IHavesSent += uint64(len(entries))
 	}
 }
 
@@ -737,11 +871,12 @@ func (n *Node) Seen(round uint64) bool {
 	return n.seen.Get(round) != nil
 }
 
-// ResetSeen clears the delivered-round cache, the missing-round state and the
-// retained payloads in place; the fixed-capacity caches keep (and recycle)
-// their memory.
+// ResetSeen clears the delivered-round cache, the missing-round state, the
+// retained payloads and the lazy queue in place; the fixed-capacity caches
+// keep (and recycle) their memory.
 func (n *Node) ResetSeen() {
 	n.hasLast = false
+	n.queue = n.queue[:0]
 	n.seen.Reset()
 	n.miss.Reset()
 	n.ring.reset()

@@ -75,6 +75,16 @@ func (e *fakeEnv) Send(dst id.ID, m msg.Message) error {
 	return nil
 }
 
+// fireDue advances env's clock by d ticks and delivers the timers due to n.
+func fireDue(env *fakeEnv, n *Node, d uint64) {
+	for _, tm := range env.Advance(d) {
+		n.Deliver(env.self, &tm)
+	}
+}
+
+// flushDelay is how long after its first entry n's lazy queue flushes.
+func flushDelay(n *Node) uint64 { return max(n.Config().TimerDelay/4, 1) }
+
 // sentOfType filters recorded sends by message type.
 func (e *fakeEnv) sentOfType(t msg.Type) []sentMsg {
 	var out []sentMsg
@@ -164,6 +174,7 @@ func TestLazyPeersGetIHaveNotPayload(t *testing.T) {
 	env.sent = nil
 
 	n.Broadcast(5, []byte("y"))
+	fireDue(env, n, flushDelay(n)) // the lazy queue holds the IHAVE until its flush tick
 	gossips := env.sentOfType(msg.PlumtreeGossip)
 	ihaves := env.sentOfType(msg.PlumtreeIHave)
 	if len(gossips) != 1 || gossips[0].to != 2 {
@@ -277,14 +288,22 @@ func TestOptimizationSwapsEagerAndLazy(t *testing.T) {
 	env := newFakeEnv(1)
 	mem := &fakeMembership{neighbors: []id.ID{2, 3}}
 	n := New(env, mem, Config{OptimizeThreshold: 2}, nil)
-	// Deliver through n2 at hop count 9.
-	n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: 8, Hops: 8})
+	// Deliver rounds 8-10 through n2 at hop count 9.
+	for r := uint64(8); r <= 10; r++ {
+		n.Deliver(2, &msg.Message{Type: msg.PlumtreeGossip, Sender: 2, Round: r, Hops: 8})
+	}
 	n.Deliver(3, &msg.Message{Type: msg.PlumtreePrune, Sender: 3}) // n3 lazy
 	env.sent = nil
 
-	// n3 announces the same round at hop 2: the path via n3 (3 hops) beats
-	// ours (9) by more than the threshold, so the links swap.
-	n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: 8, Hops: 2})
+	// n3 announces the same rounds at hop 2: the path via n3 (3 hops) beats
+	// ours (9) by more than the threshold. Two such announcements are not
+	// yet a streak; the third swaps the links.
+	for r := uint64(8); r <= 10; r++ {
+		if r == 10 && len(env.sent) != 0 {
+			t.Fatalf("swapped before the third qualifying announcement: %v", env.sent)
+		}
+		n.Deliver(3, &msg.Message{Type: msg.PlumtreeIHave, Sender: 3, Round: r, Hops: 2})
+	}
 	grafts := env.sentOfType(msg.PlumtreeGraft)
 	if len(grafts) != 1 || grafts[0].to != 3 || grafts[0].m.Accept {
 		t.Fatalf("grafts = %v, want optimization graft to n3", grafts)
