@@ -4,9 +4,10 @@
 // optionally the X-BOT overlay optimizer driven by live RTT measurements.
 // Half-open neighbor detection is on by default (-suspect): an active peer
 // whose RTT probes go unanswered for 3 consecutive rounds is suspected and
-// expelled without waiting for a TCP write timeout; transient connection
-// failures heal through the transport's backoff redialer instead of
-// churning the view.
+// expelled without waiting for a TCP write timeout. A neighbor whose
+// connection breaks is a failed neighbor, as the paper's TCP failure
+// detector has it (§4.1): it leaves the active view at once, and the view
+// is repaired from the passive view.
 //
 // Start a contact node, then join others to it and type lines to broadcast:
 //
@@ -224,9 +225,9 @@ func snapshot(agent *transport.Agent) string {
 			ps.Published, ps.Frames, ps.Delivered, ps.NoSubscriber)
 	}
 	ts := agent.TransportStats()
-	s += fmt.Sprintf(" tx[frames=%d writes=%d fpw=%.1f reads=%d ovf=%d redial=%d susp=%d drain=%d races=%d]",
+	s += fmt.Sprintf(" tx[frames=%d writes=%d fpw=%.1f reads=%d ovf=%d susp=%d drain=%d races=%d]",
 		ts.FramesSent, ts.WriteCalls, ts.FramesPerWrite(), ts.ReadSyscalls, ts.Overflowed,
-		ts.Redials, ts.Suspected, ts.Drained, ts.DialRacesLost)
+		ts.Suspected, ts.Drained, ts.DialRacesLost)
 	return s
 }
 

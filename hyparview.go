@@ -141,19 +141,18 @@ const (
 // accounting (deliveries, duplicates, forwards, failed sends).
 type AgentBroadcastStats = transport.BroadcastStats
 
-// TransportConfig tunes the TCP transport's connection lifecycle — redial
-// backoff (RedialBase/RedialCap) and the suspicion window bounding how long
-// a watched outage may last before the failure detector fires — and carries
-// the fault-injection seams (Dial/WrapConn, see internal/faults.Sockets;
-// Intercept). Timeouts, the graceful-drain deadline, queue depth and batch
-// sizing are constants.
+// TransportConfig carries the TCP transport's fault-injection seams
+// (Dial/WrapConn, see internal/faults.Sockets; Intercept). The connection
+// lifecycle has no knobs: a watched peer whose connection ends, or whose one
+// dial fails, is reported down at once and never redialed. Timeouts, the
+// graceful-drain deadline, queue depth and batch sizing are constants.
 type TransportConfig = transport.Config
 
 // TransportStats is a snapshot of a TCP agent's data-plane and lifecycle
 // counters: frames and vectored writes (their ratio is frames-per-syscall on
 // the send path), kernel reads, overflow sheds, fault-injection drops, and
-// the connection lifecycle manager's accounting — backoff redials, dial
-// races lost, half-open links condemned by suspicion, and graceful drains.
+// the connection lifecycle manager's accounting — dial races lost, half-open
+// links condemned by suspicion, and graceful drains. Redials is always 0.
 type TransportStats = transport.Stats
 
 // NewAgent starts a HyParView node listening on listenAddr.

@@ -49,8 +49,14 @@ type Node struct {
 
 	// pendingNeighbor is the passive member we sent a NEIGHBOR request to
 	// and whose reply is outstanding; Nil when no request is in flight. At
-	// most one promotion attempt runs at a time.
+	// most one promotion attempt runs at a time, and one still pending at
+	// the next cycle is abandoned.
 	pendingNeighbor id.ID
+
+	// contact is the node Join was given. A node whose views both emptied
+	// joins through it again (OnCycle): with no active and no passive
+	// member, nothing else can bring it back into the overlay.
+	contact id.ID
 
 	// repairTried tracks passive members already attempted during the
 	// current repair episode, so a node whose views are saturated with
@@ -119,13 +125,20 @@ func (n *Node) Join(contact id.ID) error {
 	if contact == n.self || contact.IsNil() {
 		return nil
 	}
-	if err := n.env.Send(contact, msg.Message{
+	n.contact = contact
+	return n.join()
+}
+
+// join sends JOIN to the remembered contact and takes it as an active
+// member.
+func (n *Node) join() error {
+	if err := n.env.Send(n.contact, msg.Message{
 		Type:   msg.Join,
 		Sender: n.self,
 	}); err != nil {
 		return err
 	}
-	n.addActive(contact)
+	n.addActive(n.contact)
 	return nil
 }
 
@@ -189,25 +202,34 @@ func (n *Node) OnPeerDown(peerID id.ID) {
 
 // OnCycle implements peer.Membership: the periodic (cyclic) part of the
 // protocol. It initiates one shuffle (paper §4.4) and, if the active view is
-// deficient and no promotion is in flight, one repair attempt.
+// deficient, one repair attempt. A node with both views empty joins its
+// contact again instead.
 func (n *Node) OnCycle() {
-	n.initiateShuffle()
-	// A promotion candidate that died before replying would otherwise wedge
-	// the repair machinery; probe it once per cycle.
-	if !n.pendingNeighbor.IsNil() {
-		if err := n.env.Probe(n.pendingNeighbor); err != nil {
-			if n.passive.Remove(n.pendingNeighbor) {
-				n.stats.PassiveEvictions++
-			}
-			n.pendingNeighbor = id.Nil
-		}
+	if n.active.Empty() && n.passive.Empty() && !n.contact.IsNil() {
+		_ = n.join() // an unreachable contact is retried next cycle
+		return
 	}
-	if !n.active.Full() && n.pendingNeighbor.IsNil() {
+	n.initiateShuffle()
+	// A NEIGHBOR request still pending a cycle later is abandoned: the
+	// request or its reply was lost, or the candidate died. A dead
+	// candidate is evicted; a live one is skipped this cycle, and a late
+	// reply from it is settled in handleNeighborReply.
+	abandoned := n.pendingNeighbor
+	if !abandoned.IsNil() {
+		if err := n.env.Probe(abandoned); err != nil && n.passive.Remove(abandoned) {
+			n.stats.PassiveEvictions++
+		}
+		n.pendingNeighbor = id.Nil
+	}
+	if !n.active.Full() {
 		// Each cycle starts a fresh repair episode: candidates that
 		// rejected us earlier (their views were full) may have free slots
 		// now, so the "repeat the whole procedure" of §4.3 must be able to
 		// revisit them.
 		n.resetRepairEpisode()
+		if !abandoned.IsNil() {
+			n.repairTried = append(n.repairTried, abandoned)
+		}
 		n.startRepair()
 	}
 }
@@ -403,7 +425,7 @@ func (n *Node) handleNeighbor(from id.ID, prio msg.Priority) {
 
 func (n *Node) handleNeighborReply(from id.ID, accept bool) {
 	if from != n.pendingNeighbor {
-		// Stale or duplicated reply; the view may have changed since.
+		n.handleLateNeighborReply(from, accept)
 		return
 	}
 	n.pendingNeighbor = id.Nil
@@ -423,6 +445,24 @@ func (n *Node) handleNeighborReply(from id.ID, accept bool) {
 		n.repairTried = append(n.repairTried, from)
 	}
 	n.startRepair()
+}
+
+// handleLateNeighborReply settles a reply to a request that is no longer
+// pending — abandoned by OnCycle, or a high-priority NEIGHBOR from connectTo
+// whose peer has left the active view since. An accepting replier has taken
+// us into its active view, so the reply is handled like a low-priority
+// NEIGHBOR: we take the peer if a slot is free, and otherwise answer with
+// DISCONNECT, which moves us to its passive view. Either way no one-way
+// edge is left behind. A rejection needs nothing.
+func (n *Node) handleLateNeighborReply(from id.ID, accept bool) {
+	if !accept || from == n.self || from.IsNil() || n.active.Contains(from) {
+		return
+	}
+	if !n.active.Full() {
+		n.addActive(from)
+		return
+	}
+	_ = n.env.Send(from, msg.Message{Type: msg.Disconnect, Sender: n.self})
 }
 
 // triedInEpisode reports whether candidate was already attempted in the

@@ -133,6 +133,37 @@ func TestJoinAddsContactAndSendsJoin(t *testing.T) {
 	}
 }
 
+// A node that lost its only neighbour with an empty passive view — its JOIN
+// was lost, say — has nothing to repair from; the next cycle joins its
+// contact again, and keeps trying while the contact is unreachable.
+func TestIsolatedNodeJoinsContactAgain(t *testing.T) {
+	n, env := newTestNode(1)
+	if err := n.Join(5); err != nil {
+		t.Fatal(err)
+	}
+	n.OnPeerDown(5)
+	if len(n.Active()) != 0 || len(n.Passive()) != 0 {
+		t.Fatalf("setup: views %v / %v, want both empty", n.Active(), n.Passive())
+	}
+
+	env.down[5] = true
+	env.take()
+	n.OnCycle()
+	if len(env.take()) != 0 || n.ActiveContains(5) {
+		t.Error("an unreachable contact was taken into the active view")
+	}
+
+	delete(env.down, 5)
+	n.OnCycle()
+	s, ok := env.lastOfType(msg.Join)
+	if !ok || s.to != 5 || s.m.Sender != 1 {
+		t.Fatalf("isolated node did not JOIN its contact again: %+v", env.sent)
+	}
+	if !n.ActiveContains(5) || !env.watched[5] {
+		t.Error("re-join did not take the contact into the active view")
+	}
+}
+
 func TestJoinToDeadContactErrors(t *testing.T) {
 	n, env := newTestNode(1)
 	env.down[2] = true
@@ -387,11 +418,70 @@ func TestRepairRetriesAfterRejection(t *testing.T) {
 	}
 }
 
-func TestStaleNeighborReplyIgnored(t *testing.T) {
-	n, _ := newTestNode(1)
+// A NEIGHBORREPLY that arrives after its request was abandoned must leave
+// no one-way edge: an accepting replier took us into its active view, so
+// we take it back while a slot is free, and otherwise tell it DISCONNECT.
+func TestLateNeighborReplyTakenOrRefused(t *testing.T) {
+	n, env := newTestNode(1)
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	env.take()
+
+	n.Deliver(51, &msg.Message{Type: msg.NeighborReply, Sender: 51, Accept: false})
+	if n.ActiveContains(51) || len(env.take()) != 0 {
+		t.Error("a late rejection changed the view or sent something")
+	}
+
 	n.Deliver(50, &msg.Message{Type: msg.NeighborReply, Sender: 50, Accept: true})
-	if n.ActiveContains(50) {
-		t.Error("unsolicited NEIGHBORREPLY mutated the active view")
+	if !n.ActiveContains(50) || !env.watched[50] {
+		t.Fatal("late acceptance with a free slot did not take the replier")
+	}
+	if _, ok := env.lastOfType(msg.Disconnect); ok {
+		t.Error("late acceptance with a free slot sent DISCONNECT")
+	}
+
+	for i := id.ID(20); !n.active.Full(); i++ {
+		n.Deliver(i, &msg.Message{Type: msg.Neighbor, Sender: i, Priority: msg.HighPriority})
+	}
+	before := n.Active()
+	env.take()
+	n.Deliver(60, &msg.Message{Type: msg.NeighborReply, Sender: 60, Accept: true})
+	if got := n.Active(); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Errorf("late acceptance into a full view changed it: %v, was %v", got, before)
+	}
+	sent := env.take()
+	if len(sent) != 1 || sent[0].to != 60 || sent[0].m.Type != msg.Disconnect {
+		t.Errorf("late acceptance into a full view sent %+v, want one DISCONNECT to n60", sent)
+	}
+}
+
+// A NEIGHBOR request lost on the way (or whose reply was lost) to a live
+// candidate must not wedge repair: the next cycle abandons it, keeps the
+// candidate in the passive view, and asks another one.
+func TestLostNeighborRequestAbandonedNextCycle(t *testing.T) {
+	n, env := newTestNode(1)
+	n.Deliver(10, &msg.Message{Type: msg.Neighbor, Sender: 10, Priority: msg.HighPriority})
+	n.Deliver(11, &msg.Message{Type: msg.Neighbor, Sender: 11, Priority: msg.HighPriority})
+	n.addPassive(20)
+	n.addPassive(21)
+	env.take()
+
+	n.OnPeerDown(10)
+	first := n.pendingNeighbor
+	if first != 20 && first != 21 {
+		t.Fatalf("pending = %v, want a passive candidate", first)
+	}
+	env.take() // the request is lost; no reply ever comes
+
+	n.OnCycle()
+	if !n.PassiveContains(first) {
+		t.Error("live abandoned candidate evicted from the passive view")
+	}
+	s, ok := env.lastOfType(msg.Neighbor)
+	if !ok || s.to == first {
+		t.Fatalf("next cycle did not ask another candidate: %+v", env.sent)
+	}
+	if n.pendingNeighbor != s.to {
+		t.Errorf("pending = %v, want the new candidate %v", n.pendingNeighbor, s.to)
 	}
 }
 

@@ -85,7 +85,7 @@ func (s *Sockets) SetPlan(p ConnPlan) {
 }
 
 // FailNextDials forces the next n dial attempts to fail, ahead of any
-// probabilistic decision — the deterministic handle for backoff tests.
+// probabilistic decision — the deterministic handle for dial-failure tests.
 func (s *Sockets) FailNextDials(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -51,8 +51,7 @@ type AgentConfig struct {
 	// CyclePeriod is the shuffle period (ΔT). Zero disables automatic
 	// cycles; Cycle can then be driven manually (useful in tests).
 	CyclePeriod time.Duration
-	// Transport tunes the connection lifecycle (redial backoff, suspicion
-	// window) and carries the fault-injection seams.
+	// Transport carries the fault-injection seams.
 	Transport Config
 	// Seed drives the node's deterministic randomness; zero derives a seed
 	// from the bound address.
@@ -292,8 +291,8 @@ func ticks(d time.Duration) uint64 {
 // stack has handled this one, which gives two guarantees. A peer's frames
 // are handled in the order it sent them, and before the end of its stream:
 // a DISCONNECT unwatches the peer before the reader reaches the half-close
-// of its drain, so the link drains instead of redialing (see
-// Transport.serve). And a slow stack stops the readers, so TCP
+// of its drain, so the link drains instead of reporting the peer failed
+// (see Transport.serve). And a slow stack stops the readers, so TCP
 // backpressure propagates and remote peers' write timeouts expel us —
 // precisely the slow-node handling the paper adopts from NeEM (§5.5).
 // The stack is handed a pointer to a.frame, so m does not escape: one
@@ -309,7 +308,8 @@ func (a *Agent) post(from id.ID, m msg.Message) {
 }
 
 // peerDown is the transport's watch callback. The transport fires it with
-// none of its locks held, from a link's writer or a deferred Suspect.
+// none of its locks held, from the link's writer or reader that saw the
+// connection end, or from a deferred Suspect.
 func (a *Agent) peerDown(p id.ID) {
 	a.mu.Lock()
 	defer a.unlock()
@@ -614,8 +614,8 @@ func (a *Agent) BroadcastStats() (out BroadcastStats) {
 // frames written to sockets, frames shed by per-peer send-queue overflow
 // (each a Send that returned peer.ErrOverflow), inbound deliveries
 // suppressed by a fault-injection hook, and the connection lifecycle
-// manager's accounting — backoff redials, dial races lost, links condemned
-// by half-open suspicion, and graceful drains. Needs no agent lock:
+// manager's accounting — dial races lost, links condemned by half-open
+// suspicion, and graceful drains. Needs no agent lock:
 // counters are atomic.
 func (a *Agent) TransportStats() Stats { return a.tr.Stats() }
 

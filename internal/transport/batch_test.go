@@ -96,8 +96,8 @@ func fillQueue(t *testing.T, tr *Transport, dst id.ID, payload []byte) int {
 // queued on an unwatched link, the link tears down quietly — every frame,
 // the in-flight batch and the queued remainder, goes back to the pool
 // without leaking, the cache entry is retired, and no watch notification
-// fires (nobody asked for one; watched links get the redial machinery
-// instead, pinned in lifecycle_test.go).
+// fires (nobody asked for one; a watched link's failure fires its watch,
+// pinned in lifecycle_test.go).
 func TestWriteFailureMidBatchDrainsQueue(t *testing.T) {
 	sink := newRawSink(t)
 	var ca collector

@@ -11,28 +11,28 @@ import (
 
 	"hyparview/internal/id"
 	"hyparview/internal/peer"
-	"hyparview/internal/rng"
 )
 
-// link is one peer's connection lifecycle: a persistent writer goroutine and
-// send queue that survive reconnects, plus the current physical connection
-// (a session) under an epoch counter. Sessions are the no-resurrection
-// contract: every reader/writer reports breakage against the session it was
-// serving, so a stale goroutine outliving a replaced or deliberately dropped
-// connection can never tear down (or revive) its successor.
+// link is one peer's connection lifecycle: a writer goroutine and send
+// queue, plus at most one physical connection (a session) in the link's
+// whole life. The TCP connection is the failure detector (§4.1): when a
+// watched link's connection ends — a write error, a read error, or a clean
+// end of stream from a peer we still watch — the neighbour has failed. The
+// link is condemned, its queued frames go back to the pool, and the watch
+// fires once; nothing is redialed. The protocol repairs its active view
+// from the passive view, and a later Send to the peer opens a new link.
 //
 // One TCP connection serves a peer pair in both directions. A link's
 // session is either a connection we dialed or one the peer dialed and we
 // adopted on its first frame (adopt): replies travel on the socket the
 // request came in on, so the kernel piggybacks its ACKs on them.
 //
-// The lifecycle is: active (cur non-nil) → broken (cur nil, writer
-// redialing with backoff) → active again on a successful redial or an
-// adoption, or condemned (removed from the table, queue reclaimed, watch
-// fired if the failure budget was spent). A link opened by Watch starts out
-// broken at epoch 0, so its first dial is the redial loop's first attempt.
-// Deliberate teardown (Drain, or the peer's half-close on a link we do not
-// watch) short-circuits to condemned after flushing the queue.
+// The lifecycle is: dialing (cur nil; only a link Watch opened starts
+// here, and its writer makes one dial) → active (cur non-nil) → condemned
+// (removed from the table, queue reclaimed, watch fired on a failure). A
+// failed dial condemns the link at once. Deliberate teardown (Drain, or the
+// peer's half-close on a link we do not watch) flushes the queue before it
+// condemns, and fires nothing.
 type link struct {
 	dst id.ID
 	ch  chan *sendScratch // owned frames; the writer returns them to the pool
@@ -41,8 +41,6 @@ type link struct {
 	// drainReq asks the writer for a graceful flush-then-close teardown.
 	drainReq  chan struct{}
 	drainOnce sync.Once
-	// wake tells a redial in progress that an adoption installed a session.
-	wake chan struct{}
 
 	// condemned fences Send admissions; inflight counts senders between
 	// their admission check and enqueue, so teardown can wait them out and
@@ -50,16 +48,14 @@ type link struct {
 	condemned atomic.Bool
 	inflight  atomic.Int64
 
-	mu    sync.Mutex
-	cur   *session // nil while broken/redialing
-	epoch uint64   // of the last installed session
+	mu  sync.Mutex
+	cur *session // nil while the first dial is in flight, and once condemned
 }
 
 // session is one connection installed on a link.
 type session struct {
 	c       net.Conn
 	inbound bool          // the peer dialed it and we adopted it
-	dead    chan struct{} // closed when the connection is retired (broke)
 	done    chan struct{} // closed when its reader stopped; err says why
 	err     error
 	// deadline is the armed write deadline (writer goroutine only).
@@ -68,13 +64,13 @@ type session struct {
 
 // finish is a reader's last word on s: it records why the stream ended and
 // wakes the writer. A clean end of stream is the writer's to judge (see
-// serve); any other error retires the connection at once, which also
-// releases a writer blocked on a peer that stopped reading.
-func (l *link) finish(s *session, err error) {
+// serve); any other error fails the link at once, which also releases a
+// writer blocked on a peer that stopped reading.
+func (t *Transport) finish(l *link, s *session, err error) {
 	s.err = err
 	close(s.done)
 	if err != io.EOF {
-		l.broke(s)
+		t.failLink(l, true)
 	}
 }
 
@@ -95,43 +91,26 @@ func (l *link) enter() bool {
 
 func (l *link) exit() { l.inflight.Add(-1) }
 
-// current snapshots the live session (nil while broken) and the epoch of
-// the last one installed.
-func (l *link) current() (*session, uint64) {
+// current snapshots the live session (nil while dialing or condemned).
+func (l *link) current() *session {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cur, l.epoch
+	return l.cur
 }
 
-// install publishes c as the link's session under the next epoch. It
-// refuses — returning nil, and the caller keeps c — when the link was
-// condemned or already has a session: one writer socket per link, so a
-// connection the peer opened and adopt installed while our dial was in
-// flight is never replaced mid-stream, and the dial is closed unwritten.
+// install publishes c as the link's session. It refuses — returning nil,
+// and the caller keeps c — when the link was condemned or already has a
+// session: one socket per link, so a connection the peer opened and adopt
+// installed while our dial was in flight is never replaced mid-stream, and
+// the dial is closed unwritten.
 func (l *link) install(c net.Conn, inbound bool) *session {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.condemned.Load() || l.cur != nil {
 		return nil
 	}
-	l.epoch++
-	l.cur = &session{c: c, inbound: inbound, dead: make(chan struct{}), done: make(chan struct{})}
+	l.cur = &session{c: c, inbound: inbound, done: make(chan struct{})}
 	return l.cur
-}
-
-// broke retires and closes s: the first reporter wins and the session's
-// dead channel closes so the writer re-evaluates. Stale reporters — a
-// reader or prober outliving a replaced session — find another session and
-// cannot disturb the successor.
-func (l *link) broke(s *session) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cur != s {
-		return
-	}
-	_ = s.c.Close()
-	l.cur = nil
-	close(s.dead)
 }
 
 // detach closes the link's connection; teardown paths call it once the
@@ -147,18 +126,17 @@ func (l *link) detach() {
 }
 
 // openLink registers a new link to dst and starts its writer. A non-nil c
-// becomes its first session (epoch 1), returned so the caller can start a
-// reader for a dialed c — an adopted one already has its reader; with c nil
-// the writer begins in redial, which makes the first dial. Called under t.mu
-// on an open transport: Close marks closed before waiting on the goroutine
-// groups, so these Adds can never race a Wait that already saw zero.
+// becomes its session, returned so the caller can start a reader for a
+// dialed c — an adopted one already has its reader; with c nil the writer
+// makes the first dial. Called under t.mu on an open transport: Close
+// marks closed before waiting on the goroutine groups, so these Adds can
+// never race a Wait that already saw zero.
 func (t *Transport) openLink(dst id.ID, c net.Conn, inbound bool) (*link, *session) {
 	l := &link{
 		dst:      dst,
 		ch:       make(chan *sendScratch, sendQueue),
 		closed:   make(chan struct{}),
 		drainReq: make(chan struct{}),
-		wake:     make(chan struct{}, 1),
 	}
 	t.conns[dst] = l
 	var s *session
@@ -173,13 +151,12 @@ func (t *Transport) openLink(dst id.ID, c net.Conn, inbound bool) (*link, *sessi
 
 // adopt makes c, an accepted connection whose first frame came from sender,
 // sender's link when that link has no session: a link to a stranger is
-// opened around it at epoch 1, and a link opened by Watch or one that broke
-// and is redialing takes it as its next epoch, which ends its redial as if
-// its own dial had landed. The reader that read the frame stays c's reader;
-// it gets the session back, or nil when c stays a read-only connection (the
-// link already has a session — a simultaneous open — or the sender is nil
-// or ourselves). This trusts m.Sender exactly as far as dispatch and the
-// address directory do.
+// opened around it, and a link opened by Watch whose dial is in flight
+// takes it, which makes the dial's connection redundant (see dialLink).
+// The reader that read the frame stays c's reader; it gets the session
+// back, or nil when c stays a read-only connection (the link already has a
+// session — a simultaneous open — or the sender is nil or ourselves). This
+// trusts m.Sender exactly as far as dispatch and the address directory do.
 func (t *Transport) adopt(sender id.ID, c net.Conn) (*link, *session) {
 	if sender.IsNil() || sender == t.self {
 		return nil, nil
@@ -193,116 +170,51 @@ func (t *Transport) adopt(sender id.ID, c net.Conn) (*link, *session) {
 	if !ok {
 		return t.openLink(sender, c, true)
 	}
-	s := l.install(c, true)
-	if s != nil {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	}
-	return l, s
+	return l, l.install(c, true)
 }
 
 // runLink is the link's writer goroutine, alive for the link's whole
-// lifetime — across reconnects, which is what lets the send queue survive
-// an outage. It pumps the queue into the current session; with no session
-// the redial state machine decides between a backoff dial (watched links)
-// and teardown.
+// lifetime. A link Watch opened makes its one dial first; then the writer
+// pumps the queue into the session until the link ends.
 func (t *Transport) runLink(l *link) {
 	defer t.wg.Done()
 	defer t.writers.Done()
-	wb := batchPool.Get().(*writeBatch)
-	defer batchPool.Put(wb)
-	for {
-		s, epoch := l.current()
-		if s == nil {
-			if !t.redial(l, epoch) {
-				return
-			}
-		} else if !t.serve(l, s, wb) {
+	s := l.current()
+	if s == nil {
+		if s = t.dialLink(l); s == nil {
 			return
 		}
 	}
+	wb := batchPool.Get().(*writeBatch)
+	t.serve(l, s, wb)
+	batchPool.Put(wb)
 }
 
-// redial is the only code that dials a watched peer. It decides the fate of
-// a link with no connection: one that broke, whose last epoch was epoch, or
-// one Watch opened (epoch 0). A broken unwatched link is torn down on the
-// spot: nobody asked for failure notifications and the next Send dials
-// fresh. A watched link is an active-view edge — the paper's failure
-// detector signal (§4.1) — so a transient outage should heal invisibly: the
-// writer retries with capped decorrelated-jitter backoff until either a
-// dial lands (the link resumes under a new epoch, queue intact) or the
-// failure budget / suspicion window is spent and the watch fires. A Watch
-// link's first attempt is its first contact, so it is not counted as a
-// redial and, like the first contact of a Send, it is made even if the peer
-// was unwatched since. An adoption — the peer dialed us first — ends the
-// loop like a landed dial; a dial that lands after one is closed unwritten.
-// Returns false when the writer should exit.
-func (t *Transport) redial(l *link, epoch uint64) bool {
-	if l.condemned.Load() {
-		return false
+// dialLink makes the one dial of a link Watch opened and returns the
+// session the writer serves, or nil once the link is condemned. The dial is
+// the peer's first contact, made even if the peer was unwatched since, as
+// a Send's first contact is. A failed dial fails the link: the watch fires
+// at once, and the frames queued behind the dial go back to the pool. An
+// adoption — the peer dialed us first — gives the link its session as a
+// landed dial would; a dial that lands after one is closed unwritten.
+func (t *Transport) dialLink(l *link) *session {
+	c, err := t.dial(l.dst)
+	if err != nil {
+		if s := l.current(); s != nil {
+			return s
+		}
+		t.failLink(l, true)
+		return nil
 	}
-	if epoch > 0 && !t.watching(l.dst) {
-		t.failLink(l, false)
-		return false
+	if s := l.install(c, false); s != nil {
+		// Adding from the writer goroutine is safe: the writer itself keeps
+		// t.wg above zero until after this add.
+		t.wg.Add(1)
+		t.startReader(l, s)
+		return s
 	}
-	select {
-	case <-l.wake: // stale: its adoption was served already
-	default:
-	}
-	r := rng.New(uint64(l.dst) ^ uint64(time.Now().UnixNano()))
-	start := time.Now()
-	sleep := t.cfg.RedialBase
-	for attempt := 1; ; attempt++ {
-		if s, _ := l.current(); s != nil {
-			return true
-		}
-		if epoch > 0 || attempt > 1 {
-			t.redials.Add(1)
-		}
-		c, err := t.dial(l.dst)
-		if err == nil {
-			if s := l.install(c, false); s != nil {
-				// Adding from the writer goroutine is safe: the writer itself
-				// keeps t.wg above zero until after this add.
-				t.wg.Add(1)
-				t.startReader(l, s)
-				return true
-			}
-			_ = c.Close()
-			// Condemned while dialing: stay down. Otherwise an adoption gave
-			// the link its session meanwhile, and the writer serves that.
-			return !l.condemned.Load()
-		}
-		if s, _ := l.current(); s != nil {
-			return true
-		}
-		if attempt >= redialBudget || time.Since(start) >= t.cfg.SuspicionWindow {
-			t.failLink(l, true)
-			return false
-		}
-		select {
-		case <-time.After(sleep):
-		case <-l.wake:
-			return true
-		case <-l.drainReq:
-			// Draining a link with no connection: nothing to flush into.
-			t.failLink(l, false)
-			return false
-		case <-l.closed:
-			return false
-		case <-t.quit:
-			t.failLink(l, false)
-			return false
-		}
-		sleep = nextBackoff(r, sleep, t.cfg.RedialBase, t.cfg.RedialCap)
-		if !t.watching(l.dst) {
-			// Unwatched mid-outage (demotion raced the redial): stop quietly.
-			t.failLink(l, false)
-			return false
-		}
-	}
+	_ = c.Close()
+	return l.current() // the adopted session, or nil once condemned
 }
 
 // watching reports whether dst is watched on an open transport.
@@ -310,20 +222,6 @@ func (t *Transport) watching(dst id.ID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.watched[dst] && !t.closed
-}
-
-// nextBackoff draws the next decorrelated-jitter sleep: uniform in
-// [base, 3×prev], capped. Decorrelation keeps a fleet of redialing peers
-// from synchronizing into retry storms the way a fixed multiplier does.
-func nextBackoff(r *rng.Rand, prev, base, cap time.Duration) time.Duration {
-	hi := 3 * prev
-	if hi > cap {
-		hi = cap
-	}
-	if hi <= base {
-		return base
-	}
-	return base + time.Duration(r.Uint64n(uint64(hi-base)))
 }
 
 // condemn retires l exactly once: out of the connection table, closed to
@@ -437,8 +335,8 @@ func (t *Transport) fireWatch(dst id.ID) {
 // health-checked with a non-consuming zero-byte peek rather than trusted: a
 // dead cached connection no longer yields a false "reachable" while the
 // reader has yet to observe the close. For a cache that is ending, or a
-// link between connections, the verdict comes from a throwaway dial; with no
-// cache at all Probe dials and keeps the connection.
+// link whose first dial is in flight, the verdict comes from a throwaway
+// dial; with no cache at all Probe dials and keeps the connection.
 func (t *Transport) Probe(dst id.ID) error {
 	t.mu.Lock()
 	l, ok := t.conns[dst]
@@ -447,14 +345,14 @@ func (t *Transport) Probe(dst id.ID) error {
 		_, err := t.conn(dst)
 		return err
 	}
-	if s, _ := l.current(); s != nil && connAlive(s.c) {
+	if s := l.current(); s != nil && connAlive(s.c) {
 		return nil
 	}
-	// The link is mid-redial, or its connection is ending: the peer closed
-	// it, or half-closed it to drain a demotion, and the link's reader and
-	// writer act on that. Retiring the session here would race the drain
-	// that flushes what the protocol sends right after this Probe (the
-	// NEIGHBOR request of a repair), so Probe only reports current
+	// The link's first dial is in flight, or its connection is ending: the
+	// peer closed it, or half-closed it to drain a demotion, and the link's
+	// reader and writer act on that. Retiring the session here would race
+	// the drain that flushes what the protocol sends right after this Probe
+	// (the NEIGHBOR request of a repair), so Probe only reports current
 	// reachability from a throwaway dial.
 	cc, err := t.dial(dst)
 	if err != nil {
@@ -465,7 +363,8 @@ func (t *Transport) Probe(dst id.ID) error {
 }
 
 // Connected reports whether a live cached connection to dst currently
-// exists, without dialing. A link mid-redial reports false.
+// exists, without dialing. A link whose first dial is in flight reports
+// false, and so does a peer whose link failed: nothing redials it.
 func (t *Transport) Connected(dst id.ID) bool {
 	t.mu.Lock()
 	l, ok := t.conns[dst]
@@ -473,17 +372,15 @@ func (t *Transport) Connected(dst id.ID) bool {
 	if !ok {
 		return false
 	}
-	s, _ := l.current()
-	return s != nil
+	return l.current() != nil
 }
 
 // Watch marks dst so that a broken connection to it triggers onPeerDown.
 // An active-view link is an open TCP connection in the paper's architecture
 // (§4.1), so Watch also ensures one exists: a peer with no link gets one
-// now, with no connection yet, whose writer dials it through the redial
-// loop — a transiently unreachable peer becomes retries, not an instant
-// verdict, and only a spent budget fires the watch. Frames sent before the
-// dial lands wait in the link's queue.
+// now, with no connection yet, whose writer makes one dial. Frames sent
+// before the dial lands wait in the link's queue; a failed dial fires the
+// watch at once, as a connection that ends later does.
 func (t *Transport) Watch(dst id.ID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -507,9 +404,7 @@ func (t *Transport) Unwatch(dst id.ID) {
 // link — the agent's RTT prober observing N consecutive unanswered PINGs.
 // TCP alone cannot tell a stalled peer from a slow one until a write times
 // out; the prober can, and Suspect turns its verdict into the same signal a
-// reset produces: the socket is closed proactively and the watch fires now,
-// with no redial grace (the probe misses already spent the suspicion
-// window).
+// reset produces: the socket is closed proactively and the watch fires now.
 func (t *Transport) Suspect(dst id.ID) {
 	t.mu.Lock()
 	l, ok := t.conns[dst]
@@ -568,10 +463,9 @@ func (t *Transport) dial(dst id.ID) (net.Conn, error) {
 }
 
 // conn returns dst's link, dialing a first connection on demand. First
-// contact is deliberately synchronous and single-attempt: the protocol
+// contact is synchronous and single-attempt, like every dial: the protocol
 // probes before promoting (Probe → NEIGHBOR) and expects an unreachable
-// fresh peer to surface as ErrPeerDown immediately — the backoff machinery
-// guards established and watched links, not first contact. Only concurrent
+// fresh peer to surface as ErrPeerDown immediately. Only concurrent
 // first contacts can race here: a watched peer always has a link. A link
 // the peer opened meanwhile — its first frame reached us while we dialed —
 // is not a lost race: the link writes on the peer's connection, and ours is
@@ -602,7 +496,7 @@ func (t *Transport) conn(dst id.ID) (*link, error) {
 	if l, ok := t.conns[dst]; ok {
 		t.mu.Unlock()
 		_ = c.Close()
-		if s, _ := l.current(); s == nil || !s.inbound {
+		if s := l.current(); s == nil || !s.inbound {
 			t.dialRacesLost.Add(1)
 		}
 		return l, nil
@@ -620,11 +514,11 @@ func (t *Transport) conn(dst id.ID) (*link, error) {
 // reports the end of the stream to the session, and the link's writer
 // decides what it means (see serve). The caller must have added the
 // goroutine to t.wg already, from a context where the add cannot race
-// Close's wait — under t.mu (conn) or from the writer (redial).
+// Close's wait — under t.mu (conn) or from the writer (dialLink).
 func (t *Transport) startReader(l *link, s *session) {
 	go func() {
 		defer t.wg.Done()
 		_, _, err := t.readLoop(s.c, l, s)
-		l.finish(s, err)
+		t.finish(l, s, err)
 	}()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMain is the package's goroutine-leak gate: every transport goroutine —
-// accept loop, per-link writers (and their redials), readers, drain waiters —
+// accept loop, per-link writers (and their dials), readers, drain waiters —
 // must be joined by Transport.Close, so after the whole test run no stack
 // may still hold a frame from this package. A hand-rolled goleak: capture
 // all stacks, keep the blocks that mention the package, retry briefly to let

@@ -132,9 +132,9 @@ func (p *probeLedger) answered(peer id.ID) {
 // tick is called once per probe round per active peer, before that round's
 // PING goes out, and returns the consecutive-miss count: entering a round
 // with the previous PING still unanswered is one miss; entering clean
-// resets the streak. A short outage self-heals — the first answered probe
-// after a redial wipes the streak — so only sustained silence accumulates
-// toward the suspicion threshold.
+// resets the streak. A slow answer self-heals — the first answered probe
+// wipes the streak — so only sustained silence accumulates toward the
+// suspicion threshold.
 func (p *probeLedger) tick(peer id.ID) int {
 	if p.awaiting[peer] {
 		p.misses[peer]++

@@ -10,8 +10,10 @@
 //
 // Two layers live here. Transport is the wire: framing, one TCP connection
 // per peer pair used in both directions, a per-peer connection lifecycle
-// manager (dial, adoption of the peer's connection, redial-with-backoff,
-// suspicion, graceful drain), address directory, watch notifications. Agent
+// manager (one dial, adoption of the peer's connection, suspicion, graceful
+// drain), address directory, watch notifications. A watched peer whose
+// connection ends, or whose one dial fails, is reported down at once and
+// never redialed: the connection is the failure detector (§4.1). Agent
 // hosts the complete protocol stack over one Transport — HyParView
 // membership, flood or Plumtree broadcast (AgentConfig.Broadcast), and
 // optionally the X-BOT overlay optimizer fed by live PING/PONG RTT
@@ -61,32 +63,14 @@ const (
 	// readBuffer sizes the per-connection buffered reader (see readLoop);
 	// payloads larger than it bypass the buffer, still one syscall.
 	readBuffer = 8 << 10
-	// redialBudget caps dial attempts per outage on a watched link: transient
-	// failures become retries, and only a spent budget (or
-	// Config.SuspicionWindow) fires the watch.
-	redialBudget = 4
 	// drainTimeout bounds the graceful flush of a peer's queued frames on
 	// deliberate teardown — demotion, DISCONNECT, Close.
 	drainTimeout = 200 * time.Millisecond
 )
 
-// Config tunes the connection lifecycle's clocks and carries the
-// fault-injection seams.
+// Config carries the transport's fault-injection seams; the zero value is
+// plain TCP.
 type Config struct {
-	// RedialBase and RedialCap bound the decorrelated-jitter backoff between
-	// dial attempts on a watched link with no connection (defaults 25ms and
-	// 500ms).
-	// Each sleep is drawn from [RedialBase, 3×previous], capped, so retries
-	// across peers desynchronize instead of thundering in lockstep.
-	RedialBase time.Duration
-	RedialCap  time.Duration
-	// SuspicionWindow is the wall-clock bound on one outage: once a watched
-	// link has been down this long the watch fires even if the attempt
-	// budget remains (default 2s). Together with the redial budget it bounds
-	// how stale an active view can get: a dead neighbor is reported within
-	// roughly SuspicionWindow plus one dial timeout.
-	SuspicionWindow time.Duration
-
 	// Dial, when non-nil, replaces net.DialTimeout for outbound connections:
 	// the dial half of the socket-level fault seam (see faults.Sockets).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -111,19 +95,6 @@ type Config struct {
 	Intercept func(node id.ID, m *msg.Message) (*msg.Message, bool)
 }
 
-func (c Config) withDefaults() Config {
-	if c.RedialBase <= 0 {
-		c.RedialBase = 25 * time.Millisecond
-	}
-	if c.RedialCap <= 0 {
-		c.RedialCap = 500 * time.Millisecond
-	}
-	if c.SuspicionWindow <= 0 {
-		c.SuspicionWindow = 2 * time.Second
-	}
-	return c
-}
-
 // Stats counts transport-level events. All counters are cumulative.
 type Stats struct {
 	// FramesSent counts frames successfully written to a socket.
@@ -144,11 +115,9 @@ type Stats struct {
 	// buffered reader a back-to-back batch of small frames costs one read,
 	// so FramesSent (at the peers) outpaces ReadSyscalls under load.
 	ReadSyscalls uint64
-	// Redials counts dial attempts made by the backoff machinery beyond a
-	// link's first contact: every dial after a broken connection, and every
-	// retry after a failed first dial of a link Watch opened. A rising
-	// Redials with stable views means transient faults are being absorbed,
-	// which is the point.
+	// Redials is always 0: a link dials at most once, and a broken
+	// connection is a failed neighbour, not a reason to dial again. The
+	// field stays until the benchmark stops reading it.
 	Redials uint64
 	// DialRacesLost counts first-contact dials discarded because a
 	// concurrent first-contact Send or Probe to the same peer won the cache
@@ -193,10 +162,6 @@ type Transport struct {
 	watched map[id.ID]bool
 	closed  bool
 
-	// quit is closed once on Close, releasing backoff sleeps and writer
-	// selects that no connection close would reach.
-	quit chan struct{}
-
 	// closedFlag mirrors closed for the per-frame fast check in readLoop,
 	// keeping the mutex off the receive hot path.
 	closedFlag atomic.Bool
@@ -207,7 +172,6 @@ type Transport struct {
 	writeCalls    atomic.Uint64
 	batchedWrites atomic.Uint64
 	readSyscalls  atomic.Uint64
-	redials       atomic.Uint64
 	dialRacesLost atomic.Uint64
 	suspected     atomic.Uint64
 	drained       atomic.Uint64
@@ -224,8 +188,8 @@ type Transport struct {
 // onMessage is invoked from reader goroutines, one frame at a time per
 // connection and before that connection's next frame is read —
 // implementations must be concurrency-safe (see Agent). onPeerDown
-// (may be nil) is invoked when a watched peer's connection breaks for good:
-// after the redial budget or suspicion window is spent, or on Suspect.
+// (may be nil) is invoked once when a watched peer fails: its connection
+// ends or its one dial fails, or Suspect condemns it.
 func Listen(addr string, cfg Config, onMessage func(id.ID, msg.Message), onPeerDown func(id.ID)) (*Transport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -235,7 +199,7 @@ func Listen(addr string, cfg Config, onMessage func(id.ID, msg.Message), onPeerD
 	t := &Transport{
 		self:       id.FromAddr(bound),
 		addr:       bound,
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		book:       id.NewBook(),
 		ln:         ln,
 		onMessage:  onMessage,
@@ -243,7 +207,6 @@ func Listen(addr string, cfg Config, onMessage func(id.ID, msg.Message), onPeerD
 		conns:      make(map[id.ID]*link),
 		inbound:    make(map[net.Conn]struct{}),
 		watched:    make(map[id.ID]bool),
-		quit:       make(chan struct{}),
 	}
 	t.book.Put(t.self, bound)
 	t.wg.Add(1)
@@ -277,7 +240,6 @@ func (t *Transport) Stats() Stats {
 		WriteCalls:    t.writeCalls.Load(),
 		BatchedWrites: t.batchedWrites.Load(),
 		ReadSyscalls:  t.readSyscalls.Load(),
-		Redials:       t.redials.Load(),
 		DialRacesLost: t.dialRacesLost.Load(),
 		Suspected:     t.suspected.Load(),
 		Drained:       t.drained.Load(),
@@ -345,7 +307,6 @@ func (t *Transport) Close() error {
 	case <-drained:
 	case <-time.After(drainTimeout + 100*time.Millisecond):
 	}
-	close(t.quit)
 	for _, l := range links {
 		t.failLink(l, false)
 	}

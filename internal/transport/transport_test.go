@@ -143,8 +143,8 @@ func TestProbeSemantics(t *testing.T) {
 	_ = b.Close()
 	// The cached connection is now dead. Probe used to answer from the cache
 	// without checking it — a false "reachable" until the reader noticed the
-	// close; now the peek check (or the retired cache plus a failed redial)
-	// must surface ErrPeerDown.
+	// close; now the peek check (or the failed link plus a failed dial) must
+	// surface ErrPeerDown.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		err := a.Probe(bID)

@@ -61,9 +61,9 @@ func putScratch(sc *sendScratch) {
 // itself is written asynchronously by the peer's writer goroutine: Send
 // returns once the frame is queued, a full queue sheds the frame with
 // peer.ErrOverflow (the peer is overloaded, not dead), and a write failure
-// on a watched link triggers the redial machinery — queued frames survive
-// the outage — before any watch notification fires. A watched peer always
-// has a link, so frames sent before its dial lands queue there too.
+// fails the link: the frames still queued are dropped and a watched peer's
+// watch fires (see serve). A watched peer always has a link, so frames sent
+// before its dial lands queue there too.
 func (t *Transport) Send(dst id.ID, m msg.Message) error {
 	l, err := t.conn(dst)
 	if err != nil {
@@ -133,20 +133,19 @@ func (wb *writeBatch) release() {
 	wb.bufs = wb.bufs[:0]
 }
 
-// serve pumps queued frames into c — gathering up to maxWriteBatch frames per
-// wakeup into one vectored write, so frames-per-syscall rises with pressure
-// and latency stays flat — until the connection breaks, a drain is
-// requested (serve runs the drain), or the link stops. On a write failure
-// the gathered batch is forfeit (the kernel may have taken any prefix of it,
-// the same uncertainty a failed single write has) but still-queued frames
-// stay for the successor connection. When the session's reader stops at a
-// clean end of stream, serve judges it: from a peer we do not watch it is
-// that peer draining the shared socket — its demotion of us, or its Close
-// — so we drain too, flushing what is queued into the half-open socket the
-// peer still reads; from a watched peer it is breakage. It reports whether
-// the connection broke — redial decides what happens next — rather than
-// the writer being done.
-func (t *Transport) serve(l *link, s *session, wb *writeBatch) (broken bool) {
+// serve pumps queued frames into the session — gathering up to
+// maxWriteBatch frames per wakeup into one vectored write, so
+// frames-per-syscall rises with pressure and latency stays flat — until the
+// connection ends, a drain is requested (serve runs the drain), or the link
+// stops. A write failure fails the link: the gathered batch is forfeit (the
+// kernel may have taken any prefix of it, the same uncertainty a failed
+// single write has), the frames still queued go back to the pool, and the
+// watch fires. When the session's reader stops at a clean end of stream,
+// serve judges it: from a peer we do not watch it is that peer draining the
+// shared socket — its demotion of us, or its Close — so we drain too,
+// flushing what is queued into the half-open socket the peer still reads;
+// from a watched peer it is a failed neighbour.
+func (t *Transport) serve(l *link, s *session, wb *writeBatch) {
 	for {
 		select {
 		case sc := <-l.ch:
@@ -155,25 +154,21 @@ func (t *Transport) serve(l *link, s *session, wb *writeBatch) (broken bool) {
 			err := t.flushConn(s, wb)
 			wb.release()
 			if err != nil {
-				l.broke(s)
-				return true
+				t.failLink(l, true)
+				return
 			}
-		case <-s.dead:
-			return true
 		case <-s.done:
 			if s.err == io.EOF && !t.watching(l.dst) {
 				t.drainLink(l, s, wb)
-				return false
+			} else {
+				t.failLink(l, true)
 			}
-			l.broke(s)
-			return true
+			return
 		case <-l.drainReq:
 			t.drainLink(l, s, wb)
-			return false
+			return
 		case <-l.closed:
-			return false
-		case <-t.quit:
-			return false
+			return
 		}
 	}
 }
@@ -398,7 +393,7 @@ func (t *Transport) serveInbound(c net.Conn) {
 		delete(t.inbound, c)
 		t.mu.Unlock()
 		if s != nil {
-			l.finish(s, err) // the link owns c now
+			t.finish(l, s, err) // the link owns c now
 			return
 		}
 		_ = c.Close()
