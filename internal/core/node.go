@@ -720,8 +720,8 @@ func (n *Node) evictSent(sent []id.ID) ([]id.ID, bool) {
 }
 
 // sendOrFail sends m to dst, invoking failure handling when the send proved
-// the peer down. Other send errors (the simulator's queue-overflow
-// degradation) just lose the message: treating them as failures would tear
+// the peer down. Other send errors (the transport's send-queue overflow)
+// just lose the message: treating them as failures would tear
 // down healthy links en masse exactly when the network is overloaded.
 func (n *Node) sendOrFail(dst id.ID, m msg.Message) {
 	if err := n.env.Send(dst, m); errors.Is(err, peer.ErrPeerDown) {

@@ -284,7 +284,7 @@ func (n *Node) forward(from id.ID, m *msg.Message) {
 				// This is the paper's failure-detection moment: the entire
 				// broadcast overlay is implicitly tested at every broadcast
 				// (§4.1 item iii). Only a proven-down peer is reported —
-				// an overloaded simulator (queue overflow) loses the copy
+				// an overloaded transport (queue overflow) loses the copy
 				// without indicting the link.
 				n.membership.OnPeerDown(t)
 			}

@@ -52,18 +52,6 @@ import (
 	"hyparview/internal/rng"
 )
 
-// ErrOverflow is returned (wrapped) by Inject, Redeliver and sends made
-// outside a wave (OnCycle and OnPeerDown handlers) when the in-flight message
-// limit is exceeded. A Send from a Deliver handler is admitted at its wave's
-// barrier, where the in-flight total is known: one shed there has already
-// returned nil. Either way overflowed messages are counted in
-// Stats.Overflowed and dropped, so runaway message storms degrade the run
-// instead of crashing it. It is an
-// alias of peer.ErrOverflow: the TCP transport sheds with the same sentinel,
-// so protocol code distinguishes overload from peer death identically in
-// both runtimes.
-var ErrOverflow = peer.ErrOverflow
-
 // Event kinds: wire traffic versus scheduler deliveries.
 const (
 	kindMessage  uint8 = iota // network message (counted in wire stats, Tapped)
@@ -97,9 +85,9 @@ type Stats struct {
 	Dropped uint64
 	// SendFailures counts Send/Probe calls rejected with ErrPeerDown.
 	SendFailures uint64
-	// Overflowed counts messages rejected by the MaxQueue limit: the send is
-	// dropped (see ErrOverflow) instead of crashing the run, so
-	// massive-failure experiments degrade gracefully under message storms.
+	// Overflowed is always 0: the simulator queues every message it
+	// accepts, and only the TCP transport sheds. The field stays until the
+	// benchmark stops reading it; the golden trace hashes it too.
 	Overflowed uint64
 	// FaultDropped counts deliveries suppressed by the Intercept hook.
 	FaultDropped uint64
@@ -136,8 +124,6 @@ type Sim struct {
 	dense bool
 
 	stats Stats
-
-	wire int // in-flight network messages, the population MaxQueue bounds
 
 	now uint64 // virtual clock
 	seq uint64 // scheduling sequence for deterministic tie-breaking
@@ -178,12 +164,6 @@ type Sim struct {
 	// crashed node (TCP connects time out across the cut). Nodes absent
 	// from the map are in group 0.
 	partition map[id.ID]int
-
-	// MaxQueue bounds the number of in-flight events as a safety net
-	// against protocol bugs that generate message storms. Zero means the
-	// default (64M events). Excess events are dropped and counted in
-	// Stats.Overflowed (see ErrOverflow).
-	MaxQueue int
 
 	// Tap, when non-nil, observes every delivered network message (after
 	// liveness filtering, before the process handles it). Scheduler
@@ -288,7 +268,7 @@ func (e *Endpoint) Now() uint64 { return e.sim.now }
 // After implements peer.Scheduler: m is delivered to this node's process,
 // with from == Self, once delay virtual ticks have elapsed — behind all
 // traffic already scheduled at the current instant when delay is zero.
-// Infallible: timers bypass the MaxQueue limit (see Sim.schedule).
+// Infallible, like every scheduler call.
 func (e *Endpoint) After(delay uint64, m msg.Message) {
 	e.sim.schedule(e.sh, e.self, e.idx, kindTimer, delay, &m)
 }

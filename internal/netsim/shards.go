@@ -234,7 +234,6 @@ type shard struct {
 	birth uint32
 
 	waveDelivered int // deliveries made in the current wave (coordinator-read)
-	wireDone      int // wire messages consumed this wave (coordinator-read)
 
 	queued int // events in future buckets + next (Pending)
 
@@ -473,18 +472,12 @@ func (s *Sim) send(sh *shard, from, to id.ID, m *msg.Message) error {
 		return fmt.Errorf("send %v->%v: %w", from, to, peer.ErrPeerDown)
 	}
 	if sh != nil && s.inWave {
-		// Overflow is resolved at the barrier (the in-flight total is not
-		// known mid-wave); the tentative counters are rolled back there if
-		// the merge sheds this event.
 		sh.out = append(sh.out, outRec{pseq: sh.pseq, birth: sh.birth,
 			from: from, to: ti, kind: kindMessage, m: sh.arenas[s.wave&1].put(m)})
 		sh.birth++
 		sh.stats.Sent++
 		sh.stats.BytesSent += uint64(m.EncodedSize())
 		return nil
-	}
-	if err := s.admit(); err != nil {
-		return err
 	}
 	var delay uint64
 	if s.Latency != nil {
@@ -507,43 +500,19 @@ func (s *Sim) countSendFailure(sh *shard) {
 	}
 }
 
-// admit takes one unit of the in-flight message budget, or counts the
-// overflow and reports it. Only network messages are subject to MaxQueue:
-// they are what a storm amplifies, while scheduler deliveries are bounded by
-// protocol state (one timer per missing round, one registration per periodic
-// task) — dropping those would wedge timer-owning state machines forever (an
-// armed Plumtree timer that never fires blocks that round's repair
-// permanently), so After/Every stay genuinely infallible as the contract
-// promises.
-func (s *Sim) admit() error {
-	limit := s.MaxQueue
-	if limit <= 0 {
-		limit = 64 << 20
-	}
-	if s.wire >= limit {
-		s.stats.Overflowed++
-		return fmt.Errorf("%w: %d messages in flight (message storm?)", ErrOverflow, s.wire)
-	}
-	s.wire++
-	return nil
-}
-
 // Redeliver enqueues m for delivery to dst after delay ticks, bypassing both
 // the Intercept hook and the Latency model: it is the re-entry path fault
 // injectors use to express delay, duplicate and replay faults without the
 // hook re-intercepting its own artifacts. Hooks run on the coordinator (the
 // wave pre-pass), never on shard goroutines, so the copy is sequenced here
-// and now. The message counts against MaxQueue and the delivery stats but not
-// Stats.Sent — it is a fault artifact, not a protocol send. An unknown or
-// dead destination is reported as down, matching Send; a node dying
-// afterwards drops the copy at delivery time like any in-flight message.
+// and now. The message counts in the delivery stats but not Stats.Sent — it
+// is a fault artifact, not a protocol send. An unknown or dead destination
+// is reported as down, matching Send; a node dying afterwards drops the copy
+// at delivery time like any in-flight message.
 func (s *Sim) Redeliver(from, to id.ID, m msg.Message, delay uint64) error {
 	ti, ok := s.Index(to)
 	if !ok || !s.aliveAt(ti) {
 		return fmt.Errorf("redeliver %v->%v: %w", from, to, peer.ErrPeerDown)
-	}
-	if err := s.admit(); err != nil {
-		return err
 	}
 	s.seq++
 	s.enqueueAt(sevent{at: s.now + delay, seq: s.seq, from: from, to: ti, kind: kindMessage, flags: flagExempt | flagHeld, m: s.shardOf(ti).held(&m)})
@@ -657,7 +626,6 @@ func (s *Sim) runInstant(t uint64, periodic bool) int {
 		for i := range s.shards {
 			sh := &s.shards[i]
 			delivered += sh.waveDelivered
-			s.wire -= sh.wireDone
 		}
 		s.mergeOutputs()
 		// The next wave at this instant is whatever delay-0 output landed.
@@ -816,7 +784,7 @@ func (sh *shard) runWave() {
 	// This wave's arena last held the output of two waves ago, which the wave
 	// before this one finished reading.
 	sh.arenas[s.wave&1].reset()
-	count, wireDone := 0, 0
+	count := 0
 	for i := range sh.cur {
 		// Lookahead touch: the wave vector already knows the next few
 		// destinations, so start their node records' cache misses now and
@@ -831,9 +799,6 @@ func (sh *shard) runWave() {
 			}
 		}
 		se := &sh.cur[i]
-		if se.kind == kindMessage {
-			wireDone++
-		}
 		dst := &s.nodes[se.to]
 		if !dst.alive {
 			if se.kind == kindMessage {
@@ -878,7 +843,6 @@ func (sh *shard) runWave() {
 		}
 	}
 	sh.waveDelivered = count
-	sh.wireDone = wireDone
 }
 
 // mergeOutputs sequences every shard's wave output canonically: an S-way
@@ -920,13 +884,6 @@ func (s *Sim) mergeOutputs() {
 			var delay uint64
 			if s.Latency != nil {
 				delay = s.Latency(r.from, s.nodes[r.to].id, s.rand)
-			}
-			if s.admit() != nil {
-				// Shed at the barrier: the sender already returned nil, so
-				// roll its tentative counters back.
-				src.stats.Sent--
-				src.stats.BytesSent -= uint64(r.m.EncodedSize())
-				continue
 			}
 			s.seq++
 			s.enqueueAt(r.sequenced(s.now+delay, s.seq))

@@ -21,9 +21,9 @@ import (
 var ErrPeerDown = errors.New("peer: destination down")
 
 // ErrOverflow is returned (wrapped) by Env.Send when the environment sheds
-// the message under overload instead of queueing it unboundedly: the
-// simulator's in-flight event cap and the TCP transport's bounded per-peer
-// send queues both report it. It is deliberately distinct from ErrPeerDown —
+// the message under overload instead of queueing it unboundedly. Only the TCP
+// transport sheds, when a peer's bounded send queue is full; the simulator
+// queues every message. It is deliberately distinct from ErrPeerDown —
 // an overloaded link is alive, and tearing it down would amplify exactly the
 // message storm that caused the shed. Protocols treat it as a lost message.
 var ErrOverflow = errors.New("peer: send queue overflow")

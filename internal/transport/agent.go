@@ -309,7 +309,8 @@ func (a *Agent) post(from id.ID, m msg.Message) {
 
 // peerDown is the transport's watch callback. The transport fires it with
 // none of its locks held, from the link's writer or reader that saw the
-// connection end, or from a deferred Suspect.
+// connection end, from a deferred Suspect, or from the goroutine a Watch
+// whose dial failed started.
 func (a *Agent) peerDown(p id.ID) {
 	a.mu.Lock()
 	defer a.unlock()

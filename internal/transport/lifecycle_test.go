@@ -2,9 +2,12 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +20,10 @@ import (
 	"hyparview/internal/peer"
 )
 
-// The connection-lifecycle contracts: a watched link whose one dial fails,
-// or whose connection ends, is a failed neighbour (§4.1) — its watch fires
-// once, its queued frames return to the pool, and nothing redials it;
+// The connection-lifecycle contracts: a link is born with its connection
+// and ends with it. A watched peer whose one dial fails, or whose link's
+// connection ends, is a failed neighbour (§4.1) — its watch fires once, its
+// queued frames return to the pool, and nothing redials it;
 // deliberate teardown drains queued frames before the FIN; the RTT prober's
 // half-open suspicion condemns stalled-but-ACKing peers; and all of it
 // holds under concurrent Send/Probe/Watch/Drain/Suspect/Close pressure with
@@ -33,8 +37,8 @@ func countDials(s *faults.Sockets, n *atomic.Int64) Config {
 	})}
 }
 
-// writersDone waits until every link writer of tr has exited. Only a
-// writer dials on a watched link's behalf, so after this nothing redials.
+// writersDone waits until every link writer of tr has exited, so every link
+// tr opened is gone.
 func writersDone(t *testing.T, tr *Transport) {
 	t.Helper()
 	done := make(chan struct{})
@@ -56,85 +60,115 @@ func (c *collector) downCount() int {
 	return len(c.downs)
 }
 
-// TestWatchFailedDialFiresOnce: the one dial of a link Watch opened fails.
-// The watch fires exactly once, the frames queued behind the dial go back
-// to the pool, and the peer is never dialed again.
+// gatedCollector is a collector whose deliveries and downs also count
+// through a gate, so a test waits on them without sleeping.
+type gatedCollector struct {
+	collector
+	g             *gate
+	nmsgs, ndowns atomic.Int64
+}
+
+// listenGated is listenWith for a gatedCollector.
+func listenGated(t *testing.T, cfg Config, c *gatedCollector) *Transport {
+	t.Helper()
+	c.g = newGate()
+	tr, err := Listen("127.0.0.1:0", cfg, func(from id.ID, m msg.Message) {
+		c.onMessage(from, m)
+		c.g.hit(&c.nmsgs)
+	}, func(p id.ID) {
+		c.onDown(p)
+		c.g.hit(&c.ndowns)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	return tr
+}
+
+// awaitMsgs waits on the gate for n deliveries and returns them.
+func (c *gatedCollector) awaitMsgs(t *testing.T, n int) []msg.Message {
+	t.Helper()
+	c.g.await(t, "deliveries", &c.nmsgs, int64(n), 3*time.Second)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]msg.Message(nil), c.msgs...)
+}
+
+// awaitDowns waits on the gate for n downs and returns them.
+func (c *gatedCollector) awaitDowns(t *testing.T, n int) []id.ID {
+	t.Helper()
+	c.g.await(t, "downs", &c.ndowns, int64(n), 3*time.Second)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]id.ID(nil), c.downs...)
+}
+
+// TestWatchFailedDialFiresOnce: Watch dials a peer with no link, and that
+// one dial fails. The watch fires exactly once, no link is left behind, and
+// the peer is never dialed again.
 func TestWatchFailedDialFiresOnce(t *testing.T) {
 	s := faults.NewSockets(1)
-	// Hold the dial open so the Sends below queue behind it.
-	s.SetPlan(faults.ConnPlan{DialDelay: 50 * time.Millisecond})
 	var dials atomic.Int64
-	var ca, cb collector
-	a := listenWith(t, countDials(s, &dials), &ca)
+	var ca gatedCollector
+	var cb collector
+	a := listenGated(t, countDials(s, &dials), &ca)
 	b := listen(t, &cb)
 	dst := a.Register(b.Addr())
-	balanceBefore := scratchBalance.Load()
 
 	s.FailNextDials(1)
 	a.Watch(dst)
-	for round := uint64(1); round <= 3; round++ {
-		if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: round}); err != nil {
-			t.Fatalf("send %d behind the dial: %v, want it queued", round, err)
-		}
-	}
-	if downs := ca.waitDowns(t, 1); downs[0] != dst {
+	if downs := ca.awaitDowns(t, 1); downs[0] != dst {
 		t.Errorf("down = %v, want %v", downs[0], dst)
 	}
-	// failLink returns the queue to the pool before it fires the watch.
-	if got := scratchBalance.Load(); got != balanceBefore {
-		t.Errorf("scratch balance %d after the failed dial, want %d", got, balanceBefore)
+	if a.Connected(dst) {
+		t.Error("a failed Watch dial left a link")
 	}
+	// A failed dial opens no link, so nothing is left to dial the peer again.
 	writersDone(t, a)
-	if n := ca.downCount(); n != 1 {
+	if n := ca.ndowns.Load(); n != 1 {
 		t.Errorf("watch fired %d times, want 1", n)
 	}
 	if n := dials.Load(); n != 0 {
 		t.Errorf("peer dialed %d times past the injected failure, want 0", n)
 	}
-	if a.Connected(dst) {
-		t.Error("a link with a failed dial reports a connection")
-	}
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	if n := len(cb.msgs); n != 0 {
-		t.Errorf("%d frames delivered, want 0", n)
+	if n := s.Stats().DialsFailed; n != 1 {
+		t.Errorf("injected dial failures = %d, want 1", n)
 	}
 }
 
-// TestWatchBackoffRecoversFromTransientDialFailure: no backoff loop rides
-// out a transient dial failure any more. The failed dial fires the watch
-// once, and recovery is the caller's: its next Watch opens a fresh link
-// whose one dial connects, and frames flow with no further down.
-func TestWatchBackoffRecoversFromTransientDialFailure(t *testing.T) {
+// TestWatchAfterFailedDialDialsAgain: a failed Watch dial fires the watch
+// once, and recovery is the caller's: its next Watch dials the peer again,
+// once, and frames flow with no further down.
+func TestWatchAfterFailedDialDialsAgain(t *testing.T) {
 	s := faults.NewSockets(1)
 	var dials atomic.Int64
-	var ca, cb collector
-	a := listenWith(t, countDials(s, &dials), &ca)
-	b := listen(t, &cb)
+	var ca, cb gatedCollector
+	a := listenGated(t, countDials(s, &dials), &ca)
+	b := listenGated(t, Config{}, &cb)
 	dst := a.Register(b.Addr())
 
 	s.FailNextDials(1)
 	a.Watch(dst)
-	ca.waitDowns(t, 1)
-	writersDone(t, a)
+	ca.awaitDowns(t, 1)
 	if n := dials.Load(); n != 0 {
 		t.Fatalf("peer dialed %d times past the injected failure, want 0", n)
 	}
 
 	a.Watch(dst)
+	if !a.Connected(dst) {
+		t.Error("the re-watched peer has no connection once Watch returns")
+	}
 	if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.waitMsgs(t, 1); got[0].Round != 7 {
+	if got := cb.awaitMsgs(t, 1); got[0].Round != 7 {
 		t.Errorf("delivered round %d, want 7", got[0].Round)
-	}
-	if !a.Connected(dst) {
-		t.Error("the re-watched link reports no connection")
 	}
 	if n := dials.Load(); n != 1 {
 		t.Errorf("peer dialed %d times after the re-watch, want 1", n)
 	}
-	if n := ca.downCount(); n != 1 {
+	if n := ca.ndowns.Load(); n != 1 {
 		t.Errorf("watch fired %d times, want 1", n)
 	}
 	if n := s.Stats().DialsFailed; n != 1 {
@@ -142,35 +176,50 @@ func TestWatchBackoffRecoversFromTransientDialFailure(t *testing.T) {
 	}
 }
 
-// TestWatchQueuesSendDuringOutage: frames sent while a watched link's one
-// dial is still in flight queue behind it and are delivered, in order, once
-// the dial lands; a slow dial is not a failure, so no watch fires.
-func TestWatchQueuesSendDuringOutage(t *testing.T) {
-	s := faults.NewSockets(9)
-	s.SetPlan(faults.ConnPlan{DialDelay: 50 * time.Millisecond})
-	var dials atomic.Int64
-	var ca, cb collector
-	a := listenWith(t, countDials(s, &dials), &ca)
+// TestWatchFailedDialFiresAfterCallerUnlocks pins the agent-lock contract of
+// Watch's dial: the agent calls Watch holding the lock its down callback
+// takes. Watch must return without firing the watch on its caller, and the
+// down arrives once the caller unlocks.
+func TestWatchFailedDialFiresAfterCallerUnlocks(t *testing.T) {
+	s := faults.NewSockets(11)
+	var cb collector
 	b := listen(t, &cb)
+	var mu sync.Mutex // the agent lock
+	unlocked := false
+	g := newGate()
+	var downs, early atomic.Int64
+	a, err := Listen("127.0.0.1:0", Config{Dial: s.Dialer(nil)}, func(id.ID, msg.Message) {}, func(id.ID) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !unlocked {
+			early.Add(1)
+		}
+		g.hit(&downs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
 	dst := a.Register(b.Addr())
 
-	a.Watch(dst)
-	for round := uint64(1); round <= 3; round++ {
-		if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: round}); err != nil {
-			t.Fatalf("send %d behind the dial: %v, want it queued", round, err)
-		}
+	s.FailNextDials(1)
+	returned := make(chan struct{})
+	mu.Lock()
+	go func() {
+		a.Watch(dst)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		mu.Unlock() // let a down blocked on the lock finish, so Close can join it
+		t.Fatal("Watch did not return while its caller held the lock the down callback takes")
 	}
-	got := cb.waitMsgs(t, 3)
-	for i, m := range got {
-		if m.Round != uint64(i+1) {
-			t.Errorf("frame %d has round %d, want %d", i, m.Round, i+1)
-		}
-	}
-	if n := dials.Load(); n != 1 {
-		t.Errorf("peer dialed %d times, want 1", n)
-	}
-	if n := ca.downCount(); n != 0 {
-		t.Errorf("watch fired %d times for a slow dial, want 0", n)
+	unlocked = true
+	mu.Unlock()
+	g.await(t, "downs", &downs, 1, 3*time.Second)
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d downs fired while the Watch caller held its lock", n)
 	}
 }
 
@@ -745,20 +794,24 @@ func TestLifecycleSoak(t *testing.T) {
 	}
 }
 
-// TestWatchThenSendDialsOnce: a Send right behind a Watch rides the link the
-// Watch opened. With every dial held open 50ms — long enough for a second
-// dial to overlap the first — the peer is dialed exactly once, no dial race
-// is lost, and the frames arrive once and in order.
+// TestWatchThenSendDialsOnce: Watch dials a peer with no link before it
+// returns, and a Send right behind it rides that link. With every dial held
+// open 50ms — long enough for a second dial to overlap the first — the peer
+// is dialed exactly once, no dial race is lost, the frames arrive once and
+// in order, and the slow dial fires no watch.
 func TestWatchThenSendDialsOnce(t *testing.T) {
 	s := faults.NewSockets(8)
 	s.SetPlan(faults.ConnPlan{DialDelay: 50 * time.Millisecond})
 	var dials atomic.Int64
-	var ca, cb collector
-	a := listenWith(t, countDials(s, &dials), &ca)
-	b := listen(t, &cb)
+	var ca, cb gatedCollector
+	a := listenGated(t, countDials(s, &dials), &ca)
+	b := listenGated(t, Config{}, &cb)
 	dst := a.Register(b.Addr())
 
 	a.Watch(dst)
+	if !a.Connected(dst) {
+		t.Fatal("no connection once Watch returned")
+	}
 	for round := uint64(1); round <= 2; round++ {
 		if err := a.Send(dst, msg.Message{Type: msg.Gossip, Sender: a.Self(), Round: round}); err != nil {
 			t.Fatalf("send %d behind a watch: %v", round, err)
@@ -766,8 +819,7 @@ func TestWatchThenSendDialsOnce(t *testing.T) {
 	}
 	// One connection delivers in order, so a duplicate of frame 1 would
 	// arrive before frame 2 does.
-	got := cb.waitMsgs(t, 2)
-	if len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
+	if got := cb.awaitMsgs(t, 2); len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
 		t.Errorf("delivered rounds %v, want exactly [1 2]", rounds(got))
 	}
 	if n := a.Stats().DialRacesLost; n != 0 {
@@ -775,6 +827,9 @@ func TestWatchThenSendDialsOnce(t *testing.T) {
 	}
 	if n := dials.Load(); n != 1 {
 		t.Errorf("peer dialed %d times, want 1", n)
+	}
+	if n := ca.ndowns.Load(); n != 0 {
+		t.Errorf("watch fired %d times for a slow dial, want 0", n)
 	}
 }
 
@@ -805,9 +860,9 @@ func TestDialRaceFreeOverlay(t *testing.T) {
 	// Manual cycles until the active views are symmetric and connected, so a
 	// flood from anywhere reaches everyone.
 	deadline := time.Now().Add(10 * time.Second)
-	for !settled(agents) {
+	for report := unsettled(agents); report != ""; report = unsettled(agents) {
 		if time.Now().After(deadline) {
-			t.Fatal("overlay never settled into symmetric, connected active views")
+			t.Fatalf("overlay never settled into symmetric, connected active views:\n%s", report)
 		}
 		for _, a := range agents {
 			if err := a.Cycle(); err != nil {
@@ -832,31 +887,61 @@ func TestDialRaceFreeOverlay(t *testing.T) {
 
 // settled reports whether the agents' active views are symmetric and
 // connect every agent.
-func settled(agents []*Agent) bool {
-	views := make(map[id.ID][]id.ID, len(agents))
-	for _, a := range agents {
-		views[a.Self()] = a.ActiveView()
+func settled(agents []*Agent) bool { return unsettled(agents) == "" }
+
+// unsettled explains why the agents have not settled, or returns "" once
+// they have: every one-way edge (p holds q, q lacks p), every agent the
+// views do not reach from agents[0], then each agent's active view. Agents
+// are named by their index.
+func unsettled(agents []*Agent) string {
+	index := make(map[id.ID]int, len(agents))
+	views := make([][]id.ID, len(agents))
+	for i, a := range agents {
+		index[a.Self()] = i
+		views[i] = a.ActiveView()
 	}
-	for p, view := range views {
+	name := func(p id.ID) string {
+		if i, ok := index[p]; ok {
+			return strconv.Itoa(i)
+		}
+		return p.String()
+	}
+	var b strings.Builder
+	for i, view := range views {
 		for _, q := range view {
-			if !slices.Contains(views[q], p) {
-				return false
+			if j, ok := index[q]; !ok || !slices.Contains(views[j], agents[i].Self()) {
+				fmt.Fprintf(&b, "one-way edge %d→%s: missing %s→%d\n", i, name(q), name(q), i)
 			}
 		}
 	}
-	reached := map[id.ID]bool{agents[0].Self(): true}
-	frontier := []id.ID{agents[0].Self()}
+	reached := map[int]bool{0: true}
+	frontier := []int{0}
 	for len(frontier) > 0 {
 		p := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		for _, q := range views[p] {
-			if !reached[q] {
-				reached[q] = true
-				frontier = append(frontier, q)
+			if j, ok := index[q]; ok && !reached[j] {
+				reached[j] = true
+				frontier = append(frontier, j)
 			}
 		}
 	}
-	return len(reached) == len(agents)
+	for i := range agents {
+		if !reached[i] {
+			fmt.Fprintf(&b, "agent %d unreached from agent 0\n", i)
+		}
+	}
+	if b.Len() == 0 {
+		return ""
+	}
+	for i, view := range views {
+		fmt.Fprintf(&b, "agent %d active view:", i)
+		for _, q := range view {
+			fmt.Fprintf(&b, " %s", name(q))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 func rounds(ms []msg.Message) []uint64 {

@@ -10,15 +10,16 @@
 //
 // Two layers live here. Transport is the wire: framing, one TCP connection
 // per peer pair used in both directions, a per-peer connection lifecycle
-// manager (one dial, adoption of the peer's connection, suspicion, graceful
-// drain), address directory, watch notifications. A watched peer whose
-// connection ends, or whose one dial fails, is reported down at once and
-// never redialed: the connection is the failure detector (§4.1). Agent
-// hosts the complete protocol stack over one Transport — HyParView
-// membership, flood or Plumtree broadcast (AgentConfig.Broadcast), and
-// optionally the X-BOT overlay optimizer fed by live PING/PONG RTT
-// measurements (AgentConfig.Optimize) — under a single agent lock, so the
-// same unsynchronized protocol code runs here and in the simulator. The
+// manager (a link is born with its connection, dialed once or adopted from
+// the peer, and ends with it; suspicion, graceful drain), address
+// directory, watch notifications. A watched peer whose connection ends, or
+// whose one dial fails, is reported down at once and never redialed: the
+// connection is the failure detector (§4.1). Agent hosts the complete
+// protocol stack over one Transport — HyParView membership, flood or
+// Plumtree broadcast (AgentConfig.Broadcast), and optionally the X-BOT
+// overlay optimizer fed by live PING/PONG RTT measurements
+// (AgentConfig.Optimize) — under a single agent lock, so the same
+// unsynchronized protocol code runs here and in the simulator. The
 // agent also provides the real-clock half of the peer.Scheduler contract
 // (one tick = 1ms): protocols schedule their own timers and periodic rounds
 // — Plumtree's missing-message timer, HyParView's shuffle ΔT, X-BOT's
@@ -54,8 +55,7 @@ const (
 	dialTimeout  = 3 * time.Second // bounds connection establishment
 	writeTimeout = 5 * time.Second // bounds a single frame write
 	// sendQueue caps the per-peer outbound frame queue; a full one sheds the
-	// frame (see Send) — the same degrade-don't-die overload semantics as the
-	// simulator's MaxQueue.
+	// frame with peer.ErrOverflow (see Send): degrade, don't die.
 	sendQueue = 256
 	// maxWriteBatch caps the frames one writer wakeup gathers into a single
 	// vectored write (see serve).
@@ -120,10 +120,11 @@ type Stats struct {
 	// field stays until the benchmark stops reading it.
 	Redials uint64
 	// DialRacesLost counts first-contact dials discarded because a
-	// concurrent first-contact Send or Probe to the same peer won the cache
-	// slot. A watched peer always has a link, so its dials never race. A
-	// dial that lands on a link the peer's own connection opened meanwhile
-	// (a simultaneous open) is closed unwritten and not counted.
+	// concurrent first contact (Send, Probe or Watch) to the same peer won
+	// the cache slot. Watch's dial can race a concurrent first contact on a
+	// bare Transport; inside an agent the lock serializes them. A dial that
+	// lands on a link the peer's own connection opened meanwhile (a
+	// simultaneous open) is closed unwritten and not counted.
 	DialRacesLost uint64
 	// Suspected counts links condemned by Suspect — the RTT prober's
 	// half-open verdict on a stalled-but-not-closed peer.

@@ -62,8 +62,7 @@ func putScratch(sc *sendScratch) {
 // returns once the frame is queued, a full queue sheds the frame with
 // peer.ErrOverflow (the peer is overloaded, not dead), and a write failure
 // fails the link: the frames still queued are dropped and a watched peer's
-// watch fires (see serve). A watched peer always has a link, so frames sent
-// before its dial lands queue there too.
+// watch fires (see serve).
 func (t *Transport) Send(dst id.ID, m msg.Message) error {
 	l, err := t.conn(dst)
 	if err != nil {
@@ -133,39 +132,39 @@ func (wb *writeBatch) release() {
 	wb.bufs = wb.bufs[:0]
 }
 
-// serve pumps queued frames into the session — gathering up to
+// serve pumps queued frames into the link's connection — gathering up to
 // maxWriteBatch frames per wakeup into one vectored write, so
 // frames-per-syscall rises with pressure and latency stays flat — until the
 // connection ends, a drain is requested (serve runs the drain), or the link
 // stops. A write failure fails the link: the gathered batch is forfeit (the
 // kernel may have taken any prefix of it, the same uncertainty a failed
 // single write has), the frames still queued go back to the pool, and the
-// watch fires. When the session's reader stops at a clean end of stream,
+// watch fires. When the connection's reader stops at a clean end of stream,
 // serve judges it: from a peer we do not watch it is that peer draining the
 // shared socket — its demotion of us, or its Close — so we drain too,
 // flushing what is queued into the half-open socket the peer still reads;
 // from a watched peer it is a failed neighbour.
-func (t *Transport) serve(l *link, s *session, wb *writeBatch) {
+func (t *Transport) serve(l *link, wb *writeBatch) {
 	for {
 		select {
 		case sc := <-l.ch:
 			wb.push(sc)
 			wb.gather(l.ch)
-			err := t.flushConn(s, wb)
+			err := t.flushConn(l, wb)
 			wb.release()
 			if err != nil {
 				t.failLink(l, true)
 				return
 			}
-		case <-s.done:
-			if s.err == io.EOF && !t.watching(l.dst) {
-				t.drainLink(l, s, wb)
+		case <-l.done:
+			if l.err == io.EOF && !t.watching(l.dst) {
+				t.drainLink(l, wb)
 			} else {
 				t.failLink(l, true)
 			}
 			return
 		case <-l.drainReq:
-			t.drainLink(l, s, wb)
+			t.drainLink(l, wb)
 			return
 		case <-l.closed:
 			return
@@ -177,15 +176,15 @@ func (t *Transport) serve(l *link, s *session, wb *writeBatch) {
 // re-armed only once the armed deadline has decayed by more than a slack
 // threshold, because a frame is late only once the whole writeTimeout
 // passed, so re-arming within the slack window buys nothing.
-func (t *Transport) flushConn(s *session, wb *writeBatch) error {
+func (t *Transport) flushConn(l *link, wb *writeBatch) error {
 	now := time.Now()
-	if s.deadline.Sub(now) < writeTimeout-writeTimeout/4 {
-		s.deadline = now.Add(writeTimeout)
-		if err := s.c.SetWriteDeadline(s.deadline); err != nil {
+	if l.deadline.Sub(now) < writeTimeout-writeTimeout/4 {
+		l.deadline = now.Add(writeTimeout)
+		if err := l.c.SetWriteDeadline(l.deadline); err != nil {
 			return err
 		}
 	}
-	return t.writeOut(s.c, wb)
+	return t.writeOut(l.c, wb)
 }
 
 // writeOut issues the gathered frames: a plain write for a single frame, a
@@ -291,20 +290,20 @@ var readerPool = sync.Pool{
 //
 // Each frame is handed to onMessage before the next one is read, so a
 // consumer that handles frames on the spot sees a peer's last frame before
-// the end of its stream. The reader of a dialed connection serves its link's
-// session s. The reader of an accepted connection (s nil) offers it to the
-// first frame's sender as its link (see adopt), and offers it again on that
+// the end of its stream. The reader of a dialed connection serves its link
+// l. The reader of an accepted connection (l nil) offers it to the first
+// frame's sender as its link (see adopt), and offers it again on that
 // sender's later frames once the link that refused it is gone, so a sender
-// that keeps writing to us is not left without a link to be answered on
-// (a PING, say). readLoop returns
-// the link and session it serves, if any. The error is io.EOF for a stream
-// that ended cleanly at a frame boundary.
+// that keeps writing to us is not left without a link to be answered on (a
+// PING, say). readLoop returns the link whose connection c is, if any, and
+// why the stream ended: io.EOF for a stream that ended cleanly at a frame
+// boundary.
 //
-// Once the transport is closing nothing more is dispatched, but a session's
+// Once the transport is closing nothing more is dispatched, but a link's
 // reader reads on until the peer answers the drain's half-close, or the
 // drain gives up and closes the socket: a socket closed with unread bytes
 // resets, and the reset can discard frames the drain already flushed.
-func (t *Transport) readLoop(c net.Conn, l *link, s *session) (*link, *session, error) {
+func (t *Transport) readLoop(c net.Conn, l *link) (*link, error) {
 	cr := countingReader{c: c, n: &t.readSyscalls}
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(&cr)
@@ -314,15 +313,16 @@ func (t *Transport) readLoop(c net.Conn, l *link, s *session) (*link, *session, 
 	}()
 	var lenBuf [lenHeaderSize]byte
 	var buf []byte
-	adoptable := s == nil
-	var owner id.ID // the sender of an adoptable connection's first frame
+	adoptable := l == nil // an accepted connection, offered to its sender
+	var owner id.ID       // the sender of its first frame
+	var refused *link     // owner's link, which left it read-only
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return l, s, err
+			return l, err
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n == 0 || n > maxFrame {
-			return l, s, errFrameSize
+			return l, errFrameSize
 		}
 		if uint32(cap(buf)) < n {
 			buf = make([]byte, n)
@@ -332,18 +332,18 @@ func (t *Transport) readLoop(c net.Conn, l *link, s *session) (*link, *session, 
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // torn after its header
 			}
-			return l, s, err
+			return l, err
 		}
 		m, _, err := msg.Decode(buf)
 		if err != nil {
-			return l, s, err // corrupt peer; drop the connection
+			return l, err // corrupt peer; drop the connection
 		}
 		if cap(buf) > maxKeptBuffer {
 			buf = nil // decoded into fresh memory: an outsize buffer is not kept
 		}
 		if t.closedFlag.Load() {
-			if s == nil {
-				return l, s, ErrClosed
+			if l == nil {
+				return nil, ErrClosed
 			}
 			continue
 		}
@@ -354,10 +354,10 @@ func (t *Transport) readLoop(c net.Conn, l *link, s *session) (*link, *session, 
 				t.book.Put(d.Node, d.Addr)
 			}
 		}
-		if adoptable && s == nil && (l == nil || l.condemned.Load() && m.Sender == owner) {
+		if adoptable && (refused == nil || refused.condemned.Load() && m.Sender == owner) {
 			owner = m.Sender
-			l, s = t.adopt(owner, c)
-			adoptable = l != nil
+			l, refused = t.adopt(owner, c)
+			adoptable = refused != nil // offered again once refused ends
 		}
 		// The fault-injection seam: same contract as netsim.Sim.Intercept.
 		// On the wire the dispatch identity is m.Sender either way, so a
@@ -388,12 +388,12 @@ func (t *Transport) serveInbound(c net.Conn) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		l, s, err := t.readLoop(c, nil, nil)
+		l, err := t.readLoop(c, nil)
 		t.mu.Lock()
 		delete(t.inbound, c)
 		t.mu.Unlock()
-		if s != nil {
-			t.finish(l, s, err) // the link owns c now
+		if l != nil {
+			t.finish(l, err) // the link owns c now
 			return
 		}
 		_ = c.Close()
