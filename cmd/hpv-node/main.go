@@ -3,11 +3,11 @@
 // protocol stack — HyParView membership, flood or Plumtree broadcast, and
 // optionally the X-BOT overlay optimizer driven by live RTT measurements.
 // Half-open neighbor detection is on by default (-suspect): an active peer
-// whose RTT probes go unanswered for 3 consecutive rounds is suspected and
-// expelled without waiting for a TCP write timeout. A neighbor whose
-// connection breaks is a failed neighbor, as the paper's TCP failure
-// detector has it (§4.1): it leaves the active view at once, and the view
-// is repaired from the passive view.
+// whose RTT probes go unanswered for 3 consecutive rounds, one per -cycle,
+// is suspected and expelled without waiting for a TCP write timeout. A
+// neighbor whose connection breaks is a failed neighbor, as the paper's TCP
+// failure detector has it (§4.1): it leaves the active view at once, and
+// the view is repaired from the passive view.
 //
 // Start a contact node, then join others to it and type lines to broadcast:
 //
@@ -66,7 +66,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer, stop <-chan os.Signal
 		views     = fs.Duration("views", 5*time.Second, "view snapshot print period (0 = off)")
 		broadcast = fs.String("broadcast", "flood", "broadcast layer: flood or plumtree")
 		optimize  = fs.Bool("optimize", false, "run the X-BOT optimizer over live RTT measurements")
-		probe     = fs.Duration("probe", 0, "RTT probe period with -optimize or -suspect (0 = cycle period)")
 		suspect   = fs.Int("suspect", 3, "consecutive unanswered probes before a neighbor is suspected half-open (0 = off)")
 		topicsArg = fs.String("topics", "", "comma-separated topic IDs to subscribe to (enables the pub/sub router)")
 		pubRate   = fs.Float64("publish-rate", 0, "synthetic publishes per second, round-robin over -topics (0 = stdin only)")
@@ -107,7 +106,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer, stop <-chan os.Signal
 		CyclePeriod:  *period,
 		Broadcast:    mode,
 		Optimize:     *optimize,
-		ProbePeriod:  *probe,
 		SuspectAfter: *suspect,
 		OnDeliver:    func(p []byte) { echo(string(p)) },
 	}

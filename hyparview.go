@@ -141,11 +141,12 @@ const (
 // accounting (deliveries, duplicates, forwards, failed sends).
 type AgentBroadcastStats = transport.BroadcastStats
 
-// TransportConfig carries the TCP transport's fault-injection seams
-// (Dial/WrapConn, see internal/faults.Sockets; Intercept). The connection
-// lifecycle has no knobs: a watched peer whose connection ends, or whose one
-// dial fails, is reported down at once and never redialed. Timeouts, the
-// graceful-drain deadline, queue depth and batch sizing are constants.
+// TransportConfig carries the TCP transport's fault-injection seams (Dial
+// for the connections a node dials, WrapConn for the ones it accepts, see
+// internal/faults.Sockets; Intercept). The connection lifecycle has no
+// knobs: a watched peer whose connection ends, or whose one dial fails, is
+// reported down at once and never redialed. Timeouts, the graceful-drain
+// deadline, queue depth and batch sizing are constants.
 type TransportConfig = transport.Config
 
 // TransportStats is a snapshot of a TCP agent's data-plane and lifecycle

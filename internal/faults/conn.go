@@ -202,13 +202,14 @@ func (s *Sockets) Dialer(base Dialer) Dialer {
 		if err != nil {
 			return nil, err
 		}
-		return s.Wrap(c, false), nil
+		return s.Wrap(c), nil
 	}
 }
 
 // Wrap wraps one connection with this controller's fault injection, for
-// transport.Config.WrapConn. Wrapping is idempotent.
-func (s *Sockets) Wrap(c net.Conn, _ bool) net.Conn {
+// transport.Config.WrapConn (the connections a transport accepts; Dialer
+// wraps the ones it dials). Wrapping is idempotent.
+func (s *Sockets) Wrap(c net.Conn) net.Conn {
 	if fc, ok := c.(*Conn); ok && fc.s == s {
 		return c
 	}

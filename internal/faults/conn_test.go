@@ -82,7 +82,7 @@ func TestFailNextDialsIsDirected(t *testing.T) {
 func TestResetNextWritesClosesUnderWriter(t *testing.T) {
 	client, server := tcpPair(t)
 	s := NewSockets(2)
-	wc := s.Wrap(client, false)
+	wc := s.Wrap(client)
 
 	s.ResetNextWrites(1)
 	if _, err := wc.Write([]byte("doomed")); err == nil {
@@ -106,7 +106,7 @@ func TestPartialWriteTearsTheFrame(t *testing.T) {
 	client, server := tcpPair(t)
 	s := NewSockets(3)
 	s.SetPlan(ConnPlan{Partial: 1})
-	wc := s.Wrap(client, false)
+	wc := s.Wrap(client)
 
 	payload := make([]byte, 100)
 	if _, err := wc.Write(payload); err == nil {
@@ -129,7 +129,7 @@ func TestStallDelaysButDelivers(t *testing.T) {
 	client, server := tcpPair(t)
 	s := NewSockets(4)
 	s.SetPlan(ConnPlan{Stall: 1, StallDelay: 60 * time.Millisecond})
-	wc := s.Wrap(client, false)
+	wc := s.Wrap(client)
 
 	start := time.Now()
 	if _, err := wc.Write([]byte("slow")); err != nil {
@@ -151,7 +151,7 @@ func TestStallDelaysButDelivers(t *testing.T) {
 func TestBlackholeSwallowsBothDirections(t *testing.T) {
 	client, server := tcpPair(t)
 	s := NewSockets(5)
-	wc := s.Wrap(client, false)
+	wc := s.Wrap(client)
 	s.Blackhole(true)
 
 	// Writes report success and vanish.
@@ -198,7 +198,7 @@ func TestBlackholeSwallowsBothDirections(t *testing.T) {
 func TestBlackholeOffRestoresTraffic(t *testing.T) {
 	client, server := tcpPair(t)
 	s := NewSockets(6)
-	wc := s.Wrap(client, false)
+	wc := s.Wrap(client)
 	s.Blackhole(true)
 	if _, err := wc.Write([]byte("void")); err != nil {
 		t.Fatal(err)
@@ -217,8 +217,8 @@ func TestBlackholeOffRestoresTraffic(t *testing.T) {
 func TestWrapIdempotentAndForwardsRawConn(t *testing.T) {
 	client, _ := tcpPair(t)
 	s := NewSockets(7)
-	wc := s.Wrap(client, false)
-	if s.Wrap(wc, true) != wc {
+	wc := s.Wrap(client)
+	if s.Wrap(wc) != wc {
 		t.Error("re-wrapping a wrapped connection built a second layer")
 	}
 	sc, ok := wc.(syscall.Conn)

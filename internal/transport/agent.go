@@ -68,19 +68,15 @@ type AgentConfig struct {
 	// protocol's default. Default 200ms.
 	PlumtreeTimer time.Duration
 
-	// Optimize layers the X-BOT optimizer (SRDS 2009) over HyParView: a
-	// periodic ticker measures live RTTs with PING/PONG exchanges and the
-	// 4-node coordinated swap handshake continuously rewires the active view
-	// toward low-latency links, with the protocol's default parameters. Each
+	// Optimize layers the X-BOT optimizer (SRDS 2009) over HyParView: the
+	// prober measures live RTTs with PING/PONG exchanges and the 4-node
+	// coordinated swap handshake continuously rewires the active view toward
+	// low-latency links, with the protocol's default parameters. Each
 	// optimization attempt probes a few passive-view members; probing a dead
 	// candidate costs one failed dial (at most the transport's 3s dial
 	// timeout, usually an immediate refusal) under the agent lock — the
 	// same price HyParView's own view repair pays per dead passive entry.
 	Optimize bool
-	// ProbePeriod is how often active-view links are re-measured with a
-	// PING/PONG round trip when Optimize or SuspectAfter enables the prober.
-	// Default: CyclePeriod when positive, else 1s.
-	ProbePeriod time.Duration
 
 	// SuspectAfter, when positive, arms half-open link detection: an active
 	// peer whose PINGs go unanswered for this many consecutive probe rounds
@@ -88,9 +84,12 @@ type AgentConfig struct {
 	// NeighborDown fires without waiting for a write to time out. This is
 	// the failure-detector sharpening the paper's TCP-as-detector (§4.1)
 	// needs for stalled-but-not-closed peers: a wedged process whose kernel
-	// keeps ACKing looks healthy to every write. The effective suspicion
-	// window is SuspectAfter × ProbePeriod; setting SuspectAfter starts the
-	// probe ticker even without Optimize. 0 disables (the default).
+	// keeps ACKing looks healthy to every write. 0 disables (the default).
+	//
+	// Optimize or SuspectAfter arms the prober, which PINGs every active-view
+	// peer once per probe round: every CyclePeriod, or every second when
+	// cycles are driven by hand. The suspicion window is therefore
+	// SuspectAfter × CyclePeriod.
 	SuspectAfter int
 
 	// PubSub, when set, wraps the broadcast layer in a pubsub.Router built
@@ -135,12 +134,6 @@ func (e *agentEnv) Send(d id.ID, m msg.Message) error {
 	return e.Transport.Send(d, m)
 }
 
-// pingState is one outstanding PING: who it was sent to and when.
-type pingState struct {
-	peer id.ID
-	sent time.Time
-}
-
 // Agent runs one HyParView node over real TCP, hosting the full protocol
 // stack of the paper and its companion papers: the HyParView core, the
 // selected broadcast layer (flood or Plumtree), and optionally the X-BOT
@@ -155,28 +148,19 @@ type pingState struct {
 // locks; the transport calls back (post, peerDown) holding none of its own.
 type Agent struct {
 	tr *Transport
-	// mu serializes the protocol work: frame, the stack, the prober's rtt,
-	// pings and ledger, and the deferred list.
+	// mu serializes the protocol work: frame, the stack, the prober and the
+	// drain list.
 	mu           sync.Mutex
 	frame        msg.Message // the delivery being dispatched; under mu
 	stack        stack.Stack // assembled once in NewAgent; the layers run under mu only
 	rand         *rng.Rand
-	rtt          *rttOracle // non-nil when optimizing
 	sched        *clockScheduler
-	pings        map[uint64]pingState
-	ledger       *probeLedger // non-nil when SuspectAfter > 0
+	probe        *prober
 	suspectAfter int
 	probePeriod  time.Duration
-	deferred     []deferredCall // raised under mu, run by unlock; under mu
-	closed       bool           // set by Close; under mu
+	drains       []id.ID // raised under mu, run by unlock; under mu
+	closed       bool    // set by Close; under mu
 	closeOnce    sync.Once
-}
-
-// deferredCall is a transport call raised under the agent lock and run by
-// unlock: Transport.Suspect, the prober's verdict, or else Transport.Drain.
-type deferredCall struct {
-	peer    id.ID
-	suspect bool
 }
 
 // NewAgent binds a listener on listenAddr. Close must be called to release
@@ -210,7 +194,10 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("transport: agent config: %w", err)
 	}
 
-	a := &Agent{pings: make(map[uint64]pingState)}
+	a := &Agent{suspectAfter: cfg.SuspectAfter, probePeriod: time.Second}
+	if cfg.CyclePeriod > 0 {
+		a.probePeriod = cfg.CyclePeriod
+	}
 	// Readers dispatch under the agent lock from the moment the listener is
 	// bound; holding it until the stack is built parks an early frame.
 	a.mu.Lock()
@@ -231,9 +218,9 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 	}
 	a.rand = rng.New(seed)
 	scfg.NextRound = a.rand.Uint64
+	a.probe = newProber(tr.Self(), a.sendPing)
 	if cfg.Optimize {
-		a.rtt = newRTTOracle(tr.Self(), a.sendPing)
-		scfg.Oracle = a.rtt
+		scfg.Oracle = a.probe
 	}
 	a.stack = stack.Build(&agentEnv{tr, a.sched, a.rand}, scfg)
 	userDown := cfg.OnNeighborDown
@@ -247,29 +234,16 @@ func NewAgent(listenAddr string, cfg AgentConfig) (*Agent, error) {
 				// queue a courtesy DISCONNECT for p — core fires this
 				// callback before sending it — and the flush must see that
 				// frame. Failures need no drain: the link is already gone.
-				a.deferred = append(a.deferred, deferredCall{p, false})
+				a.drains = append(a.drains, p)
 			}
 			if userDown != nil {
 				userDown(p, reason)
 			}
 		},
 	})
-
-	a.suspectAfter = cfg.SuspectAfter
-	if a.suspectAfter > 0 {
-		a.ledger = newProbeLedger()
-	}
-	// The PING/PONG prober serves two masters: the X-BOT RTT oracle
-	// (Optimize) and half-open suspicion (SuspectAfter). Either one arms it.
+	// The prober serves two purposes: the X-BOT RTT oracle (Optimize) and
+	// half-open suspicion (SuspectAfter). Either one arms its round.
 	if cfg.Optimize || a.suspectAfter > 0 {
-		a.probePeriod = cfg.ProbePeriod
-		if a.probePeriod <= 0 {
-			if cfg.CyclePeriod > 0 {
-				a.probePeriod = cfg.CyclePeriod
-			} else {
-				a.probePeriod = time.Second
-			}
-		}
 		a.sched.Every(ticks(a.probePeriod), msg.Message{Type: msg.Tick, Sender: tr.Self(), Round: msg.TickProbe})
 	}
 	return a, nil
@@ -309,8 +283,8 @@ func (a *Agent) post(from id.ID, m msg.Message) {
 
 // peerDown is the transport's watch callback. The transport fires it with
 // none of its locks held, from the link's writer or reader that saw the
-// connection end, from a deferred Suspect, or from the goroutine a Watch
-// whose dial failed started.
+// connection end, or from the goroutine a failed Watch dial or a Suspect
+// started.
 func (a *Agent) peerDown(p id.ID) {
 	a.mu.Lock()
 	defer a.unlock()
@@ -319,21 +293,15 @@ func (a *Agent) peerDown(p id.ID) {
 	}
 }
 
-// unlock releases the agent lock, then runs the transport calls raised
-// under it, in order: the work runs after the event, as netsim runs
-// OnPeerDown. Suspect fires the watch synchronously, and peerDown takes the
-// lock; a drain must flush the DISCONNECT core queues after NeighborDown.
+// unlock releases the agent lock, then runs the drains raised under it, in
+// order: a drain must flush the DISCONNECT core queues after NeighborDown.
 // Every lock hold that runs protocol code ends here.
 func (a *Agent) unlock() {
-	work := a.deferred
-	a.deferred = nil
+	drains := a.drains
+	a.drains = nil
 	a.mu.Unlock()
-	for _, w := range work {
-		if w.suspect {
-			a.tr.Suspect(w.peer)
-		} else {
-			a.tr.Drain(w.peer)
-		}
+	for _, p := range drains {
+		a.tr.Drain(p)
 	}
 }
 
@@ -358,112 +326,13 @@ func (a *Agent) dispatch(from id.ID, m *msg.Message) {
 			_ = a.tr.Send(from, msg.Message{Type: msg.Pong, Sender: a.tr.Self(), Round: m.Round})
 		}
 	case msg.Pong:
-		a.onPong(from, m.Round)
+		a.probe.answered(from, m.Round, time.Now())
 	default:
 		if m.Type == msg.Tick && m.Round == msg.TickProbe && from == a.tr.Self() {
 			a.onProbeTick()
 			return
 		}
 		a.stack.Top.Deliver(from, m)
-	}
-}
-
-// sendPing starts one RTT measurement: a PING carrying a random nonce that
-// the peer echoes back in a PONG. It only rides connections that already
-// exist — never dialing — so a measurement request can never stall the
-// agent on a dead peer. Active-view links are open by definition (Watch
-// dials them), and optimizer candidates were just probed, so the peers
-// worth measuring always have a cached connection. Called under the agent
-// lock.
-func (a *Agent) sendPing(dst id.ID) {
-	if dst == a.tr.Self() || dst.IsNil() || !a.tr.Connected(dst) {
-		return
-	}
-	nonce := a.rand.Uint64()
-	if err := a.tr.Send(dst, msg.Message{Type: msg.Ping, Sender: a.tr.Self(), Round: nonce}); err != nil {
-		return // connection just broke; watch/send-failure paths handle it
-	}
-	a.pings[nonce] = pingState{peer: dst, sent: time.Now()}
-	if a.ledger != nil {
-		a.ledger.sent(dst)
-	}
-}
-
-// onPong completes one RTT measurement and feeds the EWMA oracle.
-func (a *Agent) onPong(from id.ID, nonce uint64) {
-	st, ok := a.pings[nonce]
-	if !ok || st.peer != from {
-		return // stale, duplicated or forged
-	}
-	delete(a.pings, nonce)
-	if a.rtt != nil {
-		a.rtt.observe(from, time.Since(st.sent))
-	}
-	if a.ledger != nil {
-		a.ledger.answered(from)
-	}
-}
-
-// onProbeTick re-measures every active-view link, advances the half-open
-// suspicion ledger, and garbage-collects the measurement state: pings that
-// never came back (the peer died — the failure detector reports that
-// separately) and RTT estimates for peers no longer in either view.
-func (a *Agent) onProbeTick() {
-	// The GC cutoff keeps an absolute floor above any plausible RTT: with a
-	// short probe period (tests use 50ms), 3×period alone would collect
-	// in-flight pings on high-latency paths before their pongs arrive,
-	// leaving exactly the expensive links forever unmeasured.
-	cutoff := 3 * a.probePeriod
-	if cutoff < 3*time.Second {
-		cutoff = 3 * time.Second
-	}
-	now := time.Now()
-	for nonce, st := range a.pings {
-		if now.Sub(st.sent) > cutoff {
-			delete(a.pings, nonce)
-		}
-	}
-	active := a.stack.Core.Active()
-	for _, p := range active {
-		if a.ledger != nil {
-			if misses := a.ledger.tick(p); misses >= a.suspectAfter {
-				// Half-open verdict: the link swallowed SuspectAfter
-				// consecutive probe rounds. Condemn it once the lock is
-				// released — Suspect fires the watch, which re-enters
-				// through peerDown as the usual repair path.
-				a.ledger.forget(p)
-				a.forgetPings(p)
-				a.deferred = append(a.deferred, deferredCall{p, true})
-				continue
-			}
-		}
-		a.sendPing(p)
-	}
-	keep := make(map[id.ID]bool, len(active))
-	for _, p := range active {
-		keep[p] = true
-	}
-	for _, p := range a.stack.Core.Passive() {
-		keep[p] = true
-	}
-	for _, st := range a.pings {
-		keep[st.peer] = true
-	}
-	if a.rtt != nil {
-		a.rtt.prune(keep)
-	}
-	if a.ledger != nil {
-		a.ledger.prune(keep)
-	}
-}
-
-// forgetPings drops every outstanding ping aimed at peer (it was just
-// suspected; a late PONG must not resurrect its measurement state).
-func (a *Agent) forgetPings(peer id.ID) {
-	for nonce, st := range a.pings {
-		if st.peer == peer {
-			delete(a.pings, nonce)
-		}
 	}
 }
 
@@ -643,10 +512,10 @@ func (a *Agent) OptimizerStats() (stats xbot.Stats, ok bool) {
 }
 
 // MeanLinkCost returns the mean measured RTT (microseconds) over the
-// active-view links the RTT oracle has estimates for; ok is false when the
+// active-view links the prober has estimates for; ok is false when the
 // agent runs without the optimizer or nothing has been measured yet.
 func (a *Agent) MeanLinkCost() (mean float64, ok bool) {
-	if a.rtt == nil {
+	if a.stack.XBot == nil {
 		return 0, false
 	}
 	a.mu.Lock()
@@ -654,7 +523,7 @@ func (a *Agent) MeanLinkCost() (mean float64, ok bool) {
 	var sum float64
 	var n int
 	for _, p := range a.stack.Core.Active() {
-		if c, measured := a.rtt.estimate(p); measured {
+		if c, measured := a.probe.estimate(p); measured {
 			sum += c
 			n++
 		}

@@ -30,7 +30,6 @@ func newLoopbackCluster(t testing.TB, n int, mode BroadcastMode, optimize bool) 
 			Broadcast:     mode,
 			PlumtreeTimer: 50 * time.Millisecond,
 			Optimize:      optimize,
-			ProbePeriod:   50 * time.Millisecond,
 			Seed:          uint64(i + 1),
 			OnDeliver:     func([]byte) { c.delivered.Add(1) },
 		})

@@ -176,50 +176,80 @@ func TestWatchAfterFailedDialDialsAgain(t *testing.T) {
 	}
 }
 
-// TestWatchFailedDialFiresAfterCallerUnlocks pins the agent-lock contract of
-// Watch's dial: the agent calls Watch holding the lock its down callback
-// takes. Watch must return without firing the watch on its caller, and the
-// down arrives once the caller unlocks.
+// TestWatchFailedDialFiresAfterCallerUnlocks pins the agent-lock contract
+// of the transport calls that fire a watch: the agent calls Watch, and
+// Suspect on a half-open verdict, holding the lock its down callback takes.
+// Each must return without firing the watch on its caller, and exactly one
+// down arrives once the caller unlocks — for a Watch whose dial fails, and
+// for a Suspect of a connected peer.
 func TestWatchFailedDialFiresAfterCallerUnlocks(t *testing.T) {
-	s := faults.NewSockets(11)
-	var cb collector
-	b := listen(t, &cb)
-	var mu sync.Mutex // the agent lock
-	unlocked := false
-	g := newGate()
-	var downs, early atomic.Int64
-	a, err := Listen("127.0.0.1:0", Config{Dial: s.Dialer(nil)}, func(id.ID, msg.Message) {}, func(id.ID) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !unlocked {
-			early.Add(1)
-		}
-		g.hit(&downs)
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// setup prepares a's view of dst and returns the call made under the
+		// caller's lock.
+		setup func(t *testing.T, s *faults.Sockets, a *Transport, dst id.ID) func()
+	}{
+		{"failed Watch dial", func(_ *testing.T, s *faults.Sockets, a *Transport, dst id.ID) func() {
+			s.FailNextDials(1)
+			return func() { a.Watch(dst) }
+		}},
+		{"Suspect of a connected peer", func(t *testing.T, _ *faults.Sockets, a *Transport, dst id.ID) func() {
+			a.Watch(dst)
+			if !a.Connected(dst) {
+				t.Fatal("Watch left no link to suspect")
+			}
+			return func() { a.Suspect(dst) }
+		}},
 	}
-	t.Cleanup(func() { _ = a.Close() })
-	dst := a.Register(b.Addr())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := faults.NewSockets(11)
+			var cb collector
+			b := listen(t, &cb)
+			var mu sync.Mutex // the agent lock
+			unlocked := false
+			g := newGate()
+			var downs, early atomic.Int64
+			a, err := Listen("127.0.0.1:0", Config{Dial: s.Dialer(nil)}, func(id.ID, msg.Message) {}, func(id.ID) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !unlocked {
+					early.Add(1)
+				}
+				g.hit(&downs)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = a.Close() })
+			dst := a.Register(b.Addr())
+			call := tc.setup(t, s, a, dst)
 
-	s.FailNextDials(1)
-	returned := make(chan struct{})
-	mu.Lock()
-	go func() {
-		a.Watch(dst)
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		mu.Unlock() // let a down blocked on the lock finish, so Close can join it
-		t.Fatal("Watch did not return while its caller held the lock the down callback takes")
-	}
-	unlocked = true
-	mu.Unlock()
-	g.await(t, "downs", &downs, 1, 3*time.Second)
-	if n := early.Load(); n != 0 {
-		t.Errorf("%d downs fired while the Watch caller held its lock", n)
+			returned := make(chan struct{})
+			mu.Lock()
+			go func() {
+				call()
+				close(returned)
+			}()
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				mu.Unlock() // let a down blocked on the lock finish, so Close can join it
+				t.Fatal("the call did not return while its caller held the lock the down callback takes")
+			}
+			unlocked = true
+			mu.Unlock()
+			g.await(t, "downs", &downs, 1, 3*time.Second)
+			// Close joins every goroutine the transport started, so no
+			// second down can still be on its way.
+			_ = a.Close()
+			if n := downs.Load(); n != 1 {
+				t.Errorf("%d downs, want exactly 1", n)
+			}
+			if n := early.Load(); n != 0 {
+				t.Errorf("%d downs fired while the caller held its lock", n)
+			}
+		})
 	}
 }
 
@@ -604,7 +634,6 @@ func TestSuspicionDetectsBlackholedPeer(t *testing.T) {
 	downs := make(chan id.ID, 4)
 	a, err := NewAgent("127.0.0.1:0", AgentConfig{
 		CyclePeriod:  50 * time.Millisecond,
-		ProbePeriod:  50 * time.Millisecond,
 		SuspectAfter: 3,
 		Seed:         1,
 		OnNeighborDown: func(p id.ID, reason core.DownReason) {
@@ -634,17 +663,10 @@ func TestSuspicionDetectsBlackholedPeer(t *testing.T) {
 	if err := b.Join(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
+	waitUntil(t, "symmetric views", func() bool {
 		av, bv := a.ActiveView(), b.ActiveView()
-		if len(av) == 1 && av[0] == b.Self() && len(bv) == 1 && bv[0] == a.Self() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("views never became symmetric: a=%v b=%v", av, bv)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return len(av) == 1 && av[0] == b.Self() && len(bv) == 1 && bv[0] == a.Self()
+	})
 
 	// b's process "wedges": every one of its sockets goes silent while the
 	// kernel keeps ACKing. a's writes keep succeeding; only unanswered PINGs
@@ -662,7 +684,8 @@ func TestSuspicionDetectsBlackholedPeer(t *testing.T) {
 		t.Errorf("Suspected = %d, want >= 1", got)
 	}
 	// The verdict's Suspect fired the watch, whose callback takes the agent
-	// lock: run under that lock, it would have deadlocked the agent.
+	// lock: fired on the caller's goroutine, it would have deadlocked the
+	// agent.
 	answered := make(chan struct{})
 	go func() { _ = a.ActiveView(); close(answered) }()
 	select {
@@ -679,12 +702,16 @@ func TestSuspicionDetectsBlackholedPeer(t *testing.T) {
 // survivors must convict and purge the wedged peer via suspicion, and a
 // post-purge broadcast burst must reach the live agents at reliability
 // >= 0.99 while resets keep failing links underneath, each one repaired
-// from the passive view.
+// from the passive view. The victim runs no prober, as a wedged process
+// runs nothing: a prober of its own would convict every neighbour whose
+// PONGs its blackhole swallows and close those sockets, and its survivors
+// would see the connection end before their own suspicion fired.
 func TestLifecycleSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injected multi-agent loopback soak")
 	}
 	const n = 12
+	const victim = n - 1
 	socks := make([]*faults.Sockets, n)
 	delivered := make([]atomic.Int64, n)
 	agents := make([]*Agent, n)
@@ -692,10 +719,13 @@ func TestLifecycleSoak(t *testing.T) {
 		socks[i] = faults.NewSockets(uint64(i + 1))
 		socks[i].SetPlan(faults.ConnPlan{Reset: 0.01})
 		i := i
+		suspectAfter := 3
+		if i == victim {
+			suspectAfter = 0
+		}
 		a, err := NewAgent("127.0.0.1:0", AgentConfig{
 			CyclePeriod:  100 * time.Millisecond,
-			ProbePeriod:  50 * time.Millisecond,
-			SuspectAfter: 3,
+			SuspectAfter: suspectAfter,
 			Seed:         uint64(i + 1),
 			Transport: Config{
 				Dial:     socks[i].Dialer(nil),
@@ -722,13 +752,18 @@ func TestLifecycleSoak(t *testing.T) {
 	}
 	time.Sleep(500 * time.Millisecond) // let shuffles symmetrize the overlay
 
-	// Agent n-1 wedges: its sockets go silent, its kernel keeps ACKing.
+	// The victim wedges: its sockets go silent, its kernel keeps ACKing.
 	// Resets pause meanwhile: a reset on a link to the victim would purge
 	// it too, and suspicion must stay the only way it can go.
-	const victim = n - 1
 	victimID := agents[victim].Self()
 	for _, s := range socks {
 		s.SetPlan(faults.ConnPlan{})
+	}
+	holders := 0
+	for _, a := range agents[:victim] {
+		if slices.Contains(a.ActiveView(), victimID) {
+			holders++
+		}
 	}
 	socks[victim].Blackhole(true)
 
@@ -747,7 +782,7 @@ func TestLifecycleSoak(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("blackholed peer never purged from the survivors' active views")
+			t.Fatalf("blackholed peer never purged from the survivors' active views (%d held it when it wedged)", holders)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -756,7 +791,7 @@ func TestLifecycleSoak(t *testing.T) {
 		suspected += agents[i].TransportStats().Suspected
 	}
 	if suspected == 0 {
-		t.Error("no survivor counted a suspicion verdict for the blackholed peer")
+		t.Errorf("no survivor counted a suspicion verdict for the blackholed peer (%d held it when it wedged)", holders)
 	}
 
 	// Post-purge burst among the survivors with resets injected again: flood
@@ -788,7 +823,7 @@ func TestLifecycleSoak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	reliability := float64(got) / float64(want)
-	t.Logf("soak: reliability %.4f (%d/%d), suspicions %d", reliability, got, want, suspected)
+	t.Logf("soak: reliability %.4f (%d/%d), suspicions %d, %d survivors held the victim", reliability, got, want, suspected, holders)
 	if reliability < 0.99 {
 		t.Errorf("reliability %.4f < 0.99 among live agents", reliability)
 	}

@@ -305,8 +305,8 @@ func (t *Transport) Connected(dst id.ID) bool {
 // now, once and on the caller's goroutine, as a first-contact Send or Probe
 // dials it. A failed dial fires the watch once, as a connection that ends
 // later does, unless the peer's own connection gave it a link meanwhile.
-// The watch fires on a goroutine of its own: the caller (the agent) holds
-// the lock the callback takes.
+// The watch fires on a goroutine of its own (failAsync): the caller (the
+// agent) holds the lock the callback takes.
 func (t *Transport) Watch(dst id.ID) {
 	t.mu.Lock()
 	if t.closed {
@@ -323,10 +323,23 @@ func (t *Transport) Watch(dst id.ID) {
 	if _, ok := t.conns[dst]; ok || t.closed {
 		return
 	}
-	t.wg.Add(1) // under t.mu on an open transport, as in openLink
+	t.failAsync(dst)
+}
+
+// failAsync fails dst's link, if it has one, and fires dst's watch on a
+// goroutine of its own, so a caller holding the lock the watch callback
+// takes returns before the callback runs. Called under t.mu on an open
+// transport, as openLink is, so the Add never races Close's Wait.
+func (t *Transport) failAsync(dst id.ID) {
+	l := t.conns[dst]
+	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		t.fireWatch(dst)
+		if l != nil {
+			t.failLink(l, true)
+		} else {
+			t.fireWatch(dst)
+		}
 	}()
 }
 
@@ -338,24 +351,20 @@ func (t *Transport) Unwatch(dst id.ID) {
 }
 
 // Suspect condemns dst's connection on external evidence of a half-open
-// link — the agent's RTT prober observing N consecutive unanswered PINGs.
+// link — the agent's prober observing SuspectAfter silent rounds in a row.
 // TCP alone cannot tell a stalled peer from a slow one until a write times
 // out; the prober can, and Suspect turns its verdict into the same signal a
-// reset produces: the socket is closed proactively and the watch fires now.
+// reset produces: the socket is closed proactively and the watch fires.
+// Both happen on a goroutine of its own (failAsync), as a failed Watch
+// dial's watch does, so the caller may hold the lock the callback takes.
 func (t *Transport) Suspect(dst id.ID) {
 	t.mu.Lock()
-	l, ok := t.conns[dst]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	defer t.mu.Unlock()
+	if t.closed {
 		return
 	}
 	t.suspected.Add(1)
-	if ok {
-		t.failLink(l, true)
-	} else {
-		t.fireWatch(dst)
-	}
+	t.failAsync(dst)
 }
 
 // Drain gracefully retires the connection to dst: senders are cut off, the
@@ -375,8 +384,8 @@ func (t *Transport) Drain(dst id.ID) {
 	l.requestDrain()
 }
 
-// dial runs one dial attempt to dst through the configured dialer and conn
-// wrapper (the socket-level fault seam). Every failure, an unknown address
+// dial runs one dial attempt to dst through the configured dialer (the dial
+// half of the socket-level fault seam). Every failure, an unknown address
 // included, is a peer.ErrPeerDown.
 func (t *Transport) dial(dst id.ID) (net.Conn, error) {
 	addr, ok := t.book.Addr(dst)
@@ -392,9 +401,6 @@ func (t *Transport) dial(dst id.ID) (net.Conn, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dial %v (%s): %w", dst, addr, peer.ErrPeerDown)
-	}
-	if wrap := t.cfg.WrapConn; wrap != nil {
-		c = wrap(c, false)
 	}
 	return c, nil
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"hyparview/internal/id"
+	"hyparview/internal/msg"
 )
 
 // unknownCost is returned for links the oracle has no estimate for yet. It is
@@ -16,163 +17,214 @@ const unknownCost = uint64(1) << 40
 // classic SRTT smoothing factor (RFC 6298), 1/8.
 const rttEWMAWeight = 0.125
 
-// rttOracle implements xbot.Oracle over live PING/PONG round-trip
-// measurements: one exponentially weighted moving average per peer, in
-// microseconds. This is the deployment-side counterpart of the simulator's
-// latency model — X-BOT only ever asks a node for the cost of its own
-// adjacent links, which is exactly what a node can measure itself.
+// prober is everything the agent knows about the peers it measures with
+// PING/PONG, one entry per peer. The one mechanism serves two purposes: it
+// is X-BOT's cost oracle (the deployment-side counterpart of the
+// simulator's latency model — X-BOT only ever asks a node for the cost of
+// its own adjacent links, which is exactly what a node can measure itself),
+// and it is the liveness probe behind half-open suspicion
+// (AgentConfig.SuspectAfter): a stalled-but-not-closed peer keeps ACKing at
+// the kernel level, so writes succeed and the watch stays silent, and
+// unanswered PINGs are the only timely evidence.
 //
-// The oracle is used under the agent lock only; it is not safe for
+// The prober is used under the agent lock only; it is not safe for
 // concurrent use and needs no locks of its own.
-type rttOracle struct {
-	self id.ID
-	est  map[id.ID]float64 // microseconds, EWMA-smoothed
-
-	// requestPing asynchronously starts a measurement of a link the
-	// optimizer asked about but that has no estimate yet. The current call
-	// still returns unknownCost; the estimate exists by the next attempt.
-	requestPing func(id.ID)
+type prober struct {
+	self  id.ID
+	links map[id.ID]*linkProbe
+	// request starts a measurement of a link the optimizer asked about but
+	// that has no estimate yet. The current Cost still returns unknownCost;
+	// the estimate exists by the next attempt.
+	request func(id.ID)
 }
 
-// newRTTOracle builds an oracle for self; requestPing is invoked for
-// cost queries about unmeasured peers.
-func newRTTOracle(self id.ID, requestPing func(id.ID)) *rttOracle {
-	return &rttOracle{
-		self:        self,
-		est:         make(map[id.ID]float64),
-		requestPing: requestPing,
-	}
+// linkProbe is one peer's entry.
+type linkProbe struct {
+	inflight []ping  // PINGs sent and not answered, oldest first
+	rtt      float64 // microseconds, EWMA-smoothed; valid when measured
+	measured bool
+	misses   int // consecutive probe rounds entered with a PING in flight
 }
 
-// Cost implements xbot.Oracle. One endpoint is always the local node; the
-// estimate for the other endpoint is returned, or unknownCost — after
-// kicking off a measurement — when the link was never measured.
-func (o *rttOracle) Cost(a, b id.ID) uint64 {
-	other := b
-	if other == o.self {
-		other = a
+// ping is one outstanding PING: its nonce and when it was sent.
+type ping struct {
+	nonce uint64
+	sent  time.Time
+}
+
+// newProber builds the prober of self; request is invoked for cost queries
+// about unmeasured peers.
+func newProber(self id.ID, request func(id.ID)) *prober {
+	return &prober{self: self, links: make(map[id.ID]*linkProbe), request: request}
+}
+
+// sent records a PING carrying nonce, sent to peer at the given time.
+func (p *prober) sent(peer id.ID, nonce uint64, at time.Time) {
+	l := p.links[peer]
+	if l == nil {
+		l = &linkProbe{}
+		p.links[peer] = l
 	}
-	if other == o.self || other.IsNil() {
-		return 0
+	l.inflight = append(l.inflight, ping{nonce, at})
+}
+
+// answered completes the measurement a PONG from peer, received at the given
+// time, closes. It counts only if it echoes a nonce outstanding to that
+// peer: a stale, duplicated, forged or misdirected PONG changes nothing.
+// The PINGs sent to peer before the answered one travelled the same
+// connection ahead of it and are dropped with it; any answer ends the
+// silence streak, so a slow peer is never convicted for jitter.
+func (p *prober) answered(peer id.ID, nonce uint64, at time.Time) {
+	l := p.links[peer]
+	if l == nil {
+		return
 	}
-	if e, ok := o.est[other]; ok {
-		if e < 1 {
-			return 1
+	for i, pg := range l.inflight {
+		if pg.nonce != nonce {
+			continue
 		}
-		return uint64(e)
+		l.observe(at.Sub(pg.sent))
+		l.inflight = l.inflight[:copy(l.inflight, l.inflight[i+1:])]
+		l.misses = 0
+		return
 	}
-	if o.requestPing != nil {
-		o.requestPing(other)
-	}
-	return unknownCost
 }
 
-// KnownCost implements xbot.CostKnower: the optimizer must not rank or
-// dissolve links this oracle has never completed a measurement for.
-func (o *rttOracle) KnownCost(a, b id.ID) bool {
-	other := b
-	if other == o.self {
-		other = a
-	}
-	if other == o.self || other.IsNil() {
-		return true
-	}
-	_, ok := o.est[other]
-	return ok
-}
-
-// observe folds one measured round trip into the peer's estimate.
-func (o *rttOracle) observe(peer id.ID, rtt time.Duration) {
+// observe folds one measured round trip into the estimate.
+func (l *linkProbe) observe(rtt time.Duration) {
 	if rtt < 0 {
 		return
 	}
 	sample := float64(rtt.Microseconds())
-	if prev, ok := o.est[peer]; ok {
-		o.est[peer] = prev + rttEWMAWeight*(sample-prev)
+	if l.measured {
+		l.rtt += rttEWMAWeight * (sample - l.rtt)
 	} else {
-		o.est[peer] = sample
+		l.rtt, l.measured = sample, true
+	}
+}
+
+// round is called once per probe round per active peer, before that round's
+// PING goes out, and returns the silence streak: entering a round with a
+// PING still unanswered is one more miss; entering clean resets the streak.
+func (p *prober) round(peer id.ID) int {
+	l := p.links[peer]
+	if l == nil {
+		return 0
+	}
+	if len(l.inflight) == 0 {
+		l.misses = 0
+	} else {
+		l.misses++
+	}
+	return l.misses
+}
+
+// suspected forgets peer's in-flight PINGs and its streak once it is
+// convicted — a late PONG must not count — and keeps its estimate.
+func (p *prober) suspected(peer id.ID) {
+	if l := p.links[peer]; l != nil {
+		l.inflight = l.inflight[:0]
+		l.misses = 0
+	}
+}
+
+// expire drops the PINGs sent before cutoff — the peer died, or the answer
+// was lost; the failure detector reports either separately — and then every
+// entry with nothing in flight whose peer keep rejects, bounding the table
+// to the node's membership horizon.
+func (p *prober) expire(cutoff time.Time, keep func(id.ID) bool) {
+	for peer, l := range p.links {
+		n := 0
+		for n < len(l.inflight) && l.inflight[n].sent.Before(cutoff) {
+			n++
+		}
+		l.inflight = l.inflight[:copy(l.inflight, l.inflight[n:])]
+		if len(l.inflight) == 0 && !keep(peer) {
+			delete(p.links, peer)
+		}
 	}
 }
 
 // estimate returns the current estimate for peer in microseconds.
-func (o *rttOracle) estimate(peer id.ID) (float64, bool) {
-	e, ok := o.est[peer]
-	return e, ok
+func (p *prober) estimate(peer id.ID) (float64, bool) {
+	if l := p.links[peer]; l != nil && l.measured {
+		return l.rtt, true
+	}
+	return 0, false
 }
 
-// probeLedger is the bookkeeping behind half-open suspicion
-// (AgentConfig.SuspectAfter): per-peer "a PING is in flight unanswered"
-// flags and the count of consecutive probe rounds entered in that state. A
-// stalled-but-not-closed peer keeps ACKing at the kernel level, so writes
-// succeed and the watch machinery stays silent; unanswered application-level
-// probes are the only timely evidence, and N consecutive misses is the
-// suspicion verdict the agent converts into Transport.Suspect. Used under
-// the agent lock only; no locks of its own.
-type probeLedger struct {
-	awaiting map[id.ID]bool // PING sent, no PONG yet
-	misses   map[id.ID]int  // consecutive probe rounds entered while awaiting
+// other returns the endpoint of the link (a, b) that is not the local node.
+func (p *prober) other(a, b id.ID) id.ID {
+	if b == p.self {
+		return a
+	}
+	return b
 }
 
-func newProbeLedger() *probeLedger {
-	return &probeLedger{
-		awaiting: make(map[id.ID]bool),
-		misses:   make(map[id.ID]int),
+// Cost implements xbot.Oracle. One endpoint is always the local node; the
+// estimate for the other endpoint is returned, or unknownCost — after
+// starting a measurement — when the link was never measured. An estimate
+// under a microsecond costs 1, never 0: a free link would win every
+// comparison.
+func (p *prober) Cost(a, b id.ID) uint64 {
+	other := p.other(a, b)
+	if other == p.self || other.IsNil() {
+		return 0
+	}
+	if e, ok := p.estimate(other); ok {
+		return max(uint64(e), 1)
+	}
+	p.request(other)
+	return unknownCost
+}
+
+// KnownCost implements xbot.CostKnower: the optimizer must not rank or
+// dissolve links the prober has never completed a measurement for.
+func (p *prober) KnownCost(a, b id.ID) bool {
+	other := p.other(a, b)
+	if other == p.self || other.IsNil() {
+		return true
+	}
+	_, ok := p.estimate(other)
+	return ok
+}
+
+// sendPing starts one RTT measurement: a PING carrying a random nonce that
+// the peer echoes back in a PONG. It only rides a link that already exists
+// — never dialing — so a measurement can never stall the agent on a dead
+// peer. Active-view links are open by definition (Watch dials them), and
+// optimizer candidates were just probed, so the peers worth measuring
+// always have one. Called under the agent lock.
+func (a *Agent) sendPing(dst id.ID) {
+	if dst == a.tr.Self() || dst.IsNil() || !a.tr.Connected(dst) {
+		return
+	}
+	nonce := a.rand.Uint64()
+	// A failed send needs no handling: the watch reports the broken link.
+	if a.tr.Send(dst, msg.Message{Type: msg.Ping, Sender: a.tr.Self(), Round: nonce}) == nil {
+		a.probe.sent(dst, nonce, time.Now())
 	}
 }
 
-// sent records an in-flight PING to peer.
-func (p *probeLedger) sent(peer id.ID) { p.awaiting[peer] = true }
-
-// answered clears peer's suspicion state: any PONG proves the link live.
-func (p *probeLedger) answered(peer id.ID) {
-	delete(p.awaiting, peer)
-	delete(p.misses, peer)
-}
-
-// tick is called once per probe round per active peer, before that round's
-// PING goes out, and returns the consecutive-miss count: entering a round
-// with the previous PING still unanswered is one miss; entering clean
-// resets the streak. A slow answer self-heals — the first answered probe
-// wipes the streak — so only sustained silence accumulates toward the
-// suspicion threshold.
-func (p *probeLedger) tick(peer id.ID) int {
-	if p.awaiting[peer] {
-		p.misses[peer]++
-	} else {
-		delete(p.misses, peer)
-	}
-	return p.misses[peer]
-}
-
-// forget drops peer entirely (suspected, or left the membership horizon).
-func (p *probeLedger) forget(peer id.ID) {
-	delete(p.awaiting, peer)
-	delete(p.misses, peer)
-}
-
-// prune drops state for peers outside keep, mirroring rttOracle.prune.
-func (p *probeLedger) prune(keep map[id.ID]bool) {
-	for q := range p.awaiting {
-		if !keep[q] {
-			delete(p.awaiting, q)
+// onProbeTick runs one probe round: it expires what the prober no longer
+// needs, convicts every active peer silent for SuspectAfter rounds in a row,
+// and PINGs the rest. Suspect fires the watch on a goroutine of its own, so
+// the verdict re-enters through peerDown, the usual repair path, once the
+// agent lock is released.
+func (a *Agent) onProbeTick() {
+	// The in-flight cutoff keeps an absolute floor above any plausible RTT:
+	// with a short probe period, 3×period alone would expire PINGs on
+	// high-latency paths before their PONGs arrive, leaving exactly the
+	// expensive links forever unmeasured.
+	cutoff := max(3*a.probePeriod, 3*time.Second)
+	c := a.stack.Core
+	a.probe.expire(time.Now().Add(-cutoff), func(p id.ID) bool { return c.ActiveContains(p) || c.PassiveContains(p) })
+	for _, p := range c.Active() {
+		if misses := a.probe.round(p); a.suspectAfter > 0 && misses >= a.suspectAfter {
+			a.probe.suspected(p)
+			a.tr.Suspect(p)
+			continue
 		}
-	}
-	for q := range p.misses {
-		if !keep[q] {
-			delete(p.misses, q)
-		}
+		a.sendPing(p)
 	}
 }
-
-// prune drops estimates for peers outside keep, bounding the map to the
-// node's current membership horizon (both views plus in-flight pings).
-func (o *rttOracle) prune(keep map[id.ID]bool) {
-	for p := range o.est {
-		if !keep[p] {
-			delete(o.est, p)
-		}
-	}
-}
-
-// len reports the number of live estimates (tests).
-func (o *rttOracle) len() int { return len(o.est) }

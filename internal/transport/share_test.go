@@ -298,7 +298,7 @@ func TestCandidatePingAnsweredWithoutDial(t *testing.T) {
 	waitUntil(t, "the candidate's PONG", func() bool {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		_, measured := a.rtt.estimate(cID)
+		_, measured := a.probe.estimate(cID)
 		return measured
 	})
 	if d := cDials.Load(); d != 0 {

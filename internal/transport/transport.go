@@ -72,17 +72,18 @@ const (
 // plain TCP.
 type Config struct {
 	// Dial, when non-nil, replaces net.DialTimeout for outbound connections:
-	// the dial half of the socket-level fault seam (see faults.Sockets).
+	// the dial half of the socket-level fault seam (see faults.Sockets). It
+	// owns what it dials: a connection it returns is used as is.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// WrapConn, when non-nil, wraps every connection — outbound
-	// (inbound=false) and accepted (inbound=true) — before the transport
-	// uses it: the wire half of the socket-level fault seam. An accepted
-	// connection is written too once its peer's link adopts it, so write
-	// faults land on both. Wrapped connections that do not expose
-	// syscall.Conn lose the writev fast path and the Probe peek check, and
-	// those without CloseWrite the half-close of a drain, which is
-	// acceptable for fault injection.
-	WrapConn func(c net.Conn, inbound bool) net.Conn
+	// WrapConn, when non-nil, wraps every accepted connection before the
+	// transport uses it: the wire half of the socket-level fault seam for
+	// the connections peers dial to us. An accepted connection is written
+	// too once its peer's link adopts it, so write faults land on both
+	// directions. Wrapped connections that do not expose syscall.Conn lose
+	// the writev fast path and the Probe peek check, and those without
+	// CloseWrite the half-close of a drain, which is acceptable for fault
+	// injection.
+	WrapConn func(net.Conn) net.Conn
 
 	// Intercept, when non-nil, is the message-level fault-injection seam
 	// (the real-socket counterpart of netsim.Sim.Intercept): it observes
@@ -126,8 +127,9 @@ type Stats struct {
 	// lands on a link the peer's own connection opened meanwhile (a
 	// simultaneous open) is closed unwritten and not counted.
 	DialRacesLost uint64
-	// Suspected counts links condemned by Suspect — the RTT prober's
-	// half-open verdict on a stalled-but-not-closed peer.
+	// Suspected counts Suspect calls on an open transport — the agent
+	// prober's half-open verdicts on stalled-but-not-closed peers — whether
+	// or not the peer still had a link.
 	Suspected uint64
 	// Drained counts graceful teardowns that ran the deadline-bounded flush
 	// of queued frames (demotion, DISCONNECT, Close — ours, or the peer's
@@ -256,7 +258,7 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		if wrap := t.cfg.WrapConn; wrap != nil {
-			c = wrap(c, true)
+			c = wrap(c)
 		}
 		t.mu.Lock()
 		if t.closed {
