@@ -20,6 +20,10 @@
 //	})
 //	// ... a.Join(contactAddr), a.Broadcast([]byte("hello")), a.Close()
 //
+// A delivered payload is lent to OnDeliver and to pub/sub handlers: it is
+// decoded in place in the connection's read buffer, valid until the
+// callback returns, and a callback that keeps it keeps a copy.
+//
 // # Quick start (simulation, flood broadcast)
 //
 //	c := hyparview.NewCluster(hyparview.ProtoHyParView, hyparview.ClusterOptions{N: 1000})
@@ -225,7 +229,8 @@ type Broadcaster = gossip.Broadcaster
 type PubSubConfig = pubsub.Config
 
 // PubSubHandler receives topic deliveries: topic, payload, and the gossip
-// hop count at delivery time.
+// hop count at delivery time. The payload is valid until the handler
+// returns; a handler that keeps it keeps a copy.
 type PubSubHandler = pubsub.Handler
 
 // PubSubStats is a cumulative snapshot of a router's publish, batching and

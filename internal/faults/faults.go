@@ -17,7 +17,11 @@
 // they are frozen, shared copy-on-write with every other copy of the fan-out
 // — so tamperers build fresh slices (or msg.Clone) and return a replacement
 // struct. Duplicates and delayed copies may share the original's slices:
-// redelivery only re-reads them.
+// redelivery only re-reads them, and the simulator's slices are frozen for
+// the whole run. The TCP transport lends them instead: a received payload
+// lies in the connection's read buffer, valid until the hook and the
+// dispatch after it return, so a hook that records messages there (a
+// Replayer, say) records m.Clone().
 package faults
 
 import (
@@ -31,7 +35,9 @@ import (
 // Hook is the fault-injection seam shared by both runtimes: it observes one
 // message about to be delivered to node. Returning (nil, true) delivers the
 // original, (repl, true) delivers the replacement, (_, false) suppresses the
-// delivery.
+// delivery. *m and its slices are valid until the delivery's dispatch
+// returns; on the TCP transport a hook that keeps a message past that keeps
+// m.Clone() (see the package doc on ownership).
 type Hook = func(node id.ID, m *msg.Message) (*msg.Message, bool)
 
 // Redeliver re-injects a message into the runtime for delivery to `to` after
@@ -246,7 +252,10 @@ func PayloadCorrupter(r *rng.Rand) Tamper {
 // Replayer records broadcast payload messages as they pass the hook and
 // re-injects stale ones later: the round-replay fault, which the broadcast
 // layers' seen-tables must absorb without double-delivering. Keep bounds the
-// memory (a ring of the most recent messages).
+// memory (a ring of the most recent messages). It records the messages
+// themselves, slices shared, which holds only over the simulator's frozen
+// bodies; a replayer over the TCP transport, whose payloads are lent, would
+// have to record m.Clone().
 type Replayer struct {
 	Rand      *rng.Rand
 	Redeliver Redeliver

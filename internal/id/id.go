@@ -65,8 +65,15 @@ func NewBook() *Book {
 
 // Put registers the (id, addr) pair, replacing any previous mapping for
 // either key. Re-putting the registered pair, as every received frame does
-// for its sender, changes nothing.
+// for each entry of its directory, changes nothing and takes only the read
+// lock, so the readers of concurrent connections do not serialize on it.
 func (b *Book) Put(node ID, addr string) {
+	b.mu.RLock()
+	cur, ok := b.byID[node]
+	b.mu.RUnlock()
+	if ok && cur == addr {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cur, ok := b.byID[node]; ok && cur == addr {

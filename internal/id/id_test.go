@@ -1,6 +1,7 @@
 package id
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -140,6 +141,41 @@ func TestBookPut(t *testing.T) {
 			}
 		})
 	}
+	// Readers re-put the registered pair, as every received frame does for
+	// its directory, while a writer moves the id between two addresses: the
+	// unchanged Put checks under the read lock and must still never see a
+	// half-made change (run under -race).
+	t.Run("concurrent", func(t *testing.T) {
+		b := NewBook()
+		b.Put(1, "a:1")
+		const rounds = 2000
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					b.Put(1, "a:1")
+					if addr, ok := b.Addr(1); !ok || (addr != "a:1" && addr != "a:9") {
+						t.Errorf("Addr(1) = %q, %v mid-change", addr, ok)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < rounds; i++ {
+			b.Put(1, "a:9")
+			b.Put(1, "a:1")
+		}
+		wg.Wait()
+		b.Put(1, "a:1")
+		if node, ok := b.Lookup("a:1"); !ok || node != 1 {
+			t.Errorf("Lookup(a:1) = %v, %v; want n1", node, ok)
+		}
+		if _, ok := b.Lookup("a:9"); ok || b.Len() != 1 {
+			t.Errorf("a:9 still resolves or Len() = %d: the book lost a direction", b.Len())
+		}
+	})
 }
 
 func BenchmarkBookPutUnchanged(b *testing.B) {

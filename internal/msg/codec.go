@@ -108,7 +108,13 @@ func directorySize(dir []DirEntry) int {
 }
 
 // Decode parses a message from buf, returning the message and the number of
-// bytes consumed.
+// bytes consumed. Payload is lent, not copied: it is buf's own bytes (capped,
+// so an append to it cannot run into the rest of buf), valid for as long as
+// the caller leaves buf unchanged. Nodes, Entries and Directory are decoded
+// into fresh memory. A caller that keeps the message past buf's reuse keeps
+// m.Clone() instead; the TCP transport reuses one buffer per connection, and
+// lends each frame only to its dispatch (see package peer, "Message
+// ownership").
 func Decode(buf []byte) (Message, int, error) {
 	var m Message
 	if len(buf) < headerSize+2 {
@@ -181,8 +187,7 @@ func Decode(buf []byte) (Message, int, error) {
 		return m, 0, ErrShortBuffer
 	}
 	if nPayload > 0 {
-		m.Payload = make([]byte, nPayload)
-		copy(m.Payload, buf[off:off+nPayload])
+		m.Payload = buf[off : off+nPayload : off+nPayload]
 		off += nPayload
 	}
 

@@ -71,6 +71,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeLendsPayload: Decode leaves the payload in buf, capped at its
+// own length so an append cannot reach the bytes after it, and decodes the
+// other variable-length fields into fresh memory; Clone owns everything.
+func TestDecodeLendsPayload(t *testing.T) {
+	m := Message{Type: Shuffle, Sender: 1, Nodes: []id.ID{2, 3}, Entries: []Entry{{Node: 4, Age: 5}},
+		Payload: []byte("lent"), Directory: []DirEntry{{Node: 2, Addr: "h:2"}}}
+	buf := Encode(m)
+	got, _, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := got.Clone()
+	if allocs := testing.AllocsPerRun(100, func() { got, _, _ = Decode(buf) }); allocs != 4 {
+		t.Errorf("Decode allocates %.0f times, want 4: nodes, entries, directory and its address, not the payload", allocs)
+	}
+	if cap(got.Payload) != len(got.Payload) {
+		t.Errorf("lent payload has capacity %d past its %d bytes", cap(got.Payload), len(got.Payload))
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if string(got.Payload) == "lent" {
+		t.Error("the payload was copied out of buf, not lent")
+	}
+	if !reflect.DeepEqual(kept, m) {
+		t.Errorf("Clone of a decoded message changed with buf: %+v", kept)
+	}
+	if got.Nodes[0] != 2 || got.Entries[0].Node != 4 || got.Directory[0].Addr != "h:2" {
+		t.Errorf("lists and directory alias buf: %+v", got)
+	}
+}
+
 // normalize maps nil and empty slices to nil so DeepEqual compares content.
 func normalize(m Message) Message {
 	if len(m.Nodes) == 0 {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -25,11 +26,16 @@ import (
 // contents included (no layer wrote into a frozen slice, and the engine wrote
 // nothing while the handler ran). With poison set the private copy is
 // overwritten with garbage once Deliver returns, so a layer that kept the
-// pointer reads garbage later and the run's outcome moves.
+// pointer reads garbage later and the run's outcome moves. With lend set the
+// private copy's slices are the guard's own deep copies, and their contents
+// are overwritten once Deliver returns, as the TCP transport's next frame
+// overwrites the read buffer a payload was lent from: a layer that kept a
+// received slice, rather than copying it, serves garbage later.
 type deliverGuard struct {
 	self   id.ID
 	inner  peer.Process
 	poison bool
+	lend   bool
 
 	violations []string // this node's; guards run on their node's shard
 }
@@ -47,17 +53,47 @@ func (g *deliverGuard) Deliver(from id.ID, m *msg.Message) {
 	// whatever is delivered next.
 	priv := new(msg.Message)
 	*priv = *m
+	if g.lend {
+		*priv = m.Clone()
+	}
+	handed := *priv
 	g.inner.Deliver(from, priv)
-	if !sameMessage(priv, &stored) {
+	if !sameMessage(priv, &handed) || contentHash(&handed) != sum {
 		g.violations = append(g.violations, fmt.Sprintf("node %v: handler wrote through m: %+v, delivered %+v", g.self, *priv, stored))
 	}
 	if !sameMessage(m, &stored) || contentHash(m) != sum {
 		g.violations = append(g.violations, fmt.Sprintf("node %v: stored %v message changed during Deliver", g.self, stored.Type))
 	}
+	if g.lend {
+		for i := range handed.Payload {
+			handed.Payload[i] = 0xEE
+		}
+		for i := range handed.Nodes {
+			handed.Nodes[i] = 0xDEAD
+		}
+		for i := range handed.Entries {
+			handed.Entries[i] = msg.Entry{Node: 0xDEAD, Age: 0xEEE}
+		}
+	}
 	if g.poison {
 		*priv = poisoned
 	}
 }
+
+// lendingEnv is the node's environment as a lending runtime presents it: it
+// does not declare frozen bodies (peer.FrozenBodies), and Send copies what
+// it is given before returning, as the TCP transport encodes a frame. It
+// also hides the engine's by-reference send, so both paths reach Send.
+type lendingEnv struct{ peer.Env }
+
+func (e lendingEnv) Send(dst id.ID, m msg.Message) error { return e.Env.Send(dst, m.Clone()) }
+
+// frozenLendingEnv is lendingEnv declaring frozen bodies all the same: an
+// environment that lends but says it does not, so the ring aliases what
+// the guard overwrites.
+type frozenLendingEnv struct{ lendingEnv }
+
+func (frozenLendingEnv) FrozenBodies() {}
 
 func (g *deliverGuard) OnCycle() { g.inner.OnCycle() }
 
@@ -94,11 +130,12 @@ func contentHash(m *msg.Message) uint64 {
 // contractNode is one node of a contract run: its guard, its stack and what
 // its stack delivered to the application.
 type contractNode struct {
-	guard *deliverGuard
-	st    stack.Stack
-	got   uint64 // deliveries
-	sum   uint64 // rounds, topics, hops and payload bytes delivered
-	round uint64 // this node's publish counter
+	guard   *deliverGuard
+	st      stack.Stack
+	got     uint64 // deliveries
+	sum     uint64 // rounds, topics, hops and payload bytes delivered
+	damaged uint64 // broadcasts delivered with other bytes than were sent
+	round   uint64 // this node's publish counter
 }
 
 func (n *contractNode) deliver(round uint64, topic uint32, payload []byte, hops int) {
@@ -107,7 +144,14 @@ func (n *contractNode) deliver(round uint64, topic uint32, payload []byte, hops 
 	for _, c := range payload {
 		n.sum += uint64(c)
 	}
+	if topic == 0 && round != 0 && !bytes.Equal(payload, broadcastPayload(round)) {
+		n.damaged++
+	}
 }
+
+// broadcastPayload is what a contract run's plain broadcast of round
+// carries.
+func broadcastPayload(round uint64) []byte { return []byte{byte(round), 1, 2, 3} }
 
 // contractVariants are the stacks the simulator hosts: the full HyParView
 // stack with each upper layer, and the baselines under stack.Over.
@@ -147,12 +191,43 @@ var contractVariants = []struct {
 	}},
 }
 
+// contractMode is how a contract run hands messages to its stacks.
+type contractMode struct {
+	poison, lend bool                    // the guards' modes (see deliverGuard)
+	env          func(peer.Env) peer.Env // what the stacks run over; nil: the engine's endpoint
+	lossy        bool                    // lose a quarter of the Plumtree payload pushes (see losePushes)
+}
+
+// losePushes is an engine intercept that loses every Plumtree payload frame
+// whose (receiver, sender, round) hashes to 0 mod 4, so receivers repair
+// those rounds by GRAFTing an announcer, whose retransmission, from another
+// sender, usually gets through. It is a pure function of the message, as an
+// intercept running on the shards must be.
+func losePushes(node id.ID, m *msg.Message) (*msg.Message, bool) {
+	if m.Type != msg.PlumtreeGossip {
+		return nil, true
+	}
+	h := fnv.New64a()
+	var b [24]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(node))
+	binary.LittleEndian.PutUint64(b[8:], uint64(m.Sender))
+	binary.LittleEndian.PutUint64(b[16:], m.Round)
+	h.Write(b[:])
+	return nil, h.Sum64()%4 != 0
+}
+
+// contractRun is the outcome of one contract run.
+type contractRun struct {
+	fingerprint string   // every node's views and counters, and the engine's
+	violations  []string // every violation the guards recorded
+	damaged     uint64   // broadcasts delivered with bytes other than were sent
+	served      uint64   // GRAFT retransmissions served, at least
+}
+
 // runContract drives one variant through joins, periodic rounds and cycles,
 // broadcasts (and publishes, where there is a router), a kill of a quarter of
-// the nodes and the same again, on two shards. It returns a fingerprint of
-// every node's views and counters plus the engine's, and every violation the
-// guards recorded.
-func runContract(t *testing.T, variant int, poison bool) (fingerprint string, violations []string) {
+// the nodes and the same again, on two shards.
+func runContract(t *testing.T, variant int, mode contractMode) (run contractRun) {
 	t.Helper()
 	v := contractVariants[variant]
 	const n = 64
@@ -162,14 +237,21 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 		oracle = NewEuclidean(11)
 		s.Latency = oracle.Delay
 	}
+	if mode.lossy {
+		s.Intercept = losePushes
+	}
 	nodes := make([]*contractNode, n)
 	r := rng.New(5)
 	for i := range nodes {
 		nd := &contractNode{}
 		nodes[i] = nd
 		s.Add(id.ID(i+1), func(env peer.Env) peer.Process {
+			self := env.Self()
+			if mode.env != nil {
+				env = mode.env(env)
+			}
 			nd.st = v.build(env, nd, oracle)
-			nd.guard = &deliverGuard{self: env.Self(), inner: nd.st.Top, poison: poison}
+			nd.guard = &deliverGuard{self: self, inner: nd.st.Top, poison: mode.poison, lend: mode.lend}
 			return nd.guard
 		})
 		if nd.st.Router != nil {
@@ -198,7 +280,7 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 			}
 			nd := nodes[src-1]
 			round++
-			nd.st.Top.Broadcast(round, []byte{byte(round), 1, 2, 3})
+			nd.st.Top.Broadcast(round, broadcastPayload(round))
 			if nd.st.Router != nil {
 				if err := nd.st.Router.Publish(3, []byte{byte(round), 7}); err != nil {
 					t.Fatal(err)
@@ -217,7 +299,7 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n", s.Stats())
-	var got uint64
+	var got, answered, swaps uint64
 	for i, nd := range nodes {
 		st := nd.st
 		d, dup, fwd, fails := st.Top.Counters()
@@ -231,7 +313,10 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 			fmt.Fprintf(&b, " xbot=%+v", st.XBot.Stats())
 		}
 		if st.Plumtree != nil {
-			fmt.Fprintf(&b, " eager=%v plumtree=%+v", st.Plumtree.EagerPeers(), st.Plumtree.Control())
+			ctl := st.Plumtree.Control()
+			fmt.Fprintf(&b, " eager=%v plumtree=%+v", st.Plumtree.EagerPeers(), ctl)
+			answered += ctl.GraftsRecvd - ctl.GraftsUnserved
+			swaps += ctl.Optimizes // grafts that asked for no payload
 		}
 		if st.Router != nil {
 			fmt.Fprintf(&b, " router=%+v", st.Router.Stats())
@@ -243,12 +328,25 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 			fmt.Fprintf(&b, " scamp=%+v", m.Stats())
 		}
 		b.WriteByte('\n')
-		violations = append(violations, nd.guard.violations...)
+		run.violations = append(run.violations, nd.guard.violations...)
+		run.damaged += nd.damaged
 	}
 	if got == 0 {
 		t.Fatalf("%s: no broadcast was delivered; the scenario drove nothing", v.name)
 	}
-	return b.String(), violations
+	run.fingerprint = b.String()
+	run.served = answered - min(answered, swaps)
+	return run
+}
+
+// firstDifference returns the first line at which two fingerprints differ.
+func firstDifference(a, b string) (string, string) {
+	as, bs := strings.Split(a, "\n"), strings.Split(b, "\n")
+	i := 0
+	for i < len(as)-1 && i < len(bs)-1 && as[i] == bs[i] {
+		i++
+	}
+	return as[i], bs[i]
 }
 
 // TestDeliverContractAcrossStacks holds every layer of every stack the
@@ -259,20 +357,55 @@ func runContract(t *testing.T, variant int, poison bool) (fingerprint string, vi
 func TestDeliverContractAcrossStacks(t *testing.T) {
 	for i, v := range contractVariants {
 		t.Run(v.name, func(t *testing.T) {
-			clean, violations := runContract(t, i, false)
-			poisoned, pviolations := runContract(t, i, true)
-			if all := append(violations, pviolations...); len(all) > 0 {
+			clean := runContract(t, i, contractMode{})
+			poisoned := runContract(t, i, contractMode{poison: true})
+			if all := append(clean.violations, poisoned.violations...); len(all) > 0 {
 				t.Errorf("%d contract violations; the first: %s", len(all), all[0])
 			}
-			if clean != poisoned {
-				a, b := strings.Split(clean, "\n"), strings.Split(poisoned, "\n")
-				i := 0
-				for a[i] == b[i] {
-					i++
-				}
-				t.Errorf("views and counters differ once delivered copies are poisoned after Deliver: a layer keeps the pointer; first difference:\nclean:    %s\npoisoned: %s", a[i], b[i])
+			if clean.fingerprint != poisoned.fingerprint {
+				a, b := firstDifference(clean.fingerprint, poisoned.fingerprint)
+				t.Errorf("views and counters differ once delivered copies are poisoned after Deliver: a layer keeps the pointer; first difference:\nclean:    %s\npoisoned: %s", a, b)
 			}
 		})
+	}
+}
+
+// TestLentPayloadsSurviveRetention runs the Plumtree stack over an
+// environment that lends what it delivers (lendingEnv: no frozen bodies),
+// behind guards that overwrite every delivered slice once Deliver returns.
+// Plumtree retains payloads to answer GRAFTs; over such an environment it
+// must keep copies, so every GRAFT-served payload is still the one
+// broadcast, and the run ends exactly as with nothing overwritten. The
+// same guards over a lender that declares frozen bodies, so that the ring
+// aliases, must see damaged payloads: that is the check's power.
+func TestLentPayloadsSurviveRetention(t *testing.T) {
+	variant := 0
+	for contractVariants[variant].name != "HyParView+Plumtree" {
+		variant++
+	}
+	lending := func(env peer.Env) peer.Env { return lendingEnv{env} }
+	kept := runContract(t, variant, contractMode{env: lending, lossy: true})
+	lent := runContract(t, variant, contractMode{lend: true, env: lending, lossy: true})
+	if all := append(kept.violations, lent.violations...); len(all) > 0 {
+		t.Errorf("%d contract violations; the first: %s", len(all), all[0])
+	}
+	if kept.served == 0 {
+		t.Fatal("no GRAFT was served a payload: the scenario does not exercise retention")
+	}
+	if kept.damaged != 0 || lent.damaged != 0 {
+		t.Errorf("%d / %d broadcasts delivered damaged without / with lending, want 0", kept.damaged, lent.damaged)
+	}
+	if kept.fingerprint != lent.fingerprint {
+		a, b := firstDifference(kept.fingerprint, lent.fingerprint)
+		t.Errorf("views and counters differ once lent slices are overwritten after Deliver: a layer keeps a lent slice; first difference:\nkept: %s\nlent: %s", a, b)
+	}
+	t.Logf("%d GRAFT retransmissions served, at least", kept.served)
+
+	lying := runContract(t, variant, contractMode{lend: true, lossy: true, env: func(env peer.Env) peer.Env {
+		return frozenLendingEnv{lendingEnv{env}}
+	}})
+	if lying.damaged == 0 {
+		t.Error("an aliasing ring over lent payloads served no damaged payload: the lend guard cannot see a kept slice")
 	}
 }
 

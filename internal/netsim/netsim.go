@@ -228,7 +228,10 @@ type Endpoint struct {
 	sh   *shard   // the shard that owns the node
 }
 
-var _ peer.Env = (*Endpoint)(nil)
+var (
+	_ peer.Env          = (*Endpoint)(nil)
+	_ peer.FrozenBodies = (*Endpoint)(nil)
+)
 
 // Self returns the identifier of the endpoint's node.
 func (e *Endpoint) Self() id.ID { return e.self }
@@ -250,6 +253,11 @@ func (e *Endpoint) Send(dst id.ID, m msg.Message) error {
 func (e *Endpoint) SendRef(dst id.ID, m *msg.Message) error {
 	return e.sim.send(e.sh, e.self, dst, m)
 }
+
+// FrozenBodies implements peer.FrozenBodies: the engine never writes a body
+// it delivers, and a payload slice lives as long as its last holder, so a
+// receiver may keep it.
+func (e *Endpoint) FrozenBodies() {}
 
 // Probe reports whether a connection to dst could be established.
 func (e *Endpoint) Probe(dst id.ID) error {

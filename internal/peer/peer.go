@@ -39,19 +39,24 @@ var ErrOverflow = errors.New("peer: send queue overflow")
 //     receiver may mutate its contents afterwards, ever. The simulator hands
 //     the same backing arrays to every receiver of a fan-out (one payload
 //     buffer serves a whole broadcast); the TCP transport encodes from them
-//     concurrently with the caller's next steps.
+//     before Send returns.
 //   - Per-hop mutation happens on the value fields only (TTL, Hops, Sender):
 //     a forwarder copies the struct — `fwd := m; fwd.TTL--` — which shares
 //     the slices and rewrites the scalars. That is the write part of
 //     copy-on-write, and it is what keeps relaying allocation-free.
 //   - A receiver that needs to *change* a slice (integrate a shuffle list,
 //     build a reply) copies it first, into scratch it owns.
-//   - A receiver may retain a received slice beyond the handler return
-//     (Plumtree caches payloads for GRAFT retransmission) exactly because of
-//     the freeze rule: a frozen slice is safe to alias forever.
-//   - Delivery callbacks (gossip.Delivery) receive the shared payload and
-//     must treat it as read-only; applications that need a private copy make
-//     one.
+//   - A received slice is lent: read-only, and valid until Deliver returns.
+//     The TCP transport decodes each frame's payload in place in its
+//     connection's read buffer (msg.Decode), and the next frame overwrites
+//     it. Only an environment that declares FrozenBodies — the simulator,
+//     whose bodies live as long as the run — lets a receiver retain a
+//     received slice beyond the handler return; everywhere else a receiver
+//     copies what it keeps (Plumtree's retention ring copies each payload
+//     into an arena of its own, see FrozenBodies).
+//   - Delivery callbacks (gossip.Delivery, pubsub.Handler, the TCP agent's
+//     OnDeliver) receive the payload under the same loan: read-only, and
+//     valid until the callback returns. Applications that keep it copy it.
 //   - Deliver receives the message by pointer, and the pointee is the
 //     environment's: the simulator passes the body it stores (which other
 //     receivers of the same fan-out may share), the TCP agent a frame it owns.
@@ -59,10 +64,11 @@ var ErrOverflow = errors.New("peer: send queue overflow")
 //     same pointer down (pubsub → gossip|Plumtree → X-BOT → core, Cyclon or
 //     Scamp) and none writes through it or keeps it: a relay copies the
 //     struct (`fwd := *m`), and what must outlive the call is copied out —
-//     scalars by value, slices under the freeze rule above.
+//     scalars by value, slices under the rules above.
 //
 // msg.Message.Clone remains available for the rare caller that needs a
-// deeply owned copy (tests, persistence), but no protocol hot path uses it.
+// deeply owned copy (tests, persistence, a fault hook that records what
+// passes it), but no protocol hot path uses it.
 
 // Scheduler is the time contract every environment provides alongside message
 // delivery. Time is measured in ticks, an abstract unit each environment maps
@@ -149,6 +155,19 @@ type FailureObserver interface {
 // probe for it once at construction and fall back to Send.
 type RefSender interface {
 	SendRef(dst id.ID, m *msg.Message) error
+}
+
+// FrozenBodies is an optional Env marker: the slices of every message the
+// environment delivers stay frozen for the environment's whole life, so a
+// receiver may alias them past Deliver instead of copying (see "Message
+// ownership" above). The simulator declares it: one payload buffer serves
+// every receiver of a broadcast, and a copy per retaining node would
+// multiply the bytes held by the population. The TCP transport does not, as
+// it lends each payload from a read buffer the next frame reuses. Layers
+// probe for it once at construction; an environment that does not declare
+// it is treated as lending, which costs a copy, never a corrupted payload.
+type FrozenBodies interface {
+	FrozenBodies()
 }
 
 // Membership is the behaviour every membership protocol exposes to the

@@ -158,35 +158,94 @@ type ringEntry struct {
 // payloadRing is the one place a node holds delivered payloads, kept only to
 // answer GRAFTs: a FIFO of the most recent non-empty payloads, at most
 // DefaultCacheWindow of them and at most retainBudget bytes in total, except
-// that the newest payload is always kept. Each slice aliases the delivered
-// message's frozen buffer (see the ownership rules on package peer), so
-// retaining copies nothing — but it pins that buffer until the entry is
-// dropped, which is why the ring is bounded in bytes, not only in rounds.
+// that the newest payload is always kept.
+//
+// Where the environment declares frozen bodies (peer.FrozenBodies: the
+// simulator) an entry aliases the delivered slice, so retaining copies
+// nothing, but it pins that buffer until the entry is dropped, which is why
+// the ring is bounded in bytes, not only in rounds. Everywhere else the
+// delivered slice is only lent (the TCP transport decodes payloads in its
+// read buffer), and the ring copies each payload into an arena of its own,
+// retainBudget bytes allocated at the first put and reused from then on:
+// one copy and no allocation per delivery. The arena is filled circularly
+// from its write offset, and a put drops the oldest entries until the bytes
+// from that offset to the end of its copy are free. A copy that does not fit
+// before the arena's end goes to offset 0, and the bytes it skips (the wrap
+// gap, under one payload) are claimed with it: the entries there go first,
+// as they are the oldest. The arena's horizon is thus the budget less at
+// most one payload. A payload larger than the budget is kept alone, in a
+// buffer of its own, until the next put.
 type payloadRing struct {
 	slots [DefaultCacheWindow]ringEntry
 	head  int // next slot to write; the n slots before it are live
 	n     int
 	bytes int // summed len(payload) of the live slots
+
+	alias bool   // the environment's bodies are frozen: keep the caller's slice
+	arena []byte // the copies, when not aliasing; nil until the first put
+	write int    // arena offset the next copy goes to, when it fits
 }
 
 // put retains payload for round, dropping the oldest entries until it fits,
 // and returns the slot to remember in the round's cached entry.
 func (r *payloadRing) put(round uint64, payload []byte) uint16 {
-	if len(payload) == 0 {
+	size := len(payload)
+	if size == 0 {
 		return noSlot
 	}
-	for r.n > 0 && (r.n == len(r.slots) || r.bytes+len(payload) > retainBudget) {
+	at := r.write
+	if at+size > retainBudget {
+		at = 0
+	}
+	claim := at + size - r.write // arena bytes from write to the copy's end
+	if at < r.write {
+		claim += retainBudget
+	}
+	for r.n > 0 {
 		oldest := &r.slots[(r.head-r.n+len(r.slots))%len(r.slots)]
+		if r.n < len(r.slots) && r.bytes+size <= retainBudget && !r.claimed(oldest, claim) {
+			break
+		}
 		r.bytes -= len(oldest.payload)
 		oldest.payload = nil
 		r.n--
 	}
+	kept := payload
+	switch {
+	case r.alias:
+	case size > retainBudget:
+		kept = append([]byte(nil), payload...)
+	default:
+		if r.arena == nil {
+			r.arena = make([]byte, retainBudget)
+		}
+		kept = r.arena[at : at+size]
+		copy(kept, payload)
+		r.write = at + size
+	}
 	slot := r.head
-	r.slots[slot] = ringEntry{round: round, payload: payload}
+	r.slots[slot] = ringEntry{round: round, payload: kept}
 	r.head = (slot + 1) % len(r.slots)
 	r.n++
-	r.bytes += len(payload)
+	r.bytes += size
 	return uint16(slot)
+}
+
+// claimed reports whether e, the oldest live entry, starts within the claim
+// arena bytes from the write offset, circularly. Arena entries lie in FIFO
+// order from there, so when the oldest starts past the claim, all do. An
+// arena entry's capacity runs to the arena's end, which is how its offset
+// is recovered. Aliased and oversize entries lie outside the arena; the
+// byte bound drops an oversize one first.
+func (r *payloadRing) claimed(e *ringEntry, claim int) bool {
+	if r.arena == nil {
+		return false
+	}
+	dist := retainBudget - cap(e.payload) - r.write
+	if dist < 0 {
+		dist += retainBudget
+	}
+	return dist < claim
 }
 
 // get returns the payload put for round at slot. ok is false when it has
@@ -199,11 +258,14 @@ func (r *payloadRing) get(round uint64, slot uint16) (payload []byte, ok bool) {
 	if e.round != round || e.payload == nil {
 		return nil, false
 	}
-	return e.payload, true
+	return e.payload[:len(e.payload):len(e.payload)], true
 }
 
-// reset drops every retained payload.
-func (r *payloadRing) reset() { *r = payloadRing{} }
+// reset drops every retained payload; the arena is kept for reuse.
+func (r *payloadRing) reset() {
+	r.slots = [DefaultCacheWindow]ringEntry{}
+	r.head, r.n, r.bytes, r.write = 0, 0, 0, 0
+}
 
 // source is one IHAVE announcer of a round this node has not delivered.
 type source struct {
@@ -329,6 +391,7 @@ func New(env peer.Env, membership peer.Membership, cfg Config, onDeliver gossip.
 	if rs, ok := env.(peer.RefSender); ok {
 		n.sendRef = rs.SendRef
 	}
+	_, n.ring.alias = env.(peer.FrozenBodies)
 	n.seen.Init(DefaultCacheWindow)
 	n.miss.Init(DefaultCacheWindow)
 	return n

@@ -61,6 +61,11 @@ func newFakeEnv(self id.ID) *fakeEnv {
 	return &fakeEnv{self: self, rand: rng.New(1), down: make(map[id.ID]bool)}
 }
 
+// FrozenBodies declares the fake's bodies frozen (peer.FrozenBodies): no
+// test writes a payload it delivered, and sends are recorded by reference,
+// so the node aliases what it retains, as in the simulator.
+func (e *fakeEnv) FrozenBodies() {}
+
 func (e *fakeEnv) Self() id.ID       { return e.self }
 func (e *fakeEnv) Rand() *rng.Rand   { return e.rand }
 func (e *fakeEnv) Watch(id.ID)       {}

@@ -34,10 +34,12 @@
 // passed through to the broadcaster untouched — zero copies, zero
 // allocations. On the batched path the bytes are appended into the topic's
 // pending frame (the one copy batching fundamentally requires); once the
-// frame is handed to the broadcaster it is frozen forever — Plumtree may
-// alias it for a full cache window of GRAFT retransmissions — so the router
-// starts a fresh buffer per batch instead of recycling, one bounded
-// allocation per flush, amortized across the batch.
+// frame is handed to the broadcaster it is frozen forever — in the
+// simulator, Plumtree aliases it for GRAFT retransmissions as long as its
+// retention ring keeps it — so the router starts a fresh buffer per batch
+// instead of recycling, one bounded allocation per flush, amortized across
+// the batch. A delivered payload, and every sub-payload unpacked from a
+// batch, is lent to the Handler: valid until it returns.
 package pubsub
 
 import (
@@ -71,8 +73,11 @@ func SplitTopic(wire uint32) (topic uint32, batched bool) {
 }
 
 // Handler is a per-subscriber delivery callback: invoked once per delivered
-// message on the topic it was registered for, with the (frozen, read-only)
-// payload and the overlay hop count of the round that carried it.
+// message on the topic it was registered for, with the payload and the
+// overlay hop count of the round that carried it. The payload is lent:
+// read-only, and valid until the handler returns (on the TCP agent it lies
+// in a connection's read buffer); a handler that keeps it keeps a copy (see
+// package peer, "Message ownership").
 type Handler func(topic uint32, payload []byte, hops int)
 
 // Config parameterizes a Router. The zero value disables batching and the
@@ -320,8 +325,8 @@ func (r *Router) removeOrder(topic uint32) {
 // OnBroadcast is the gossip.Delivery callback to install on the inner
 // broadcaster at its construction. It routes tagged rounds to the
 // subscription table — unpacking batch frames in place, the sub-payload
-// slices alias the frozen frame — and hands untagged rounds to
-// Config.Fallback.
+// slices alias the delivered frame, lent to the handlers as it is to
+// OnBroadcast — and hands untagged rounds to Config.Fallback.
 func (r *Router) OnBroadcast(round uint64, topic uint32, payload []byte, hops int) {
 	if topic == 0 {
 		if r.cfg.Fallback != nil {

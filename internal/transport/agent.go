@@ -103,7 +103,10 @@ type AgentConfig struct {
 
 	// OnDeliver is invoked under the agent lock — one call at a time, from
 	// whichever goroutine is dispatching — once per delivered broadcast. It
-	// must not call back into the agent. May be nil.
+	// must not call back into the agent. payload is lent: read-only, and
+	// valid until the callback returns, as a received payload is decoded in
+	// its connection's read buffer; a callback that keeps it keeps a copy
+	// (see package peer, "Message ownership"). May be nil.
 	OnDeliver func(payload []byte)
 	// OnNeighborUp is invoked under the agent lock when a peer enters the
 	// active view. It must not call back into the agent. May be nil.

@@ -136,3 +136,52 @@ func TestAgentCallsRaceClose(t *testing.T) {
 		}
 	}
 }
+
+// TestAgentReceivedPayloadFrameAllocs pins the receive path of a Plumtree
+// payload frame on a warm agent, end to end over a socket: b broadcasts a
+// 1 KiB payload to its one neighbour a, whose reader decodes the frame and
+// dispatches it down a's stack to a first delivery. The payload is lent
+// from the connection's read buffer and copied into a's retention arena,
+// and the decoded message is the connection's own, not one per frame, so
+// what a frame still costs, counted across both agents, is the decode of
+// its address directory: the entry slice and the address string.
+func TestAgentReceivedPayloadFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	g := newGate()
+	var linksUp atomic.Int64
+	delivered := make(chan struct{}, 1)
+	mk := func(seed uint64, onDeliver func([]byte)) *Agent {
+		a, err := NewAgent("127.0.0.1:0", AgentConfig{
+			Broadcast:    BroadcastPlumtree,
+			Seed:         seed,
+			OnDeliver:    onDeliver,
+			OnNeighborUp: func(id.ID) { g.hit(&linksUp) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = a.Close() })
+		return a
+	}
+	a := mk(1, func([]byte) { delivered <- struct{}{} })
+	b := mk(2, nil)
+	if err := b.Join(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	g.await(t, "links up", &linksUp, 2, 10*time.Second)
+	payload := make([]byte, 1<<10)
+	frame := func() {
+		if err := b.Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+		<-delivered
+	}
+	for i := 0; i < 600; i++ { // past the seen window: caches, arenas and pools warm
+		frame()
+	}
+	if allocs := testing.AllocsPerRun(300, frame); allocs > 2 {
+		t.Errorf("a received payload frame allocates %.2f/op, want at most 2 (the directory's entries and address)", allocs)
+	}
+}

@@ -513,6 +513,10 @@ func TestResetStormPoolBalance(t *testing.T) {
 		ca.waitDowns(t, round+1)
 	}
 	s.SetPlan(faults.ConnPlan{}) // storm over
+	// A Send that raced the last death finds no link and dials a fresh one,
+	// as first contact does; nothing ends that link, so drain it (a drain
+	// fires no watch) before waiting for the writers.
+	a.Drain(dst)
 
 	writersDone(t, a)
 	deadline := time.Now().Add(3 * time.Second)

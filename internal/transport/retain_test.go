@@ -2,13 +2,16 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
+	"hyparview/internal/plumtree"
 )
 
 // TestPlumtreeRetentionHeapBound is the byte budget of plumtree's payload
@@ -134,5 +137,115 @@ func TestOutsizeBuffersAreNotKept(t *testing.T) {
 		if got.Round != uint64(round) || !bytes.Equal(got.Payload, want) {
 			t.Errorf("frame %d arrived as round %d with %d payload bytes", round, got.Round, len(got.Payload))
 		}
+	}
+}
+
+// roundStamped is a payload of size bytes that only round carries.
+func roundStamped(round uint64, size int) []byte {
+	p := make([]byte, size)
+	for i := range p {
+		p[i] = byte(round*131 + uint64(i)*7)
+	}
+	binary.BigEndian.PutUint64(p, round)
+	return p
+}
+
+// TestGraftAfterArenaWrap holds Plumtree's retention ring to the lending
+// receive path. A bare transport feeds an agent payloads of 24–60 KiB, each
+// stamped with its round, over one connection, so every frame is decoded in
+// place in the read buffer the frame before it used, and the ring copies
+// each into its arena, which wraps every ≈50 rounds, at a different offset
+// each lap. Then the transport GRAFTs every round, oldest first, several
+// arena wraps after most of them arrived: each GRAFT is answered with
+// exactly the bytes sent for its round, or counted in GraftsUnserved —
+// never answered with another round's bytes — and the rounds within the
+// arena's horizon (its budget less one payload) are answered.
+func TestGraftAfterArenaWrap(t *testing.T) {
+	const (
+		budget  = 2 << 20 // plumtree's retention budget
+		maxSize = 60 << 10
+		rounds  = 200 // about four arena laps
+	)
+	size := func(round uint64) int { // under maxKeptBuffer: one read buffer serves every frame
+		return maxSize - int(round*7919%(36<<10))
+	}
+	g := newGate()
+	var delivered, answered atomic.Int64
+	a, err := NewAgent("127.0.0.1:0", AgentConfig{
+		Broadcast: BroadcastPlumtree,
+		Seed:      1,
+		OnDeliver: func(p []byte) {
+			if r := binary.BigEndian.Uint64(p); len(p) != size(r) || !bytes.Equal(p, roundStamped(r, len(p))) {
+				t.Errorf("delivered a damaged payload (%d bytes)", len(p))
+			}
+			g.hit(&delivered)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var mu sync.Mutex
+	replies := make(map[uint64][][]byte)
+	peerTr, err := Listen("127.0.0.1:0", Config{}, func(_ id.ID, m msg.Message) {
+		if m.Type != msg.PlumtreeGossip {
+			return
+		}
+		mu.Lock()
+		replies[m.Round] = append(replies[m.Round], bytes.Clone(m.Payload)) // lent: copied to outlive the call
+		mu.Unlock()
+		g.hit(&answered)
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerTr.Close()
+	agentID := peerTr.Register(a.Addr())
+
+	for r := uint64(1); r <= rounds; r++ {
+		m := msg.Message{Type: msg.PlumtreeGossip, Sender: peerTr.Self(), Round: r, Payload: roundStamped(r, size(r))}
+		if err := peerTr.Send(agentID, m); err != nil {
+			t.Fatal(err)
+		}
+		g.await(t, "delivery", &delivered, int64(r), time.Minute)
+	}
+	for r := uint64(1); r <= rounds; r++ {
+		if err := peerTr.Send(agentID, msg.Message{Type: msg.PlumtreeGraft, Sender: peerTr.Self(), Round: r, Accept: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func() plumtree.ControlStats {
+		st, _ := a.PlumtreeStats()
+		return st
+	}
+	deadline := time.Now().Add(time.Minute)
+	for stats().GraftsRecvd < rounds {
+		if time.Now().After(deadline) {
+			t.Fatalf("the agent handled %d of %d grafts", stats().GraftsRecvd, rounds)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	unserved := stats().GraftsUnserved
+	g.await(t, "graft answers", &answered, int64(rounds-unserved), time.Minute)
+
+	mu.Lock()
+	defer mu.Unlock()
+	for r, got := range replies {
+		if len(got) != 1 || !bytes.Equal(got[0], roundStamped(r, size(r))) {
+			t.Errorf("round %d answered %d times, not with the bytes sent for it", r, len(got))
+		}
+	}
+	if len(replies)+int(unserved) != rounds {
+		t.Errorf("%d grafts answered and %d unserved, want %d in all", len(replies), unserved, rounds)
+	}
+	for r, newer := uint64(rounds), 0; newer+size(r) <= budget-maxSize; r-- {
+		if replies[r] == nil {
+			t.Errorf("round %d, %d bytes from the newest, went unserved: the arena's horizon is short", r, newer)
+		}
+		newer += size(r)
+	}
+	if replies[1] != nil {
+		t.Error("round 1 was served after several arena laps")
 	}
 }

@@ -91,8 +91,9 @@ type Config struct {
 	// and before dispatch. Returning false suppresses the delivery;
 	// returning a non-nil replacement dispatches it instead. It is invoked
 	// from reader goroutines, so implementations must be safe for concurrent
-	// use (see faults.Synchronized). Nil costs one predictable branch per
-	// frame.
+	// use (see faults.Synchronized). The message is lent like every received
+	// one (see Listen): a hook that keeps it keeps m.Clone(). Nil costs one
+	// predictable branch per frame.
 	Intercept func(node id.ID, m *msg.Message) (*msg.Message, bool)
 }
 
@@ -190,7 +191,10 @@ type Transport struct {
 // returns a transport whose identity is derived from the bound address.
 // onMessage is invoked from reader goroutines, one frame at a time per
 // connection and before that connection's next frame is read —
-// implementations must be concurrency-safe (see Agent). onPeerDown
+// implementations must be concurrency-safe (see Agent). m.Payload is lent:
+// it lies in the connection's read buffer, which the next frame reuses, so
+// it is valid until onMessage returns, and a handler that keeps m keeps
+// m.Clone() (see package peer, "Message ownership"). onPeerDown
 // (may be nil) is invoked once when a watched peer fails: its connection
 // ends or its one dial fails, or Suspect condemns it.
 func Listen(addr string, cfg Config, onMessage func(id.ID, msg.Message), onPeerDown func(id.ID)) (*Transport, error) {

@@ -22,10 +22,12 @@ type collector struct {
 	downs []id.ID
 }
 
+// onMessage keeps a deep copy of m: a received payload is lent from the
+// connection's read buffer only until the callback returns.
 func (c *collector) onMessage(from id.ID, m msg.Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgs = append(c.msgs, m)
+	c.msgs = append(c.msgs, m.Clone())
 	c.froms = append(c.froms, from)
 }
 
@@ -332,7 +334,7 @@ func TestAgentFailureRepairsOverTCP(t *testing.T) {
 	mk := func(c *collector) *Agent {
 		a, err := NewAgent("127.0.0.1:0", AgentConfig{
 			CyclePeriod: 50 * time.Millisecond,
-			OnDeliver:   func(p []byte) { c.onMessage(id.Nil, msg.Message{Payload: p}) },
+			OnDeliver:   func(p []byte) { c.onMessage(id.Nil, msg.Message{Payload: p}) }, // onMessage copies p
 		})
 		if err != nil {
 			t.Fatal(err)

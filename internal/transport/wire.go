@@ -45,7 +45,8 @@ func getScratch() *sendScratch {
 // they have carried and maxFrame is 64 MiB, so without a cap one large
 // message would pin that much per pooled scratch and per inbound connection
 // for good; a larger buffer is left to the collector after its one use (the
-// rule fmt follows for its pooled buffers, at the same size).
+// rule fmt follows for its pooled buffers, at the same size). A read buffer
+// is reused only once the frame it lent to dispatch has been handled.
 const maxKeptBuffer = 64 << 10
 
 func putScratch(sc *sendScratch) {
@@ -281,16 +282,18 @@ var readerPool = sync.Pool{
 // pooled buffered reader: one kernel read pulls in as many back-to-back
 // frames as fit, and the length-prefix + payload decode of each is then
 // buffer-only — under load the two reads per frame collapse to a fraction
-// of one. The frame buffer is reused across frames: msg.Decode copies every
-// variable-length field into fresh memory (nothing the protocol retains
-// aliases the buffer or the read buffer), so one buffer per connection
-// amortizes to zero allocations per received frame (frames beyond
-// maxKeptBuffer get a buffer each), and the decode-bounds guarantees
-// (maxFrame here, list/payload caps in the codec) are unchanged.
+// of one. The frame buffer and the decoded message are reused across
+// frames, one each per connection, so a frame costs no allocation for
+// either (frames beyond maxKeptBuffer get a buffer each), and the
+// decode-bounds guarantees (maxFrame here, list/payload caps in the codec)
+// are unchanged.
 //
 // Each frame is handed to onMessage before the next one is read, so a
 // consumer that handles frames on the spot sees a peer's last frame before
-// the end of its stream. The reader of a dialed connection serves its link
+// the end of its stream. The payload is lent: msg.Decode leaves it in the
+// frame buffer, which the next frame overwrites, so it is valid until
+// onMessage (and Config.Intercept before it) returns, and what outlives the
+// call is copied out (see package peer, "Message ownership"). The reader of a dialed connection serves its link
 // l. The reader of an accepted connection (l nil) offers it to the first
 // frame's sender as its link (see adopt), and offers it again on that
 // sender's later frames once the link that refused it is gone, so a sender
@@ -313,10 +316,12 @@ func (t *Transport) readLoop(c net.Conn, l *link) (*link, error) {
 	}()
 	var lenBuf [lenHeaderSize]byte
 	var buf []byte
+	var m msg.Message     // Intercept takes its address: one per connection, not per frame
 	adoptable := l == nil // an accepted connection, offered to its sender
 	var owner id.ID       // the sender of its first frame
 	var refused *link     // owner's link, which left it read-only
 	for {
+		m.Payload = nil // lent by the last frame: an idle connection pins no outsize buffer
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return l, err
 		}
@@ -334,12 +339,12 @@ func (t *Transport) readLoop(c net.Conn, l *link) (*link, error) {
 			}
 			return l, err
 		}
-		m, _, err := msg.Decode(buf)
-		if err != nil {
+		var err error
+		if m, _, err = msg.Decode(buf); err != nil {
 			return l, err // corrupt peer; drop the connection
 		}
 		if cap(buf) > maxKeptBuffer {
-			buf = nil // decoded into fresh memory: an outsize buffer is not kept
+			buf = nil // not reused: the frame keeps it until its dispatch ends
 		}
 		if t.closedFlag.Load() {
 			if l == nil {
