@@ -358,7 +358,7 @@ func TestNearEmptyDrainIsFree(t *testing.T) {
 			{"RunFor(0)", func() { s.RunFor(0) }},
 			{"OnCycle+Drain", func() {
 				node = (node + 1) % n
-				s.Process(id.ID(node + 1)).OnCycle()
+				s.nodes[node].proc.OnCycle()
 				if got := s.Drain(); got != 2 {
 					t.Fatalf("shards=%d: cycle drain made %d deliveries, want 2", shards, got)
 				}

@@ -4,10 +4,12 @@
 //
 // Model:
 //
-//   - Nodes are identified by id.ID and host a peer.Process. Internally the
-//     simulator keys everything by a dense node index: the id→index map is
-//     consulted once per Send, and the hot delivery path is pure slice
-//     access, which is what makes 100k-node populations practical.
+//   - Nodes are identified by id.ID and host a peer.Process. The n-th node
+//     added is id.ID(n), so a node's id is its position in the node table:
+//     every per-node datum — liveness, parked timers, open connections
+//     (Watch), partition group — lives in that table or a slice beside it,
+//     and the hot delivery path is pure slice access, which is what makes
+//     million-node populations practical.
 //   - There is one event engine (shards.go): deliveries are ordered by
 //     (virtual time, send sequence), kept in per-instant FIFO bucket vectors
 //     and delivered instant by instant, wave by wave, on one shard (New) or
@@ -60,11 +62,13 @@ const (
 )
 
 // simNode is the simulator's per-node bookkeeping, stored by value in a
-// dense index-ordered table.
+// dense index-ordered table; the node at index i is id.ID(i+1) (see idAt).
 type simNode struct {
-	id    id.ID
 	proc  peer.Process
 	alive bool
+	// downAt is the 1-based position of the node in the queue of pending
+	// victims while flushDowns collects their watchers, and 0 otherwise.
+	downAt int32
 
 	// parked holds scheduler events (one-shot timers, periodic
 	// registrations) that came due while the node was failed. They are
@@ -73,7 +77,15 @@ type simNode struct {
 	// burn engine work delivering nothing for the rest of the run. A parked
 	// event keeps its message in its shard's hold slab.
 	parked []sevent
+
+	// watches lists the nodes this one holds an open connection to (Watch),
+	// in no particular order. Only the node itself writes it — on its own
+	// shard mid-wave, or on the coordinator — so a watch needs no lock.
+	watches []id.ID
 }
+
+// idAt returns the identifier of the node at table index idx.
+func idAt[I int | int32](idx I) id.ID { return id.ID(idx) + 1 }
 
 // Stats aggregates counters over the lifetime of a Sim.
 type Stats struct {
@@ -103,25 +115,15 @@ type Stats struct {
 // Sim is a deterministic event-driven network simulator.
 type Sim struct {
 	rand  *rng.Rand
-	nodes []simNode       // dense node table in insertion order
-	index map[id.ID]int32 // id → node table index
-	alive int             // live-node count, maintained by Add/Fail/Revive
+	nodes []simNode // dense node table in insertion order
+	alive int       // live-node count, maintained by Add/Fail/Revive
 
 	// aliveBits packs per-node liveness one bit per table index. The
 	// per-send liveness check is the one random access the hot dispatch
-	// path cannot avoid; against the 56-byte simNode records a 100k-node
+	// path cannot avoid; against the 72-byte simNode records a 100k-node
 	// population costs a DRAM miss per send, while the bitset (12.5KB)
 	// stays cache-resident.
 	aliveBits []uint64
-
-	// dense is true while node identifiers follow the harness convention
-	// id.ID(i+1) for the i-th added node. Every cluster builder in this
-	// repository numbers nodes that way, which lets the per-send id→index
-	// translation — the last map access on the hot dispatch path — collapse
-	// to an integer subtraction. The first out-of-pattern Add clears the
-	// flag and everything falls back to the map, which is maintained either
-	// way.
-	dense bool
 
 	stats Stats
 
@@ -154,16 +156,17 @@ type Sim struct {
 	workersWG    sync.WaitGroup
 	spawn        func()
 
-	// pendingDowns queues failed or cut-off nodes whose live watchers (see
-	// shard.watching) implementing peer.FailureObserver are owed an
-	// OnPeerDown: a TCP reset, delivered at the next Drain.
+	// pendingDowns queues failed or cut-off nodes, in the order they failed
+	// or were cut off. Their watchers (see simNode.watches) that implement
+	// peer.FailureObserver are owed an OnPeerDown: a TCP reset, delivered at
+	// the next Drain.
 	pendingDowns []id.ID
 
-	// partition, when non-nil, assigns nodes to network partitions: traffic
-	// between different partition groups fails exactly like traffic to a
-	// crashed node (TCP connects time out across the cut). Nodes absent
-	// from the map are in group 0.
-	partition map[id.ID]int
+	// partition, when non-nil, assigns nodes to network partitions by table
+	// index: traffic between different partition groups fails exactly like
+	// traffic to a crashed node (TCP connects time out across the cut).
+	// Nodes beyond its end — added after Partition — are in group 0.
+	partition []int
 
 	// Tap, when non-nil, observes every delivered network message (after
 	// liveness filtering, before the process handles it). Scheduler
@@ -205,18 +208,13 @@ func New(seed uint64) *Sim { return NewSharded(seed, 1) }
 
 // Index translates a node identifier to its table index — its position in
 // Add order, which harnesses key their own per-node tables by — and reports
-// whether the node exists. In the dense id regime (see Sim.dense) this is a
-// bounds check and a subtraction; only irregular populations pay the map
-// lookup.
+// whether the node exists. Node id.ID(n) is the n-th added (see Add), so
+// this is a bounds check and a subtraction.
 func (s *Sim) Index(nodeID id.ID) (int32, bool) {
-	if s.dense {
-		if nodeID == 0 || uint64(nodeID) > uint64(len(s.nodes)) {
-			return 0, false
-		}
-		return int32(nodeID - 1), true
+	if nodeID == 0 || uint64(nodeID) > uint64(len(s.nodes)) {
+		return 0, false
 	}
-	ti, ok := s.index[nodeID]
-	return ti, ok
+	return int32(nodeID - 1), true
 }
 
 // Endpoint is the peer.Env handed to a process at construction time.
@@ -290,39 +288,44 @@ func (e *Endpoint) Every(interval uint64, m msg.Message) {
 }
 
 // Watch registers this node for failure notifications about dst, modelling
-// an open TCP connection. The registration lives on the watcher's own shard:
-// only this node (hence only this shard's goroutine) ever writes it, so
-// watches taken mid-wave need no lock.
+// an open TCP connection. The registration lives in the watcher's own node
+// record (simNode.watches): only this node, hence only its shard's goroutine,
+// ever writes it, so watches taken mid-wave need no lock.
 func (e *Endpoint) Watch(dst id.ID) {
-	ws := e.sh.watching[dst]
-	if ws == nil {
-		ws = make(map[id.ID]struct{}, 4)
-		e.sh.watching[dst] = ws
+	n := &e.sim.nodes[e.idx]
+	if !slices.Contains(n.watches, dst) {
+		n.watches = append(n.watches, dst)
 	}
-	ws[e.self] = struct{}{}
 }
 
 // Unwatch cancels a Watch, modelling closing the connection.
-func (e *Endpoint) Unwatch(dst id.ID) { e.sh.unwatch(e.self, dst) }
+func (e *Endpoint) Unwatch(dst id.ID) { e.sim.nodes[e.idx].unwatch(dst) }
+
+// unwatch drops dst from the node's watches and reports whether it was there.
+func (n *simNode) unwatch(dst id.ID) bool {
+	i := slices.Index(n.watches, dst)
+	if i < 0 {
+		return false
+	}
+	last := len(n.watches) - 1
+	n.watches[i] = n.watches[last]
+	n.watches = n.watches[:last]
+	return true
+}
 
 // Add registers a new live node and constructs its process via factory,
-// which receives the node's environment. Add panics on duplicate ids: that
-// is always a harness bug. The factory may already use the environment's
-// scheduler (periodic protocols register their rounds at construction).
+// which receives the node's environment. The n-th node added must be
+// id.ID(n) — every cluster builder numbers nodes that way, and it makes a
+// node's id its table position — and Add panics otherwise: that is always a
+// harness bug. The factory may already use the environment's scheduler
+// (periodic protocols register their rounds at construction).
 func (s *Sim) Add(nodeID id.ID, factory func(peer.Env) peer.Process) {
-	if nodeID.IsNil() {
-		panic("netsim: cannot add nil node id")
-	}
-	if _, dup := s.index[nodeID]; dup {
-		panic(fmt.Sprintf("netsim: duplicate node %v", nodeID))
-	}
 	idx := int32(len(s.nodes))
-	if nodeID != id.ID(idx+1) {
-		s.dense = false
+	if nodeID != idAt(idx) {
+		panic(fmt.Sprintf("netsim: node %v added in place %d: the n-th node added must be id.ID(n)", nodeID, idx+1))
 	}
 	ep := &Endpoint{sim: s, self: nodeID, idx: idx, rand: *s.rand.Split(), sh: s.shardOf(idx)}
-	s.nodes = append(s.nodes, simNode{id: nodeID, alive: true})
-	s.index[nodeID] = idx
+	s.nodes = append(s.nodes, simNode{alive: true})
 	for int(idx)>>6 >= len(s.aliveBits) {
 		s.aliveBits = append(s.aliveBits, 0)
 	}
@@ -357,35 +360,49 @@ func (s *Sim) Inject(from, to id.ID, m msg.Message) error {
 }
 
 // flushDowns delivers pending connection-reset notifications to live
-// watchers, in ascending watcher order. Notifications run before queued
-// messages so that a batch of simultaneous failures is observed atomically,
-// as the paper's methodology induces them.
+// watchers: victims in the order they were queued, each victim's watchers in
+// ascending id order. Notifications run before queued messages so that a
+// batch of simultaneous failures is observed atomically, as the paper's
+// methodology induces them. One pass over the node table collects the
+// watchers up front, which is exact: a handler cannot watch a pending victim
+// (its Send there fails before the protocol adds the link), only unwatch one.
 func (s *Sim) flushDowns() {
-	var watcherIDs []id.ID
-	for len(s.pendingDowns) > 0 {
-		victim := s.pendingDowns[0]
-		s.pendingDowns = s.pendingDowns[1:]
-		watcherIDs = watcherIDs[:0]
-		for i := range s.shards {
-			for w := range s.shards[i].watching[victim] {
-				watcherIDs = append(watcherIDs, w)
+	if len(s.pendingDowns) == 0 {
+		return
+	}
+	victims := s.pendingDowns
+	s.pendingDowns = nil
+	for k := len(victims) - 1; k >= 0; k-- { // a victim queued twice keeps its first place
+		s.nodes[victims[k]-1].downAt = int32(k + 1)
+	}
+	type link struct{ k, w int32 } // victims[k-1] is watched by the node at index w
+	var links []link
+	for wi := range s.nodes {
+		for _, v := range s.nodes[wi].watches {
+			if vi, ok := s.Index(v); ok && s.nodes[vi].downAt != 0 {
+				links = append(links, link{s.nodes[vi].downAt, int32(wi)})
 			}
 		}
-		slices.Sort(watcherIDs)
-		vDead := !s.Alive(victim)
-		for _, w := range watcherIDs {
-			wi, _ := s.Index(w)
-			live := s.nodes[wi].alive
-			// A crash resets every connection; a partition resets only the
-			// links that cross the cut.
-			if live && !vDead && s.reachable(w, victim) {
-				continue
-			}
-			s.shardOf(wi).unwatch(w, victim)
-			// Dead watchers never hear anything again.
-			if obs, ok := s.nodes[wi].proc.(peer.FailureObserver); ok && live {
-				obs.OnPeerDown(victim)
-			}
+	}
+	for _, v := range victims {
+		s.nodes[v-1].downAt = 0
+	}
+	// Collected in ascending watcher order, which a stable sort keeps.
+	slices.SortStableFunc(links, func(a, b link) int { return int(a.k - b.k) })
+	for _, l := range links {
+		victim, w := victims[l.k-1], &s.nodes[l.w]
+		// A crash resets every connection; a partition resets only the links
+		// that cross the cut.
+		if w.alive && s.Alive(victim) && s.reachable(idAt(l.w), victim) {
+			continue
+		}
+		// An earlier handler may have dropped the watch, and dead watchers
+		// never hear anything again.
+		if !w.unwatch(victim) || !w.alive {
+			continue
+		}
+		if obs, ok := w.proc.(peer.FailureObserver); ok {
+			obs.OnPeerDown(victim)
 		}
 	}
 }
@@ -421,8 +438,7 @@ func (s *Sim) RunCycle() {
 	alive := s.AliveIDs()
 	s.rand.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
 	for _, nodeID := range alive {
-		ni, _ := s.Index(nodeID)
-		n := &s.nodes[ni]
+		n := &s.nodes[nodeID-1]
 		if !n.alive {
 			continue // may have "failed" mid-cycle in churn scenarios
 		}
@@ -449,12 +465,7 @@ func (s *Sim) Fail(nodeID id.ID) {
 	s.nodes[ni].alive = false
 	s.setAliveBit(ni, false)
 	s.alive--
-	for i := range s.shards {
-		if len(s.shards[i].watching[nodeID]) > 0 {
-			s.pendingDowns = append(s.pendingDowns, nodeID)
-			break
-		}
-	}
+	s.pendingDowns = append(s.pendingDowns, nodeID)
 }
 
 // Revive marks a previously failed node as live again. The process state is
@@ -496,7 +507,7 @@ func (s *Sim) AliveIDs() []id.ID {
 	out := make([]id.ID, 0, len(s.nodes))
 	for i := range s.nodes {
 		if s.nodes[i].alive {
-			out = append(out, s.nodes[i].id)
+			out = append(out, idAt(i))
 		}
 	}
 	return out
@@ -505,8 +516,8 @@ func (s *Sim) AliveIDs() []id.ID {
 // IDs returns all node identifiers (live and failed) in insertion order.
 func (s *Sim) IDs() []id.ID {
 	out := make([]id.ID, len(s.nodes))
-	for i := range s.nodes {
-		out[i] = s.nodes[i].id
+	for i := range out {
+		out[i] = idAt(i)
 	}
 	return out
 }
@@ -523,20 +534,10 @@ func (s *Sim) RandomAlive(r *rng.Rand) (id.ID, bool) {
 		return id.Nil, false
 	}
 	for {
-		n := &s.nodes[r.Intn(len(s.nodes))]
-		if n.alive {
-			return n.id, true
+		if i := r.Intn(len(s.nodes)); s.nodes[i].alive {
+			return idAt(i), true
 		}
 	}
-}
-
-// Process returns the process hosted at nodeID, or nil if unknown.
-func (s *Sim) Process(nodeID id.ID) peer.Process {
-	ni, ok := s.Index(nodeID)
-	if !ok {
-		return nil
-	}
-	return s.nodes[ni].proc
 }
 
 // Rand returns the simulator's root random stream (used by harnesses to pick
@@ -575,7 +576,16 @@ func (s *Sim) reachable(a, b id.ID) bool {
 	if s.partition == nil {
 		return true
 	}
-	return s.partition[a] == s.partition[b]
+	return s.group(a) == s.group(b)
+}
+
+// group returns nodeID's partition group: 0 for a node Partition did not
+// assign, or an id outside the table (a harness Inject's sender).
+func (s *Sim) group(nodeID id.ID) int {
+	if i, ok := s.Index(nodeID); ok && int(i) < len(s.partition) {
+		return s.partition[i]
+	}
+	return 0
 }
 
 // Partition splits the network: every node is assigned a group by assign
@@ -584,29 +594,21 @@ func (s *Sim) reachable(a, b id.ID) bool {
 // notifications at the next Drain, just as crashes do — a network cut looks
 // exactly like peer death to TCP. Call Heal to remove the partition.
 func (s *Sim) Partition(assign func(id.ID) int) {
-	s.partition = make(map[id.ID]int, len(s.nodes))
-	for i := range s.nodes {
-		s.partition[s.nodes[i].id] = assign(s.nodes[i].id)
+	s.partition = make([]int, len(s.nodes))
+	for i := range s.partition {
+		s.partition[i] = assign(idAt(i))
 	}
-	// Break watched links that now cross the cut, in ascending victim order
-	// whatever the map iteration order was.
+	// Break watched links that now cross the cut, in ascending victim order.
 	var broken []id.ID
-	for i := range s.shards {
-		for watchedNode, ws := range s.shards[i].watching {
-			for watcher := range ws {
-				if !s.reachable(watcher, watchedNode) {
-					broken = append(broken, watchedNode)
-					break
-				}
+	for wi := range s.nodes {
+		for _, v := range s.nodes[wi].watches {
+			if _, ok := s.Index(v); ok && !s.reachable(idAt(wi), v) {
+				broken = append(broken, v)
 			}
 		}
 	}
 	slices.Sort(broken)
-	for i, v := range broken {
-		if i == 0 || broken[i-1] != v {
-			s.pendingDowns = append(s.pendingDowns, v)
-		}
-	}
+	s.pendingDowns = append(s.pendingDowns, slices.Compact(broken)...)
 }
 
 // Heal removes the current network partition. Overlay links do not reappear

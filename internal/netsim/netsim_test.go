@@ -232,8 +232,11 @@ func TestAliveBookkeeping(t *testing.T) {
 	if len(s.IDs()) != 4 {
 		t.Error("IDs() must include dead nodes")
 	}
-	if s.Process(1) == nil || s.Process(99) != nil {
-		t.Error("Process lookup wrong")
+	if _, ok := s.Index(1); !ok {
+		t.Error("Index lost node 1")
+	}
+	if _, ok := s.Index(99); ok {
+		t.Error("Index found an unknown node")
 	}
 }
 
@@ -246,6 +249,24 @@ func TestDuplicateAddPanics(t *testing.T) {
 		}
 	}()
 	addRecorder(s, 1)
+}
+
+func TestOutOfSequenceAddPanics(t *testing.T) {
+	// A node's id is its table position: the n-th node added is id.ID(n).
+	for _, ids := range [][]id.ID{{2}, {1, 3}, {1, 2, 2}} {
+		s := New(1)
+		for _, nodeID := range ids[:len(ids)-1] {
+			addRecorder(s, nodeID)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("adding %v did not panic", ids)
+				}
+			}()
+			addRecorder(s, ids[len(ids)-1])
+		}()
+	}
 }
 
 func TestNilAddPanics(t *testing.T) {
@@ -300,6 +321,7 @@ func TestPartitionBlocksCrossTraffic(t *testing.T) {
 func TestPartitionSameSideUnaffected(t *testing.T) {
 	s := New(1)
 	a := addRecorder(s, 1)
+	addRecorder(s, 2) // filler: ids follow the table position
 	c := addRecorder(s, 3)
 	s.Partition(func(n id.ID) int { return int(n % 2) }) // 1 and 3 same side
 	if err := a.env.Send(3, msg.Message{Type: msg.Gossip}); err != nil {
@@ -332,6 +354,7 @@ func TestPartitionResetsOnlyCrossWatchers(t *testing.T) {
 func TestPartitionThenCrashStillNotifies(t *testing.T) {
 	s := New(1)
 	a := addRecorder(s, 1)
+	addRecorder(s, 2) // filler: ids follow the table position
 	addRecorder(s, 3)
 	a.env.Watch(3)
 	s.Partition(func(n id.ID) int { return 0 }) // everyone same group

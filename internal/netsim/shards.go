@@ -242,19 +242,10 @@ type shard struct {
 	arenas [2]arena       // handler output bodies, indexed by wave parity
 	hold   []*msg.Message // free slots of this shard's hold slab
 
-	// watching[d] is the set of nodes on this shard holding an open
-	// connection to d. Writes come only from this shard's nodes (their
-	// Watch/Unwatch), so no lock is needed; the coordinator unions the
-	// per-shard sets when d fails.
-	watching map[id.ID]map[id.ID]struct{}
-
 	stats Stats // what this shard counted mid-wave; Sim.Stats sums the slices
 
 	_ [64]byte // keeps neighbouring shards' hot fields off one cache line
 }
-
-// Shards returns the shard count.
-func (s *Sim) Shards() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard that owns nodeID and delivers to it:
 // the key a host uses to keep its Delivery-callback state per shard. It is 0
@@ -274,8 +265,6 @@ func (s *Sim) ShardOf(nodeID id.ID) int {
 func NewSharded(seed uint64, shards int) *Sim {
 	s := &Sim{
 		rand:   rng.New(seed),
-		index:  make(map[id.ID]int32),
-		dense:  true,
 		shards: make([]shard, max(shards, 1)),
 	}
 	// On a single-P runtime workers cannot overlap anything and only add
@@ -286,12 +275,7 @@ func NewSharded(seed uint64, shards int) *Sim {
 	s.waveParallel = len(s.shards) > 1 && runtime.GOMAXPROCS(0) > 1
 	for i := range s.shards {
 		sh := &s.shards[i]
-		*sh = shard{
-			sim:      s,
-			id:       i,
-			future:   make(map[uint64][]sevent),
-			watching: make(map[id.ID]map[id.ID]struct{}),
-		}
+		*sh = shard{sim: s, id: i, future: make(map[uint64][]sevent)}
 	}
 	s.spawn = s.startShardWorker
 	return s
@@ -739,13 +723,13 @@ func (s *Sim) prePass() {
 		if se.kind != kindMessage {
 			continue
 		}
-		dst := &s.nodes[se.to]
-		if !dst.alive || !s.reachable(se.from, dst.id) {
+		to := idAt(se.to)
+		if !s.nodes[se.to].alive || !s.reachable(se.from, to) {
 			continue // dropped in the parallel phase; hooks never see it
 		}
 		if s.Intercept != nil && se.flags&flagExempt == 0 {
 			hooked := *se.m
-			repl, deliver := s.Intercept(dst.id, &hooked)
+			repl, deliver := s.Intercept(to, &hooked)
 			if !deliver {
 				se.flags |= flagSkip
 				s.stats.FaultDropped++
@@ -767,7 +751,7 @@ func (s *Sim) prePass() {
 			}
 		}
 		if s.Tap != nil {
-			s.Tap(se.from, dst.id, *se.m)
+			s.Tap(se.from, to, *se.m)
 		}
 	}
 }
@@ -823,7 +807,7 @@ func (sh *shard) runWave() {
 				from: se.from, to: se.to, kind: kindPeriodic, interval: se.interval, m: se.m, flags: se.flags})
 		}
 		if se.kind == kindMessage {
-			if !s.reachable(se.from, dst.id) {
+			if !s.reachable(se.from, idAt(se.to)) {
 				sh.stats.Dropped++
 				sh.release(se)
 				continue
@@ -883,7 +867,7 @@ func (s *Sim) mergeOutputs() {
 		case kindMessage:
 			var delay uint64
 			if s.Latency != nil {
-				delay = s.Latency(r.from, s.nodes[r.to].id, s.rand)
+				delay = s.Latency(r.from, idAt(r.to), s.rand)
 			}
 			s.seq++
 			s.enqueueAt(r.sequenced(s.now+delay, s.seq))
@@ -897,16 +881,6 @@ func (s *Sim) mergeOutputs() {
 	}
 	for i := range s.shards {
 		s.shards[i].out = s.shards[i].out[:0]
-	}
-}
-
-// unwatch cancels watcher's registration on dst; watcher is a node of sh.
-func (sh *shard) unwatch(watcher, dst id.ID) {
-	if ws := sh.watching[dst]; ws != nil {
-		delete(ws, watcher)
-		if len(ws) == 0 {
-			delete(sh.watching, dst)
-		}
 	}
 }
 

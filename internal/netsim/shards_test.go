@@ -11,6 +11,7 @@ package netsim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,5 +261,106 @@ func TestShardedParallelWavesUnderChurn(t *testing.T) {
 	}
 	if st := s.Stats(); st.Delivered == 0 || st.FaultDropped == 0 {
 		t.Errorf("degenerate churn run: %+v", st)
+	}
+}
+
+// watchProc watches every node a message to it lists — so its watches are
+// taken mid-wave, on its shard's worker when the wave is parallel — and logs
+// each OnPeerDown it hears as "watcher<victim" in a log the population
+// shares (flushDowns runs the handlers on the coordinator only). A down for
+// dropOn makes it unwatch dropTo, another pending victim.
+type watchProc struct {
+	env            peer.Env
+	log            *[]string
+	dropOn, dropTo id.ID
+}
+
+func (p *watchProc) OnCycle() {}
+
+func (p *watchProc) Deliver(_ id.ID, m *msg.Message) {
+	for _, v := range m.Nodes {
+		p.env.Watch(v)
+	}
+}
+
+func (p *watchProc) OnPeerDown(v id.ID) {
+	*p.log = append(*p.log, fmt.Sprintf("%d<%d", p.env.Self(), v))
+	if v == p.dropOn {
+		p.env.Unwatch(p.dropTo)
+	}
+}
+
+func TestShardedWatchNotifiesEachLiveWatcherOnce(t *testing.T) {
+	// 256 nodes. The eight victims have odd table indices and the watchers
+	// even ones, so at 2 and 4 shards every watcher lives on another shard
+	// than its victims. Watches are taken by handlers in one 129-event wave,
+	// which shard workers deliver at 2 and 4 shards; node 1 gets its
+	// message twice and so watches its victims twice. Then node 3 drops one
+	// watch, node 5 dies before the flush, and node 7's handler for its
+	// first victim unwatches its second, still pending. The victims fail in
+	// neither ascending nor descending order.
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	const n = 256
+	var victims [8]id.ID
+	for k := range victims {
+		victims[k] = id.ID(2 + 32*k)
+	}
+	failOrder := []int{3, 6, 0, 5, 2, 7, 1, 4}
+	targets := func(w id.ID) []id.ID {
+		k := int(w/2) % 8
+		return []id.ID{victims[k], victims[(k+3)%8]}
+	}
+	dropped := targets(3)[0]
+	t7 := targets(7)
+	if slices.Index(failOrder, int(t7[0]-2)/32) > slices.Index(failOrder, int(t7[1]-2)/32) {
+		t.Fatal("scenario: node 7's first victim must fail before its second")
+	}
+
+	run := func(shards int) []string {
+		var log []string
+		s := NewSharded(11, shards)
+		procs := make([]*watchProc, n+1)
+		for i := 1; i <= n; i++ {
+			s.Add(id.ID(i), func(env peer.Env) peer.Process {
+				procs[i] = &watchProc{env: env, log: &log}
+				return procs[i]
+			})
+		}
+		procs[7].dropOn, procs[7].dropTo = t7[0], t7[1]
+		for w := id.ID(1); w <= n; w += 2 {
+			_ = s.Inject(w, w, msg.Message{Type: msg.Gossip, Nodes: targets(w)})
+		}
+		_ = s.Inject(1, 1, msg.Message{Type: msg.Gossip, Nodes: targets(1)})
+		s.Drain()
+		procs[3].env.Unwatch(dropped)
+		s.Fail(5)
+		for _, k := range failOrder {
+			s.Fail(victims[k])
+		}
+		s.Drain()
+		return log
+	}
+
+	var want []string
+	for _, k := range failOrder {
+		v := victims[k]
+		for w := id.ID(1); w <= n; w += 2 {
+			if !slices.Contains(targets(w), v) || w == 5 || (w == 3 && v == dropped) || (w == 7 && v == t7[1]) {
+				continue
+			}
+			want = append(want, fmt.Sprintf("%d<%d", w, v))
+		}
+	}
+	// Two watches per odd-id node, less node 5's two, node 3's dropped one
+	// and node 7's second.
+	if len(want) != n-4 {
+		t.Fatalf("scenario: %d expected downs", len(want))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		if got := run(shards); !slices.Equal(got, want) {
+			t.Errorf("shards=%d: %d downs, want %d\n got: %v\nwant: %v", shards, len(got), len(want), got, want)
+		}
 	}
 }

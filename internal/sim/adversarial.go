@@ -304,7 +304,7 @@ type PartitionMidcastResult struct {
 func PartitionHealMidcast(opts Options, plan faults.PartitionPlan) PartitionMidcastResult {
 	o := opts.withDefaults()
 	o.Broadcast = BroadcastPlumtree
-	if o.LatencyModel == nil && o.Latency == nil {
+	if o.LatencyModel == nil {
 		o.LatencyModel = &netsim.Uniform{Base: 10}
 	}
 	if o.Plumtree.TimerDelay == 0 {

@@ -171,7 +171,7 @@ func TestNodeOwnsNoPassiveSizedScratch(t *testing.T) {
 // marginal heap cost of a stabilized flood-broadcast cluster node — protocol
 // state, engine slot, shard bucket storage, tracker accounting — must stay
 // within the documented budget (see docs/EXPERIMENTS.md, "Breaking the
-// million-node barrier"). The measured figure is ~3.8 KiB/node, of which the
+// million-node barrier"). The measured figure is ~3.2 KiB/node, of which the
 // gossip layer's seen ring is 1 KiB; the 5 KiB budget is tight enough to
 // notice a second kilobyte-sized per-node structure as well as a per-node
 // goroutine, an unpooled per-wave allocation surviving drain, or an

@@ -24,7 +24,6 @@ import (
 	"hyparview/internal/peer"
 	"hyparview/internal/plumtree"
 	"hyparview/internal/pubsub"
-	"hyparview/internal/rng"
 	"hyparview/internal/scamp"
 	"hyparview/internal/stack"
 	"hyparview/internal/xbot"
@@ -149,12 +148,6 @@ type Options struct {
 	// per node (by join index): the hook behind the heterogeneous-degree
 	// extension experiment (paper §6 future work).
 	ConfigureHyParView func(i int, cfg core.Config) core.Config
-	// Latency, when set, installs a raw virtual-time latency function on the
-	// simulator (see netsim.Sim.Latency). The paper's experiments measure
-	// hops and run in the default FIFO mode. Prefer LatencyModel, which also
-	// provides the cost oracle and per-link metrics; when both are set the
-	// explicit function wins for message timing.
-	Latency func(from, to id.ID, r *rng.Rand) uint64
 	// LatencyModel, when set, switches the simulator to event-driven virtual
 	// time with the model's per-link delays, enables virtual-time delivery
 	// latency in MeasureBurst and per-link cost metrics, and serves as the
@@ -285,10 +278,7 @@ func NewCluster(proto Protocol, opts Options) *Cluster {
 		*p = deliveryPart{c: c, tracker: c.Tracker.Part(i), roundLat: make(map[uint64]*latencyAgg)}
 		p.fn = p.deliver
 	}
-	switch {
-	case opts.Latency != nil:
-		c.Sim.Latency = opts.Latency
-	case opts.LatencyModel != nil:
+	if opts.LatencyModel != nil {
 		c.Sim.Latency = opts.LatencyModel.Delay
 	}
 	c.timed = c.Sim.Latency != nil

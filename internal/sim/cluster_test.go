@@ -5,7 +5,7 @@ import (
 
 	"hyparview/internal/id"
 	"hyparview/internal/metrics"
-	"hyparview/internal/rng"
+	"hyparview/internal/netsim"
 )
 
 func TestClusterBuildAllProtocols(t *testing.T) {
@@ -221,9 +221,8 @@ func TestLatencyModelDoesNotAffectReliability(t *testing.T) {
 	c := NewCluster(HyParView, Options{
 		N:    300,
 		Seed: 41,
-		Latency: func(_, _ id.ID, r *rng.Rand) uint64 {
-			return 1 + r.Uint64n(100)
-		},
+		// Draws 1 + r.Uint64n(100) per message.
+		LatencyModel: &netsim.Uniform{Base: 1, Jitter: 99},
 	})
 	c.Stabilize(30)
 	snap := c.Snapshot()

@@ -64,14 +64,14 @@ func TestChurnHyParViewStaysReliable(t *testing.T) {
 func TestChurnGrowsPopulationCorrectly(t *testing.T) {
 	c := NewCluster(HyParView, Options{N: 100, Seed: 5})
 	before := len(c.IDs())
-	c.addNode(500, c.IDs()[0])
+	c.addNode(101, c.IDs()[0])
 	if len(c.IDs()) != before+1 {
 		t.Fatal("addNode did not extend the population")
 	}
-	if !c.Sim.Alive(500) {
+	if !c.Sim.Alive(101) {
 		t.Fatal("added node not alive")
 	}
-	if got := len(c.Membership(500).Neighbors()); got == 0 {
+	if got := len(c.Membership(101).Neighbors()); got == 0 {
 		t.Error("added node has no neighbors")
 	}
 	// The newcomer must be reachable by broadcast.
@@ -142,9 +142,9 @@ func TestChurnUnderPlumtree(t *testing.T) {
 	}
 	// The joiners added mid-churn must have been built as Plumtree nodes.
 	c := NewCluster(HyParView, Options{N: 50, Seed: 1, Broadcast: BroadcastPlumtree})
-	c.addNode(500, 1)
-	if _, ok := c.Gossiper(500).(*plumtree.Node); !ok {
-		t.Errorf("churn joiner broadcaster is %T, want *plumtree.Node", c.Gossiper(500))
+	c.addNode(51, 1)
+	if _, ok := c.Gossiper(51).(*plumtree.Node); !ok {
+		t.Errorf("churn joiner broadcaster is %T, want *plumtree.Node", c.Gossiper(51))
 	}
 }
 

@@ -2,9 +2,10 @@ package sim
 
 // Production-scale smoke: the ROADMAP's north star is simulating overlays at
 // the scale PeerSim ran for the paper (§5 uses n=10,000) and beyond. The
-// rewritten event engine — index-based node table, pooled single event heap —
-// makes an n=100,000 HyParView population practical; this test proves it
-// end to end: build, stabilize, broadcast, full reliability.
+// event engine — a node table indexed by node id that holds every per-node
+// datum, per-instant bucket vectors, per-wave arenas — makes an n=100,000
+// HyParView population practical; this test proves it end to end: build,
+// stabilize, broadcast, full reliability.
 
 import "testing"
 
@@ -17,8 +18,9 @@ func TestScale100kBroadcastReliability(t *testing.T) {
 
 // TestScale1MBroadcastReliability breaks the million-node barrier end to end
 // on two engine shards: build n=1,000,000, stabilize, broadcast, and demand
-// full reliability. Expect several minutes and ~10 GB of heap; CI runs it in
-// a dedicated non-short step.
+// full reliability. On a 2-vCPU host with go1.24 it runs in about 60 s and
+// peaks near 4.4 GiB of resident memory; CI runs it in a dedicated non-short
+// step.
 func TestScale1MBroadcastReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-node scale smoke skipped in -short mode")

@@ -2,8 +2,8 @@ package sim
 
 // Scheduler/time determinism: the event engine must produce byte-identical
 // wire traces under a fixed seed — across runs, and across the FIFO mode and
-// an explicit zero-delay latency mode (which exercise the same single event
-// heap through different configuration paths) — and the scheduler-driven
+// an explicit zero-delay latency mode (which exercise the same event engine
+// through different configuration paths) — and the scheduler-driven
 // periodic mode must drive the protocol to the same health the cycle-driven
 // mode reaches.
 
@@ -16,7 +16,6 @@ import (
 	"hyparview/internal/id"
 	"hyparview/internal/msg"
 	"hyparview/internal/netsim"
-	"hyparview/internal/rng"
 )
 
 // clusterTrace builds a HyParView cluster, then records every delivered wire
@@ -47,12 +46,12 @@ func TestSameSeedSameEventTrace(t *testing.T) {
 
 func TestFIFOMatchesZeroDelayLatencyMode(t *testing.T) {
 	// FIFO mode is, by construction, delay-0 scheduling on the shared event
-	// heap: installing an explicit always-zero latency function must yield a
-	// byte-identical trace, timestamps included.
+	// engine: installing a latency model whose every link costs 0 ticks must
+	// yield a byte-identical trace, timestamps included.
 	base := Options{N: 80, Seed: 3, Broadcast: BroadcastPlumtree}
 	fifo := clusterTrace(base, 4, 2)
 	zeroOpts := base
-	zeroOpts.Latency = func(id.ID, id.ID, *rng.Rand) uint64 { return 0 }
+	zeroOpts.LatencyModel = &netsim.Uniform{}
 	zero := clusterTrace(zeroOpts, 4, 2)
 	if fifo == "" {
 		t.Fatal("empty event trace")

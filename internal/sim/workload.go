@@ -128,7 +128,7 @@ type WorkloadPoint struct {
 func Workload(opts Options, wopts WorkloadOptions) ([]WorkloadPoint, *metrics.Table) {
 	opts = opts.withDefaults()
 	wopts = wopts.withDefaults()
-	if opts.Latency == nil && opts.LatencyModel == nil {
+	if opts.LatencyModel == nil {
 		opts.LatencyModel = netsim.NewEuclidean(opts.Seed)
 	}
 	t := metrics.NewTable(
